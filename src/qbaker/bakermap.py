@@ -50,6 +50,15 @@ def half_integer_fourier(dim: int, sign: int = +1) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
+def _half_shift(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twiddles that turn a plain DFT into the half-integer one.
+
+    exp(2j*pi*(j+1/2)(k+1/2)/size) = tail[j] * exp(2j*pi*j*k/size) * head[k].
+    """
+    a = np.arange(size)
+    return np.exp(1j * np.pi * a / size), np.exp(1j * np.pi * (a + 0.5) / size)
+
+
 def _momentum_transform(block: np.ndarray, inverse: bool) -> np.ndarray:
     """Apply the half-integer Fourier kernel along the last axis via FFT.
 
@@ -57,12 +66,30 @@ def _momentum_transform(block: np.ndarray, inverse: bool) -> np.ndarray:
     inverse applies the conjugate kernel.  O(M log M) per row.
     """
     size = block.shape[-1]
-    a = np.arange(size)
-    head = np.exp(1j * np.pi * a / size)
-    tail = np.exp(1j * np.pi * (a + 0.5) / size)
+    head, tail = _half_shift(size)
     if inverse:
         return np.conj(tail) * np.fft.fft(block * np.conj(head)) / np.sqrt(size)
     return tail * np.fft.ifft(block * head) * np.sqrt(size)
+
+
+@lru_cache(maxsize=8)
+def _step_twiddles(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three fused twiddle vectors of apply_columns, read-only.
+
+    transfer_kernel(dot) is F_M^dagger applied to each half of F_2M (both
+    half-integer DFTs, M = 2**dot).  `pre` (length 2M) is F_2M's input
+    twiddle, `mid` (length 2M, read as (2, M)) joins F_2M's output twiddle to
+    F_M^dagger's input one, and `post` (length M) is F_M^dagger's output
+    twiddle with both normalizations folded in.
+    """
+    m = 1 << dot
+    pre, tail2 = _half_shift(2 * m)
+    head1, tail1 = _half_shift(m)
+    mid = (tail2.reshape(2, m) * np.conj(head1)).reshape(2 * m)
+    post = np.conj(tail1) / (m * np.sqrt(2.0))
+    for vec in (pre, mid, post):
+        vec.flags.writeable = False
+    return pre, mid, post
 
 
 class LocalizationWindow(NamedTuple):
@@ -168,6 +195,65 @@ def transfer(coeffs: np.ndarray, shape: SystemShape) -> np.ndarray:
     return analyze(psi, shape, shape.dot)
 
 
+def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of transfer_kernel(dot), fresh and writable.
+
+    Summing the product of the two half-integer DFTs in closed form gives,
+    with M = 2**dot, row = f*M + r (fresh bit f) and column c,
+
+        K[f*M + r, c] = g(c - 2r) * exp(1j*pi*f*(c + 1/2)),
+        g(d) = 1j * (1 + 1j*(-1)**d) / (2*sin(pi*(d - 1/2)/(2M)) * sqrt(M*2M)),
+
+    so the fresh-bit-1 half is the fresh-bit-0 half times 1j*(-1)**c.
+    O(2M * (stop - start)).
+    """
+    m = 1 << dot
+    if not 0 <= start < stop <= 2 * m:
+        raise ValueError(f"need 0 <= start < stop <= {2 * m}, got start={start}, stop={stop}")
+    width = stop - start
+    # g over every d = c - 2r the block touches, lowest first
+    d = np.arange(start - 2 * (m - 1), stop)
+    g = np.where(d % 2 == 0, -1 + 1j, 1 + 1j) / (
+        2.0 * np.sin(np.pi * (d - 0.5) / (2 * m)) * (m * np.sqrt(2.0))
+    )
+    out = np.empty((2 * m, width), dtype=np.complex128)
+    # window i of g starts at d = start - 2(M-1) + i, which is row r = M-1-i/2
+    out[:m] = np.lib.stride_tricks.sliding_window_view(g, width)[::2][::-1]
+    np.multiply(out[:m], np.where(np.arange(start, stop) % 2 == 0, 1j, -1j), out=out[m:])
+    return out
+
+
+def apply_columns(
+    x: np.ndarray, dot: int, start: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply transfer_kernel(dot)[:, start:start+w] along the last axis of x.
+
+    x has shape (..., w); the result has shape (..., 2M), M = 2**dot.  The
+    input is embedded at `start` in a length-2M vector, then one length-2M
+    inverse FFT and one length-M FFT over each half do the work, with the
+    twiddles applied in place.  O(M log M) per vector; `out` (C-contiguous,
+    shape (..., 2M)) may be given to receive the result.
+    """
+    m = 1 << dot
+    width = x.shape[-1]
+    if start < 0 or start + width > 2 * m:
+        raise ValueError(f"columns {start}..{start + width - 1} outside 0..{2 * m - 1}")
+    if out is None:
+        out = np.empty(x.shape[:-1] + (2 * m,), dtype=np.complex128)
+    pre, mid, post = _step_twiddles(dot)
+    out[..., :start] = 0
+    out[..., start + width :] = 0
+    np.multiply(x, pre[start : start + width], out=out[..., start : start + width])
+    # in-place FFTs keep peak memory at one output buffer; np.fft's out=
+    # needs numpy >= 2.0, the floor pyproject.toml declares
+    np.fft.ifft(out, norm="forward", out=out)
+    out *= mid
+    halves = out.reshape(out.shape[:-1] + (2, m))
+    np.fft.fft(halves, out=halves)
+    halves *= post
+    return out
+
+
 @lru_cache(maxsize=8)
 def transfer_kernel(dot: int) -> np.ndarray:
     """Dense unitary kernel mixing the dot-adjacent labels in one map step.
@@ -177,13 +263,16 @@ def transfer_kernel(dot: int) -> np.ndarray:
     label 1) and a pure left shift of all trailing labels; the kernel's
     leading output bit is the fresh label injected at the far right of the
     register.  Rows 0..2^dot-1 carry fresh bit 0, the rest fresh bit 1.
+
+    The kernel is F_M^dagger times each half of F_2M (half-integer DFTs,
+    M = 2**dot, as in the Balazs-Voros/Saraceno quantized baker), built here
+    from the closed form in kernel_columns.  Cached and read-only.
+    Propagation applies wide column blocks through apply_columns instead and
+    builds this dense matrix only for its narrow contractions.
     """
     if dot < 0:
         raise ValueError(f"dot must be >= 0, got {dot}")
-    half = 1 << dot
-    wide = half_integer_fourier(2 * half, +1)
-    undo = half_integer_fourier(half, +1).conj().T
-    kernel = np.vstack([undo @ wide[:half, :], undo @ wide[half:, :]])
+    kernel = kernel_columns(dot, 0, 2 << dot)
     kernel.flags.writeable = False
     return kernel
 

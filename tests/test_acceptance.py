@@ -130,6 +130,16 @@ def test_criterion_2_dense_oracle_equivalence():
             worst_sum = max(
                 worst_sum, abs(coarse_dfunc(ens_f, y, z) - coarse_dfunc(ens_c, y, z))
             )
+    # contractions 2**8 columns wide: the FFT side of the step
+    block = BlockInitialState(CoarseGraining(SystemShape(12, 8), 1, 3), "01101001")
+    ens_c = propagate_branches(block, 2, prune_eps=0.0, kind="coarse")
+    keys_c, gm_c = dense_gram(block, 2, "coarse")
+    paths_match = paths_match and set(ens_c.paths) == set(keys_c)
+    for ya, yb in itertools.product(keys_c, keys_c):
+        worst_pair = max(
+            worst_pair, abs(coarse_dfunc(ens_c, ya[0], yb[0]) - gm_c[(ya, yb)])
+        )
+    worst_off = max(worst_off, offdiagonal_norm(ens_c))
     ok = (
         paths_match
         and worst_pair <= TOL_EXACT
@@ -297,18 +307,20 @@ def test_criterion_8_deterministic_output(tmp_path):
             ok = ok and code == 0
             blobs.append(path.read_bytes())
         ok = ok and blobs[0] == blobs[1] == blobs[2]
-    blobs = []
-    for i, threads in enumerate(("1", "1", "4")):
-        path = tmp_path / f"sweep{i}.csv"
-        code = cli_main(
-            [
-                "sweep", "--sweep-left", "4,6", "--sweep-steps", "2",
-                "--init-x", "01", "--threads", threads, "--out", str(path),
-            ]
-        )
-        ok = ok and code == 0
-        blobs.append(path.read_bytes())
-    ok = ok and blobs[0] == blobs[1] == blobs[2]
+    # left 8 contracts 2**8 columns per row: the FFT side of the step
+    for lefts in ("4,6", "8"):
+        blobs = []
+        for i, threads in enumerate(("1", "1", "4")):
+            path = tmp_path / f"sweep{i}.csv"
+            code = cli_main(
+                [
+                    "sweep", "--sweep-left", lefts, "--sweep-steps", "2",
+                    "--init-x", "01", "--threads", threads, "--out", str(path),
+                ]
+            )
+            ok = ok and code == 0
+            blobs.append(path.read_bytes())
+        ok = ok and blobs[0] == blobs[1] == blobs[2]
     verdict(
         8,
         "deterministic output",

@@ -20,6 +20,7 @@ from qbaker import (
     transfer,
     transfer_kernel,
 )
+from qbaker.bakermap import apply_columns, kernel_columns
 
 
 def all_labels(qubits):
@@ -282,3 +283,45 @@ def test_transfer_kernel_unitary_and_frozen():
     k = transfer_kernel(3)
     np.testing.assert_allclose(k.conj().T @ k, np.eye(16), atol=1e-12)
     assert not k.flags.writeable
+
+
+def _dft_product_kernel(dot):
+    half = 1 << dot
+    wide = half_integer_fourier(2 * half)
+    undo = half_integer_fourier(half).conj().T
+    return np.vstack([undo @ wide[:half], undo @ wide[half:]])
+
+
+@pytest.mark.parametrize("dot", range(10))
+def test_kernel_columns_match_dft_product(dot):
+    want = _dft_product_kernel(dot)
+    two_m = 2 << dot
+    for start, stop in [(0, two_m), (0, 1), (two_m // 2, two_m), (two_m // 3, two_m // 3 + 1)]:
+        got = kernel_columns(dot, start, stop)
+        assert got.shape == (two_m, stop - start) and got.flags.writeable
+        np.testing.assert_allclose(got, want[:, start:stop], rtol=0, atol=1e-12)
+
+
+def test_kernel_columns_rejects_bad_blocks():
+    for start, stop in [(-1, 2), (3, 3), (0, 9)]:
+        with pytest.raises(ValueError, match="start"):
+            kernel_columns(2, start, stop)
+
+
+@pytest.mark.parametrize("dot", range(11))
+def test_apply_columns_matches_dense_contraction(dot):
+    rng = np.random.default_rng(30 + dot)
+    m = 1 << dot
+    kernel = transfer_kernel(dot)
+    # one column, every column, and a block starting at the fresh-bit boundary
+    for start, width in [(0, 1), (2 * m - 1, 1), (0, 2 * m), (m, max(1, m // 2))]:
+        x = rng.normal(size=(3, 2, width)) + 1j * rng.normal(size=(3, 2, width))
+        want = np.tensordot(x, kernel[:, start : start + width], axes=([2], [1]))
+        got = apply_columns(x, dot, start)
+        assert got.shape == (3, 2, 2 * m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        out = np.full((3, 2, 2 * m), np.nan + 0j)
+        assert apply_columns(x, dot, start, out=out) is out
+        np.testing.assert_array_equal(out, got)
+    with pytest.raises(ValueError, match="outside"):
+        apply_columns(np.ones((1, 2)), dot, 2 * m - 1)

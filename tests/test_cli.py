@@ -64,6 +64,21 @@ def test_resource_limit_exit_code(capsys):
     assert "over budget" in capsys.readouterr().err
 
 
+def test_pruned_full_histories_exit_zero(tmp_path):
+    out = tmp_path / "pruned.csv"
+    code = main(
+        [
+            "full-histories",
+            "--qubits", "20", "--dot", "9", "--left", "8", "--right", "8",
+            "--steps", "3", "--init-x", "0110", "--prune", "0.01", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    comments, _, _ = read_csv(out)
+    assert float(comments["discarded_mass"]) > 0.0
+    assert abs(float(comments["total_mass"]) - 1.0) < 1e-9
+
+
 def test_full_histories_file_output(tmp_path):
     out = tmp_path / "hist.csv"
     code = main(

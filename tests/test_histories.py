@@ -20,8 +20,9 @@ from qbaker import (
     ideal_full_value,
     offdiagonal_norm,
     propagate_branches,
+    transfer_kernel,
 )
-
+from qbaker import histories
 
 from _dense_reference import dense_branches, dense_gram
 
@@ -346,3 +347,48 @@ def test_distribution_total_includes_discarded():
         paths=(("00",), ("01",)), probabilities=np.array([0.5, 0.25]), discarded=0.25
     )
     assert dist.total() == 1.0
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_fft_and_dense_contractions_agree(monkeypatch, kind):
+    # contraction widths 2**8 (full) and 2**9 (coarse) both reach the FFT
+    block = make_block(13, 9, 8, 3, "01")
+    fft_calls = []
+    apply_columns = histories.apply_columns
+
+    def counting(*args, **kwargs):
+        fft_calls.append(1)
+        return apply_columns(*args, **kwargs)
+
+    monkeypatch.setattr(histories, "apply_columns", counting)
+    via_fft = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
+    assert fft_calls
+    fft_calls.clear()
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
+    via_dense = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
+    assert not fft_calls
+    assert via_fft.paths == via_dense.paths
+    np.testing.assert_allclose(via_fft.gram, via_dense.gram, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("qubits,dot,left,right,window", [(8, 4, 2, 3, "010"), (13, 9, 8, 3, "01")])
+def test_pruned_run_conserves_mass_and_leaves_kernel_alone(qubits, dot, left, right, window):
+    # pruning used to write through step-1 views of the cached kernel
+    before = transfer_kernel(dot).copy()
+    block = make_block(qubits, dot, left, right, window)
+    ens = propagate_branches(block, 2, prune_eps=0.01)
+    assert ens.discarded_total > 0.0
+    assert abs(history_distribution(ens).total() - 1.0) < 1e-9
+    for label in block.labels()[:: max(1, len(block.labels()) // 64)]:
+        assert abs(ens.discarded_mass(label) + ens.retained_mass(label) - 1.0) < 1e-9
+    np.testing.assert_array_equal(transfer_kernel(dot), before)
+
+
+def test_budget_counts_the_kernel_only_on_dense_runs(monkeypatch):
+    # the 16 MiB dot-9 kernel fits no 8 MiB budget, but the FFT run never
+    # builds it and its other projections stay under 8 MiB
+    block = make_block(13, 9, 2, 3, "01101001")
+    propagate_branches(block, 2, kind="coarse", budget_bytes=8 << 20)
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
+    with pytest.raises(ResourceLimitError, match="transfer kernel"):
+        propagate_branches(block, 2, kind="coarse", budget_bytes=8 << 20)
