@@ -231,9 +231,12 @@ def _emit(cfg: dict, echo, header, rows, summary) -> None:
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file {out}: {exc}") from None
 
 
 class _StageClock:

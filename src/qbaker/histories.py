@@ -23,6 +23,11 @@ every probability and functional value computed here is exact, not
 approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
+Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
+final amplitudes to squared norms and pairwise overlaps where it runs, and
+the amplitudes are freed before the unit returns: no branch vector is kept,
+so peak memory is one step workspace per thread plus the path Gram matrix.
+
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
 * positions 1 .. left feed the low digits of the kernel's momentum
@@ -46,7 +51,6 @@ import numpy as np
 
 from .bakermap import apply_columns, kernel_columns, transfer_kernel
 from .coarsegrain import BlockInitialState, validate_run
-from .core import index_to_bits
 from .errors import InvariantError, ParameterError, ResourceLimitError
 
 FullPath = tuple[str, ...]
@@ -57,10 +61,19 @@ _CHUNK = 64
 # contractions at least this many columns wide go through the FFT, narrower
 # ones through the dense kernel (W in the module docstring)
 _FFT_MIN_WIDTH = 256
+# Gram products of at least this many complex multiply-adds run as one BLAS
+# ZGEMM; below it numpy's own einsum loop is faster.  Sending every product
+# to BLAS made coarse-exact (one-row products) 36% dearer in cpu_s on a
+# 2-vCPU VM, where a multithreaded BLAS call has a fixed cost of milliseconds
+_GEMM_MIN_MACS = 1 << 22
 DEFAULT_BUDGET_BYTES = 2 << 30
+# Python objects per overlap-dict entry (key tuples, complex value, table
+# slot, sort list), twice the ~125 bytes tracemalloc shows at 4096 paths;
+# and per thread, the executor, frames and per-run lists of a small run
+_ENTRY_BYTES = 256
+_RUN_BYTES = 32 << 10
 _ENTROPY_FLOOR = 1e-15
 _NEGATIVE_CLIP = 1e-12
-_RECONSTRUCT_LIMIT = 20
 
 
 def _rev_int(bits: str) -> int:
@@ -135,54 +148,48 @@ def _needs_kernel(frame: _Frame, kind: str) -> bool:
 
 
 def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, int]]:
-    """Projected peak allocations, ignoring pruning (worst case)."""
+    """Upper bounds on what one run holds at once, by item, ignoring pruning.
+
+    A unit's largest moment is its last step: the input amplitudes, the
+    contraction output, the output's window-value-major copy and the Gram
+    product's conj() copy of one window-value run; a dense contraction adds
+    the copy np.tensordot makes of its kernel column block.  Every unit in
+    flight holds that much.  The dense kernel, the path Gram matrix and the
+    Python bookkeeping of the reduction come once.
+    """
     itemsize = 16
     two_m = 2 << frame.dot
     h = 1 << frame.qwidth
     a = min(_CHUNK, 1 << frame.left)
+    fresh = 1 << (frame.steps - 1)
+    # rows entering the last step, and live rows after it
+    rows = h ** (frame.steps - 1) if kind == "full" else 1
+    rows_final = h * rows
+    out = rows * a * fresh * two_m * itemsize
+    if frame.steps == 1:
+        # step 1 reads one kernel column per label
+        amp_in = a * two_m * itemsize
+    else:
+        # compact rows on kind "full", the whole momentum register on "coarse"
+        amp_in = out // (2 * h) if kind == "full" else out // 2
+    unit = amp_in + 2 * out + out // h
+    dense = _needs_kernel(frame, kind)
+    if dense:
+        unit += (1 << (frame.left if kind == "full" else frame.dot)) * two_m * itemsize
     groups = 1 << frame.freeq
-    kernel = (two_m * two_m) * itemsize
-    if kind == "full":
-        rows_pre = h ** (frame.steps - 1)
-        rows_final = h**frame.steps
-    else:
-        rows_pre = 1
-        rows_final = h
-    # the last step's contraction output and its window-value-major copy
-    work = 2 * rows_pre * a * two_m * (1 << (frame.steps - 1)) * itemsize
     n_units = groups * -(-(1 << frame.left) // _CHUNK)
-    work *= min(max(threads, 1), n_units)
-    store = (
-        groups
-        * rows_final
-        * (1 << frame.left)
-        * (1 << frame.left)
-        * (1 << frame.steps)
-        * itemsize
-    )
+    in_flight = min(threads, n_units)
     n_paths = groups * (1 << frame.nomega) * rows_final
-    gram = n_paths * n_paths * itemsize
-    built = [("transfer kernel", kernel)] if _needs_kernel(frame, kind) else []
+    # overlap entries in the per-unit, per-group and per-path dicts, plus
+    # every unit's per-(path, label) norms
+    entries = rows_final * rows * (n_units + groups * (1 + (1 << frame.nomega)))
+    norms = groups * (1 << frame.left) * (rows_final + 2) * 8
+    built = [("transfer kernel", two_m * two_m * itemsize)] if dense else []
     return built + [
-        ("step workspace", work),
-        ("final branch store", store),
-        ("path gram matrix", gram),
+        ("step workspace", unit * in_flight),
+        ("path gram matrix", n_paths * n_paths * itemsize),
+        ("path bookkeeping", entries * _ENTRY_BYTES + norms + _RUN_BYTES * in_flight),
     ]
-
-
-def _contract(
-    amp: np.ndarray, kernel: np.ndarray | None, dot: int, start: int, out: np.ndarray
-) -> None:
-    """out = transfer_kernel(dot)[:, start:start+w] applied along amp's last axis.
-
-    kernel is the dense transfer_kernel(dot) on narrow runs, else None and
-    the columns are applied by FFT.
-    """
-    if kernel is None:
-        apply_columns(amp, dot, start, out=out)
-    else:
-        width = amp.shape[-1]
-        out[...] = np.tensordot(amp, kernel[:, start : start + width], axes=([3], [1]))
 
 
 def _runs(h_last: np.ndarray):
@@ -190,6 +197,99 @@ def _runs(h_last: np.ndarray):
     values, starts = np.unique(h_last, return_index=True)
     ends = np.append(starts[1:], len(h_last))
     return zip(values.tolist(), starts.tolist(), ends.tolist())
+
+
+def _grow_unit(
+    kernel: np.ndarray | None,
+    frame: _Frame,
+    kind: str,
+    prune_eps: float,
+    group: int,
+    a_lo: int,
+    a_hi: int,
+):
+    """Propagate one (group, a-chunk) block of initial labels for `steps` steps.
+
+    Amplitudes are held as (row, a, fresh, momentum) and each step replaces
+    its input, so at most two step-sized arrays are live at once.  Returns
+    per-chunk discarded mass (norm units), the path list, each row's last
+    window value, and the final amplitudes.
+    """
+    m = 1 << frame.dot
+    h_count = 1 << frame.qwidth
+    low = 1 << frame.left
+    a_width = a_hi - a_lo
+    base0 = _rev_int(frame.window[: frame.qwidth]) * low + a_lo
+    disc = np.zeros(a_width)
+    qpaths: list[tuple[int, ...]] = [()]
+    h_last = np.zeros(1, dtype=np.int64)
+    compact = False
+
+    for j in range(1, frame.steps + 1):
+        feed = frame.feed_bit(j, group)
+        if j == 1:
+            start = feed * m + base0
+            amp = kernel_columns(frame.dot, start, start + a_width).T.copy()
+            amp = amp.reshape(1, a_width, 1, 2 * m)
+        else:
+            # rows share the momentum block of their last window value; on
+            # the coarse path there is one block, the whole momentum register
+            runs = _runs(h_last) if compact else [(0, 0, len(amp))]
+            amp = _contract_rows(amp, kernel, frame.dot, feed, runs)
+
+        # output composite index = fresh_bit * m + momentum', and the fresh
+        # bit joins the fresh register as its newest (lowest) digit
+        rows_n, _, f_width, _ = amp.shape
+        f_width *= 2
+        if kind != "full" and j < frame.steps:
+            amp = amp.reshape(rows_n, a_width, f_width, m)
+            continue
+        # momentum composite = child * 2**left + low digits; split children
+        # into window-value-major rows, so equal last values stay adjacent
+        split = amp.reshape(rows_n, a_width, f_width, h_count, low)
+        flat = split.view(np.float64)
+        norms = np.einsum("rafhl,rafhl->hra", flat, flat)
+        amp = np.ascontiguousarray(np.moveaxis(split, 3, 0))
+        # free the unsplit buffer before pruning copies the kept rows
+        del split, flat
+        if prune_eps > 0:
+            kill = norms < prune_eps
+            if kill.any():
+                disc += np.where(kill, norms, 0.0).sum(axis=(0, 1))
+                amp[kill] = 0
+        amp = amp.reshape(h_count * rows_n, a_width, f_width, low)
+        qpaths = [qp + (hh,) for hh in range(h_count) for qp in qpaths]
+        h_last = np.repeat(np.arange(h_count), rows_n)
+        if prune_eps > 0:
+            keep = (norms >= prune_eps).any(axis=2).reshape(-1)
+            if not keep.all():
+                amp = amp[keep]
+                h_last = h_last[keep]
+                qpaths = [qp for qp, kp in zip(qpaths, keep) if kp]
+        compact = True
+    return disc, qpaths, h_last, amp
+
+
+def _contract_rows(
+    amp: np.ndarray, kernel: np.ndarray | None, dot: int, feed: int, runs
+) -> np.ndarray:
+    """Apply one step's kernel columns along amp's last axis, run by run.
+
+    Rows in a run of equal last window value take the same column block.
+    kernel is the dense transfer_kernel(dot) on narrow runs, else None and
+    the columns are applied by FFT.
+    """
+    m = 1 << dot
+    rows_n, a_width, f_width, width = amp.shape
+    out = np.empty((rows_n, a_width, f_width, 2 * m), dtype=np.complex128)
+    for h, lo, hi in runs:
+        start = feed * m + h * width
+        if kernel is None:
+            apply_columns(amp[lo:hi], dot, start, out=out[lo:hi])
+        else:
+            cols = kernel[:, start : start + width]
+            out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))
+    return out
 
 
 def _run_unit(
@@ -201,87 +301,30 @@ def _run_unit(
     a_lo: int,
     a_hi: int,
 ):
-    """Propagate one (group, a-chunk) block of initial labels for `steps` steps.
+    """Grow one unit, then reduce its amplitudes to norms and overlaps.
 
-    Amplitudes are held as (row, a, fresh, momentum).  Returns per-chunk
-    discarded mass, per-(path, a) retained norms, the path list with
-    final-step support blocks, the final amplitudes, and the raw pairwise
-    overlap sums.  All in norm units; ensemble weights are applied by the
-    caller.
+    Returns per-chunk discarded mass, per-(path, a) retained norms, the path
+    list, and the raw pairwise overlap sums, all in norm units; ensemble
+    weights are applied by the caller.  The amplitudes are freed on return.
     """
-    m = 1 << frame.dot
-    h_count = 1 << frame.qwidth
-    low = 1 << frame.left
-    a_width = a_hi - a_lo
-    base0 = _rev_int(frame.window[: frame.qwidth]) * low + a_lo
-    disc = np.zeros(a_width)
-    qpaths: list[tuple[int, ...]] = [()]
-    h_last = np.zeros(1, dtype=np.int64)
-    amp = np.empty(0)
-    compact = False
-
-    for j in range(1, frame.steps + 1):
-        feed = frame.feed_bit(j, group)
-        if j == 1:
-            start = feed * m + base0
-            cols = kernel_columns(frame.dot, start, start + a_width)
-            out = np.ascontiguousarray(cols.T).reshape(1, a_width, 1, 2 * m)
-        else:
-            # rows share the momentum block of their last window value; on
-            # the coarse path there is one block, the whole momentum register
-            rows_n, _, f_width, width = amp.shape
-            out = np.empty((rows_n, a_width, f_width, 2 * m), dtype=np.complex128)
-            runs = _runs(h_last) if compact else [(0, 0, rows_n)]
-            for h, lo, hi in runs:
-                _contract(amp[lo:hi], kernel, frame.dot, feed * m + h * width, out[lo:hi])
-
-        # output composite index = fresh_bit * m + momentum', and the fresh
-        # bit joins the fresh register as its newest (lowest) digit
-        rows_n, _, f_width, _ = out.shape
-        f_width *= 2
-        out = out.reshape(rows_n, a_width, f_width, m)
-
-        if kind == "full" or j == frame.steps:
-            # momentum composite = child * 2**left + low digits; split children
-            # into window-value-major rows, so equal last values stay adjacent
-            split = out.reshape(rows_n, a_width, f_width, h_count, low)
-            flat = split.view(np.float64)
-            norms = np.einsum("rafhl,rafhl->hra", flat, flat)
-            child = np.ascontiguousarray(np.moveaxis(split, 3, 0))
-            if prune_eps > 0:
-                kill = norms < prune_eps
-                if kill.any():
-                    disc += np.where(kill, norms, 0.0).sum(axis=(0, 1))
-                    child[kill] = 0
-            child = child.reshape(h_count * rows_n, a_width, f_width, low)
-            qpaths = [qp + (hh,) for hh in range(h_count) for qp in qpaths]
-            h_last = np.repeat(np.arange(h_count), rows_n)
-            if prune_eps > 0:
-                keep = (norms >= prune_eps).any(axis=2).reshape(-1)
-                if not keep.all():
-                    child = child[keep]
-                    h_last = h_last[keep]
-                    qpaths = [qp for qp, kp in zip(qpaths, keep) if kp]
-            amp = child
-            compact = True
-        else:
-            amp = out
-
+    disc, qpaths, h_last, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
     flat = amp.view(np.float64)
     n2 = np.einsum("rafl,rafl->ra", flat, flat)
     gram: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     for _, lo, hi in _runs(h_last):
         sub = amp[lo:hi]
-        # sums over every axis but the row; the spec string is kept verbatim
-        # because perfbench's dense_equiv_gflop counter matches it
-        g = np.einsum("ialf,jalf->ij", sub, sub.conj())
+        # sums over every axis but the row; large products go through one
+        # BLAS ZGEMM.  The spec string is kept verbatim because perfbench's
+        # dense_equiv_gflop counter matches it
+        blas = sub.shape[0] * sub.size >= _GEMM_MIN_MACS
+        g = np.einsum("ialf,jalf->ij", sub, sub.conj(), optimize=blas)
         # insert pairs in path order: the caller sorts them, and timsort on
         # presorted runs cut the wide-window benchmark's wall time by ~17%
         order = sorted(range(hi - lo), key=lambda i: qpaths[lo + i])
         for ii in order:
             for jj in order:
                 gram[(qpaths[lo + ii], qpaths[lo + jj])] = complex(g[ii, jj])
-    return disc, n2, qpaths, h_last, amp, gram
+    return disc, n2, qpaths, gram
 
 
 @dataclass
@@ -298,7 +341,7 @@ class HistoryDistribution:
 
 @dataclass
 class BranchEnsemble:
-    """All retained branch data from one propagation run.
+    """Path overlaps and per-label masses from one propagation run.
 
     `paths` is sorted lexicographically; `gram[i, j]` is the decoherence
     functional value between paths[i] (ket side) and paths[j] (bra side),
@@ -316,7 +359,6 @@ class BranchEnsemble:
     _index: dict[FullPath, int] = field(repr=False)
     _group_disc: np.ndarray = field(repr=False)
     _group_cons: np.ndarray = field(repr=False)
-    _store: dict = field(repr=False)
 
     @property
     def weight(self) -> float:
@@ -353,57 +395,6 @@ class BranchEnsemble:
         low, group, _ = self._decode_label(label)
         return float(self._group_cons[group, low])
 
-    def branch_vector(self, label: str, path: Sequence[str]) -> np.ndarray:
-        """Dot-basis coefficients of the branch grown from one initial label.
-
-        Reconstructs the full 2**qubits coefficient vector from the compact
-        register, so it is gated to small systems; tests use it to compare
-        against dense propagation.
-        """
-        frame = self._frame
-        if frame.qubits > _RECONSTRUCT_LIMIT:
-            raise ResourceLimitError(
-                f"branch reconstruction limited to qubits <= {_RECONSTRUCT_LIMIT}, "
-                f"got {frame.qubits}"
-            )
-        key = self._check_path(path)
-        low, group, omega = self._decode_label(label)
-        out = np.zeros(1 << frame.qubits, dtype=np.complex128)
-        step_js = self._step_js()
-        # the path determines the definite window words; mismatch with this
-        # label's group/omega bits means the branch is exactly zero
-        for word, j in zip(key, step_js):
-            if word[frame.qwidth :] != frame.definite_word(j, group, omega):
-                return out
-        qpath = tuple(_rev_int(word[: frame.qwidth]) for word in key)
-        chunk_lo = (low // _CHUNK) * _CHUNK
-        entry = self._store.get((group, chunk_lo))
-        if entry is None:
-            return out
-        rows, h_arr, amp = entry
-        row = rows.get(qpath)
-        if row is None:
-            return out
-        coeffs = amp[row, low - chunk_lo].T
-        h_fin = int(h_arr[row])
-        spect = label[frame.left + frame.kept + frame.steps :]
-        n = frame.dot
-        k = frame.steps
-        nn = frame.qubits
-        for lo_idx in range(coeffs.shape[0]):
-            aprime = h_fin * (1 << frame.left) + lo_idx
-            head = _rev_bits(aprime, n)
-            mid = "".join(
-                str(frame.label_bit(p + k, group, omega)) for p in range(n + 1, frame.left + frame.kept + 1)
-            )
-            for f_idx in range(coeffs.shape[1]):
-                tail = index_to_bits(f_idx, k)
-                out[int(head + mid + spect + tail, 2)] = coeffs[lo_idx, f_idx]
-        return out
-
-    def _step_js(self) -> list[int]:
-        return list(range(1, self.steps + 1)) if self.kind == "full" else [self.steps]
-
     def _check_path(self, path: Sequence[str]) -> FullPath:
         want = self.steps if self.kind == "full" else 1
         key = tuple(path)
@@ -436,13 +427,14 @@ def propagate_branches(
     norm falls below prune_eps are dropped and their mass booked as
     discarded.  threads parallelizes over (group, a-chunk) units without
     changing any reduction order, so results are bit-identical at any
-    thread count.
+    thread count.  A run whose projected peak memory (see _estimate_bytes)
+    exceeds budget_bytes is refused with ResourceLimitError.
     """
     graining = block.graining
     validate_run(graining, steps)
     if kind not in ("full", "coarse"):
         raise ParameterError(f"kind must be 'full' or 'coarse', got {kind!r}")
-    if prune_eps < 0:
+    if not prune_eps >= 0:
         raise ParameterError(f"prune_eps must be >= 0, got {prune_eps}")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -455,11 +447,14 @@ def propagate_branches(
         steps=steps,
         window=block.window,
     )
-    for what, size in _estimate_bytes(frame, kind, threads):
-        if size > budget_bytes:
-            raise ResourceLimitError(
-                f"projected {what} needs {size} bytes, over budget {budget_bytes}"
-            )
+    items = _estimate_bytes(frame, kind, threads)
+    total = sum(size for _, size in items)
+    if total > budget_bytes:
+        what, size = max(items, key=lambda item: item[1])
+        raise ResourceLimitError(
+            f"projected peak {total} bytes is over budget {budget_bytes} "
+            f"(largest item: {what}, {size} bytes)"
+        )
 
     kernel = transfer_kernel(shape.dot) if _needs_kernel(frame, kind) else None
     low_total = 1 << frame.left
@@ -483,14 +478,12 @@ def propagate_branches(
     groups = 1 << frame.freeq
     group_disc = np.zeros((groups, low_total))
     group_cons = np.zeros((groups, low_total))
-    store: dict = {}
     # per-group reductions, chunks merged in fixed unit order
     per_group_n2: list[dict[tuple[int, ...], float]] = [dict() for _ in range(groups)]
     per_group_gram: list[dict] = [dict() for _ in range(groups)]
-    for (group, a_lo, a_hi), (disc, n2, qpaths, h_last, amp, gram) in zip(units, results):
+    for (group, a_lo, a_hi), (disc, n2, qpaths, gram) in zip(units, results):
         group_disc[group, a_lo:a_hi] = disc
         group_cons[group, a_lo:a_hi] = n2.sum(axis=0)
-        store[(group, a_lo)] = ({qp: i for i, qp in enumerate(qpaths)}, h_last, amp)
         tgt_n2 = per_group_n2[group]
         for i, qp in enumerate(qpaths):
             tgt_n2[qp] = tgt_n2.get(qp, 0.0) + float(n2[i].sum())
@@ -534,7 +527,6 @@ def propagate_branches(
         _index=index,
         _group_disc=group_disc,
         _group_cons=group_cons,
-        _store=store,
     )
 
 

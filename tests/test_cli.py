@@ -325,3 +325,64 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+_EVERY = ("check", "full-histories", "coarse-entropy", "sweep")
+# sweep derives its geometry from --init-x and ignores these flags
+_GEOMETRY = ("check", "full-histories", "coarse-entropy")
+# check always propagates unpruned and ignores --prune
+_PRUNED = ("full-histories", "coarse-entropy", "sweep")
+_BUDGET_REFUSED = [
+    "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9", "--steps", "8",
+    "--init-x", "01",
+]
+_BAD_INPUTS = [
+    (_GEOMETRY, ["--qubits", "0"], {}, 2),
+    (_GEOMETRY, ["--qubits", "25"], {}, 2),
+    (_GEOMETRY, ["--dot", "-1"], {}, 2),
+    (_GEOMETRY, ["--dot", "9"], {}, 2),
+    (_GEOMETRY, ["--left", "-1"], {}, 2),
+    (_GEOMETRY, ["--left", "4"], {}, 2),
+    (_GEOMETRY, ["--right", "-1"], {}, 2),
+    (_GEOMETRY, ["--right", "5"], {}, 2),
+    (_GEOMETRY, ["--steps", "0"], {}, 2),
+    (_GEOMETRY, ["--steps", "3"], {}, 2),
+    (("sweep",), ["--sweep-left", "-1"], {}, 2),
+    (("sweep",), ["--sweep-left", "12"], {}, 2),
+    (("sweep",), ["--sweep-steps", "0"], {}, 2),
+    (("sweep",), ["--sweep-left", "four"], {}, 2),
+    (_EVERY, ["--init-x", "012"], {}, 2),
+    (_GEOMETRY, ["--init-x", "0101010"], {}, 2),
+    (_EVERY, ["--config", "{unknown_key}"], {}, 2),
+    (_EVERY, [], {"QBAKER_THREADS": "two"}, 2),
+    (_EVERY, ["--threads", "0"], {}, 2),
+    (_PRUNED, ["--prune", "-0.5"], {}, 2),
+    (_PRUNED, ["--prune", "nan"], {}, 2),
+    (("check",), ["--qubits", "12", "--dot", "6", "--left", "2", "--right", "3"], {}, 2),
+    (_EVERY, ["--out", "{unwritable}"], {}, 2),
+    (("full-histories",), _BUDGET_REFUSED, {}, 4),
+    (("sweep",), ["--sweep-left", "11", "--sweep-steps", "9"], {}, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "command,args,env,code",
+    [
+        pytest.param(command, args, env, code, id=f"{command}:{' '.join(args) or env}")
+        for commands, args, env, code in _BAD_INPUTS
+        for command in commands
+    ],
+)
+def test_bad_inputs_exit_with_a_code_and_an_error_line(
+    tmp_path, monkeypatch, capsys, command, args, env, code
+):
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("qubitz = 7\n", encoding="utf-8")
+    places = {"unknown_key": str(unknown), "unwritable": str(tmp_path / "missing" / "out.csv")}
+    monkeypatch.delenv("QBAKER_THREADS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([command] + [a.format(**places) for a in args]) == code
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err

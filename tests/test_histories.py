@@ -1,9 +1,12 @@
 """Tests for branch propagation, functionals, and the asymptotic oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qbaker import (
     BlockInitialState,
@@ -23,14 +26,65 @@ from qbaker import (
     transfer_kernel,
 )
 from qbaker import histories
+from qbaker.core import index_to_bits
 
 from _dense_reference import dense_branches, dense_gram
+
+# largest register branch_vector rebuilds as a full 2**qubits vector
+RECONSTRUCT_LIMIT = 20
 
 
 def make_block(qubits, dot, left, right, window):
     return BlockInitialState(
         CoarseGraining(SystemShape(qubits, dot), left, right), window
     )
+
+
+def branch_vector(ens, label, path):
+    """Dot-basis coefficients of the branch grown from one initial label.
+
+    The engine keeps no amplitudes, so this regrows the label's
+    (group, a-chunk) unit with histories._grow_unit and rebuilds the full
+    2**qubits coefficient vector from its compact register.
+    """
+    frame = ens._frame
+    if frame.qubits > RECONSTRUCT_LIMIT:
+        raise ResourceLimitError(
+            f"branch reconstruction limited to qubits <= {RECONSTRUCT_LIMIT}, "
+            f"got {frame.qubits}"
+        )
+    key = ens._check_path(path)
+    low, group, omega = ens._decode_label(label)
+    out = np.zeros(1 << frame.qubits, dtype=np.complex128)
+    step_js = range(1, ens.steps + 1) if ens.kind == "full" else [ens.steps]
+    # the path determines the definite window words; mismatch with this
+    # label's group/omega bits means the branch is exactly zero
+    for word, j in zip(key, step_js):
+        if word[frame.qwidth :] != frame.definite_word(j, group, omega):
+            return out
+    qpath = tuple(histories._rev_int(word[: frame.qwidth]) for word in key)
+    a_lo = low - low % histories._CHUNK
+    a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
+    kernel = transfer_kernel(frame.dot) if histories._needs_kernel(frame, ens.kind) else None
+    _, qpaths, h_last, amp = histories._grow_unit(
+        kernel, frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
+    )
+    if qpath not in qpaths:
+        return out
+    row = qpaths.index(qpath)
+    coeffs = amp[row, low - a_lo].T
+    head_base = int(h_last[row]) << frame.left
+    mid = "".join(
+        str(frame.label_bit(p + ens.steps, group, omega))
+        for p in range(frame.dot + 1, frame.left + frame.kept + 1)
+    )
+    spect = label[frame.left + frame.kept + ens.steps :]
+    for lo_idx in range(coeffs.shape[0]):
+        head = histories._rev_bits(head_base + lo_idx, frame.dot)
+        for f_idx in range(coeffs.shape[1]):
+            tail = index_to_bits(f_idx, ens.steps)
+            out[int(head + mid + spect + tail, 2)] = coeffs[lo_idx, f_idx]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +126,16 @@ def test_matches_dense_reference(qubits, dot, left, right, steps, kind, window):
 
 def test_branch_vectors_match_dense_reference():
     block = make_block(7, 3, 1, 3, "010")
-    ens = propagate_branches(block, 2, prune_eps=0.0)
-    ref = dense_branches(block, 2, "full")
-    for label in block.labels():
-        for path in ens.paths:
-            got = ens.branch_vector(label, path)
-            want = ref[label].get(path)
-            if want is None:
-                want = np.zeros_like(got)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+    for kind in ("full", "coarse"):
+        ens = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
+        ref = dense_branches(block, 2, kind)
+        for label in block.labels():
+            for path in ens.paths:
+                got = branch_vector(ens, label, path)
+                want = ref[label].get(path)
+                if want is None:
+                    want = np.zeros_like(got)
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -216,11 +271,109 @@ def test_budget_gate():
         propagate_branches(big, 8)
 
 
+def _projected_bytes(block, steps, kind, threads):
+    graining = block.graining
+    frame = histories._Frame(
+        graining.shape.qubits, graining.shape.dot, graining.left, graining.kept, steps,
+        block.window,
+    )
+    return sum(size for _, size in histories._estimate_bytes(frame, kind, threads))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window",
+    [
+        # contraction widths below _FFT_MIN_WIDTH: the dense kernel
+        (8, 4, 2, 3, 2, "010"),
+        (12, 7, 5, 4, 3, "001"),
+        (12, 5, 1, 5, 2, "011010"),
+        # widths at or above it: the FFT
+        (13, 9, 8, 3, 2, "01"),
+        (15, 9, 8, 4, 3, "011"),
+    ],
+)
+def test_budget_bounds_the_traced_peak(
+    qubits, dot, left, right, steps, window, kind, prune_eps, threads
+):
+    block = make_block(qubits, dot, left, right, window)
+    # a dense run then builds its kernel inside the traced region
+    transfer_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        propagate_branches(block, steps, prune_eps=prune_eps, kind=kind, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _projected_bytes(block, steps, kind, threads)
+
+
+def test_default_budget_admits_the_left_10_sweep_point():
+    # sweep geometry at left 10: qubits 22, dot 11, right 10, a 2-bit window
+    block = make_block(22, 11, 10, 10, "01")
+    for threads in (1, 2, 8):
+        assert _projected_bytes(block, 3, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
+
+
 def test_branch_reconstruction_gate():
     ens = propagate_branches(make_block(21, 10, 1, 9, "0" * 11), 1, prune_eps=0.0)
     label = "0" * 21
     with pytest.raises(ResourceLimitError, match="reconstruction"):
-        ens.branch_vector(label, ens.paths[0])
+        branch_vector(ens, label, ens.paths[0])
+
+
+@st.composite
+def _geometries(draw):
+    qubits = draw(st.integers(5, 10))
+    dot = draw(st.integers(1, qubits - 3))
+    left = draw(st.integers(0, dot - 1))
+    right = draw(st.integers(2, qubits - dot - 1))
+    kept = qubits - left - right
+    steps = draw(st.integers(1, right - 1))
+    window = draw(st.text("01", min_size=kept, max_size=kept))
+    return qubits, dot, left, right, steps, window
+
+
+@settings(max_examples=30, deadline=None)
+@given(geometry=_geometries(), prune_eps=st.sampled_from([0.0, 1e-3]))
+# every valid geometry has nomega = min(steps, left + kept - dot) > 0; these
+# pin freeq = dot + steps - left - kept > 0 pruned and unpruned, and freeq = 0
+@example(geometry=(7, 3, 1, 3, 2, "010"), prune_eps=0.0)
+@example(geometry=(8, 4, 1, 3, 2, "0110"), prune_eps=1e-3)
+@example(geometry=(6, 3, 1, 2, 1, "101"), prune_eps=0.0)
+def test_random_geometries_keep_the_invariants(geometry, prune_eps):
+    qubits, dot, left, right, steps, window = geometry
+    # the dense reference grows each of 2**(qubits - kept) labels into
+    # 2**(kept * steps) branches
+    assume(len(window) * (steps - 1) + qubits <= 14)
+    block = make_block(qubits, dot, left, right, window)
+    tol = 1e-10 if prune_eps == 0 else 1e-9
+    ens = {
+        k: propagate_branches(block, steps, prune_eps=prune_eps, kind=k)
+        for k in ("full", "coarse")
+    }
+    for kind, e in ens.items():
+        g = e.gram
+        np.testing.assert_allclose(g, g.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(g).min() >= -1e-9
+        assert abs(history_distribution(e).total() - 1.0) <= tol
+        for label in block.labels():
+            assert abs(e.discarded_mass(label) + e.retained_mass(label) - 1.0) <= tol
+        if prune_eps == 0:
+            keys, gmat = dense_gram(block, steps, kind)
+            index = {p: i for i, p in enumerate(e.paths)}
+            assert set(e.paths) <= set(keys)
+            for ya, yb in itertools.product(keys, keys):
+                ia, ib = index.get(ya), index.get(yb)
+                got = 0j if ia is None or ib is None else e.gram[ia, ib]
+                assert abs(got - gmat[(ya, yb)]) <= 1e-10
+    if prune_eps == 0:
+        full, coarse = ens["full"], ens["coarse"]
+        finals = sorted({p[-1] for p in full.paths} | {p[0] for p in coarse.paths})
+        for y, z in itertools.product(finals, finals):
+            assert abs(coarse_dfunc(full, y, z) - coarse_dfunc(coarse, y, z)) <= 1e-10
 
 
 def test_functional_lookup_validation(medium_full, medium_coarse):
@@ -361,10 +514,13 @@ def test_fft_and_dense_contractions_agree(monkeypatch, kind):
         return apply_columns(*args, **kwargs)
 
     monkeypatch.setattr(histories, "apply_columns", counting)
+    # the FFT run also sends every Gram product to BLAS, the dense run none
+    monkeypatch.setattr(histories, "_GEMM_MIN_MACS", 0)
     via_fft = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
     assert fft_calls
     fft_calls.clear()
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
+    monkeypatch.setattr(histories, "_GEMM_MIN_MACS", 1 << 62)
     via_dense = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
     assert not fft_calls
     assert via_fft.paths == via_dense.paths
