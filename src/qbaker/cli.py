@@ -149,6 +149,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = _DEFAULTS.get(key)
     if cfg["format"] not in ("csv", "json"):
         raise ParameterError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    if not cfg["prune"] >= 0:
+        raise ParameterError(f"prune must be >= 0, got {cfg['prune']}")
     if cfg["threads"] is None:
         env = os.environ.get("QBAKER_THREADS")
         if env is not None:
@@ -565,7 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "check",
         parents=[common],
-        help="run the invariant suites and report deviations",
+        help="run the invariant suites and report deviations "
+        "(always propagates unpruned: --prune is validated but not used)",
     )
     sub.add_parser(
         "coarse-entropy",

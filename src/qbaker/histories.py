@@ -24,9 +24,12 @@ approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
 Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
-final amplitudes to squared norms and pairwise overlaps where it runs, and
-the amplitudes are freed before the unit returns: no branch vector is kept,
-so peak memory is one step workspace per thread plus the path Gram matrix.
+final amplitudes where it runs, to per-label masses and one Gram block array
+per run of rows sharing a last window value, and the amplitudes are freed
+before the unit returns: no branch vector is kept, so peak memory is one step
+workspace per thread plus the path Gram matrix.  The blocks are summed per
+group in unit order over integer path codes, then scattered into the Gram
+matrix once per (group, omega).
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -42,9 +45,12 @@ Active-label bookkeeping, with positions 1-indexed inside the label string:
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,11 +73,10 @@ _FFT_MIN_WIDTH = 256
 # 2-vCPU VM, where a multithreaded BLAS call has a fixed cost of milliseconds
 _GEMM_MIN_MACS = 1 << 22
 DEFAULT_BUDGET_BYTES = 2 << 30
-# Python objects per overlap-dict entry (key tuples, complex value, table
-# slot, sort list), twice the ~125 bytes tracemalloc shows at 4096 paths;
-# and per thread, the executor, frames and per-run lists of a small run
-_ENTRY_BYTES = 256
+# Python objects per thread of a small run: the executor, frames and unit lists
 _RUN_BYTES = 32 << 10
+# a Gram block's array header and its (lo, block) tuple
+_BLOCK_OBJECT_BYTES = sys.getsizeof(np.empty((0, 0))) + sys.getsizeof((0, None))
 _ENTROPY_FLOOR = 1e-15
 _NEGATIVE_CLIP = 1e-12
 
@@ -155,7 +160,7 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     product's conj() copy of one window-value run; a dense contraction adds
     the copy np.tensordot makes of its kernel column block.  Every unit in
     flight holds that much.  The dense kernel, the path Gram matrix and the
-    Python bookkeeping of the reduction come once.
+    arrays and path keys of the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -179,16 +184,24 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     groups = 1 << frame.freeq
     n_units = groups * -(-(1 << frame.left) // _CHUNK)
     in_flight = min(threads, n_units)
+    # path keys, an upper bound on the paths (coarse-kind keys can repeat)
     n_paths = groups * (1 << frame.nomega) * rows_final
-    # overlap entries in the per-unit, per-group and per-path dicts, plus
-    # every unit's per-(path, label) norms
-    entries = rows_final * rows * (n_units + groups * (1 + (1 << frame.nomega)))
-    norms = groups * (1 << frame.left) * (rows_final + 2) * 8
+    # every unit's path codes, masses and Gram blocks (h runs of `rows`
+    # paths) until the reduction, the norms of the units in flight, and one
+    # group's accumulator with a scatter's gather copy and index arrays
+    held = n_units * (rows_final * (rows * itemsize + 8) + a * 16 + h * _BLOCK_OBJECT_BYTES)
+    held += in_flight * 2 * rows_final * a * 8 + 3 * rows_final**2 * itemsize
+    # per key: the string and index arrays of its sort, its joined string,
+    # and its tuple of word strings
+    words = frame.steps if kind == "full" else 1
+    width = words * frame.kept
+    key = sys.getsizeof(("",) * words) + words * sys.getsizeof("0" * frame.kept)
+    held += n_paths * (16 * width + 24 + sys.getsizeof("0" * width) + key)
     built = [("transfer kernel", two_m * two_m * itemsize)] if dense else []
     return built + [
         ("step workspace", unit * in_flight),
         ("path gram matrix", n_paths * n_paths * itemsize),
-        ("path bookkeeping", entries * _ENTRY_BYTES + norms + _RUN_BYTES * in_flight),
+        ("path bookkeeping", held + _RUN_BYTES * in_flight),
     ]
 
 
@@ -212,8 +225,9 @@ def _grow_unit(
 
     Amplitudes are held as (row, a, fresh, momentum) and each step replaces
     its input, so at most two step-sized arrays are live at once.  Returns
-    per-chunk discarded mass (norm units), the path list, each row's last
-    window value, and the final amplitudes.
+    per-chunk discarded mass (norm units), each row's path code (its window
+    values as base-2**qwidth digits, the first step's most significant, so
+    the last digit is the last window value) and the final amplitudes.
     """
     m = 1 << frame.dot
     h_count = 1 << frame.qwidth
@@ -221,9 +235,7 @@ def _grow_unit(
     a_width = a_hi - a_lo
     base0 = _rev_int(frame.window[: frame.qwidth]) * low + a_lo
     disc = np.zeros(a_width)
-    qpaths: list[tuple[int, ...]] = [()]
-    h_last = np.zeros(1, dtype=np.int64)
-    compact = False
+    codes = np.zeros(1, dtype=np.int64)
 
     for j in range(1, frame.steps + 1):
         feed = frame.feed_bit(j, group)
@@ -232,9 +244,10 @@ def _grow_unit(
             amp = kernel_columns(frame.dot, start, start + a_width).T.copy()
             amp = amp.reshape(1, a_width, 1, 2 * m)
         else:
-            # rows share the momentum block of their last window value; on
-            # the coarse path there is one block, the whole momentum register
-            runs = _runs(h_last) if compact else [(0, 0, len(amp))]
+            # rows share the momentum block of their last window value (the
+            # code's last digit); on the coarse path one row holds the whole
+            # momentum register
+            runs = _runs(codes % h_count)
             amp = _contract_rows(amp, kernel, frame.dot, feed, runs)
 
         # output composite index = fresh_bit * m + momentum', and the fresh
@@ -258,16 +271,13 @@ def _grow_unit(
                 disc += np.where(kill, norms, 0.0).sum(axis=(0, 1))
                 amp[kill] = 0
         amp = amp.reshape(h_count * rows_n, a_width, f_width, low)
-        qpaths = [qp + (hh,) for hh in range(h_count) for qp in qpaths]
-        h_last = np.repeat(np.arange(h_count), rows_n)
+        codes = (codes * h_count + np.arange(h_count)[:, None]).reshape(-1)
         if prune_eps > 0:
             keep = (norms >= prune_eps).any(axis=2).reshape(-1)
             if not keep.all():
                 amp = amp[keep]
-                h_last = h_last[keep]
-                qpaths = [qp for qp, kp in zip(qpaths, keep) if kp]
-        compact = True
-    return disc, qpaths, h_last, amp
+                codes = codes[keep]
+    return disc, codes, amp
 
 
 def _contract_rows(
@@ -301,30 +311,26 @@ def _run_unit(
     a_lo: int,
     a_hi: int,
 ):
-    """Grow one unit, then reduce its amplitudes to norms and overlaps.
+    """Grow one unit, then reduce its amplitudes to masses and Gram blocks.
 
-    Returns per-chunk discarded mass, per-(path, a) retained norms, the path
-    list, and the raw pairwise overlap sums, all in norm units; ensemble
-    weights are applied by the caller.  The amplitudes are freed on return.
+    Returns per-label discarded and retained mass, the path codes, and one
+    (lo, block) per run of equal last window value, where block[i, j] is the
+    overlap of the paths in rows lo + i and lo + j; paths in different runs
+    are orthogonal.  All in norm units: ensemble weights are applied by the
+    caller.  The amplitudes are freed on return.
     """
-    disc, qpaths, h_last, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
+    disc, codes, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
     flat = amp.view(np.float64)
-    n2 = np.einsum("rafl,rafl->ra", flat, flat)
-    gram: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-    for _, lo, hi in _runs(h_last):
+    cons = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
+    blocks = []
+    for _, lo, hi in _runs(codes % (1 << frame.qwidth)):
         sub = amp[lo:hi]
         # sums over every axis but the row; large products go through one
         # BLAS ZGEMM.  The spec string is kept verbatim because perfbench's
         # dense_equiv_gflop counter matches it
         blas = sub.shape[0] * sub.size >= _GEMM_MIN_MACS
-        g = np.einsum("ialf,jalf->ij", sub, sub.conj(), optimize=blas)
-        # insert pairs in path order: the caller sorts them, and timsort on
-        # presorted runs cut the wide-window benchmark's wall time by ~17%
-        order = sorted(range(hi - lo), key=lambda i: qpaths[lo + i])
-        for ii in order:
-            for jj in order:
-                gram[(qpaths[lo + ii], qpaths[lo + jj])] = complex(g[ii, jj])
-    return disc, n2, qpaths, gram
+        blocks.append((lo, np.einsum("ialf,jalf->ij", sub, sub.conj(), optimize=blas)))
+    return disc, cons, codes, blocks
 
 
 @dataclass
@@ -356,7 +362,6 @@ class BranchEnsemble:
     gram: np.ndarray
     discarded_total: float
     _frame: _Frame = field(repr=False)
-    _index: dict[FullPath, int] = field(repr=False)
     _group_disc: np.ndarray = field(repr=False)
     _group_cons: np.ndarray = field(repr=False)
 
@@ -395,6 +400,19 @@ class BranchEnsemble:
         low, group, _ = self._decode_label(label)
         return float(self._group_cons[group, low])
 
+    @cached_property
+    def _finals(self) -> np.ndarray:
+        # final window word of every path
+        return np.array([p[-1] for p in self.paths], dtype=str)
+
+    def _entry(self, ykey: FullPath, zkey: FullPath) -> complex:
+        """gram entry between two path keys; 0 where either path is absent."""
+        yi = bisect.bisect_left(self.paths, ykey)
+        zi = bisect.bisect_left(self.paths, zkey)
+        if self.paths[yi : yi + 1] != (ykey,) or self.paths[zi : zi + 1] != (zkey,):
+            return 0j
+        return complex(self.gram[yi, zi])
+
     def _check_path(self, path: Sequence[str]) -> FullPath:
         want = self.steps if self.kind == "full" else 1
         key = tuple(path)
@@ -408,6 +426,32 @@ class BranchEnsemble:
                     f"each path entry must be {self._frame.kept} bits of '0'/'1', got {word!r}"
                 )
         return key
+
+
+def _path_keys(frame: _Frame, kind: str, group_codes: list[np.ndarray]):
+    """Sorted path keys, and the position of each (group, omega, code) key.
+
+    A key's word at a recorded step is that step's window value (a digit of
+    the path code) in reversed significance, then the step's definite word.
+    Coarse-kind keys can repeat across (group, omega) and share a position.
+    """
+    h_count = 1 << frame.qwidth
+    step_js = list(range(1, frame.steps + 1)) if kind == "full" else [frame.steps]
+    keys = []
+    for group, codes in enumerate(group_codes):
+        digits = [codes // h_count**i % h_count for i in reversed(range(len(step_js)))]
+        for omega in range(1 << frame.nomega):
+            key = np.zeros(len(codes), dtype="U1")
+            for j, digit in zip(step_js, digits):
+                tail = frame.definite_word(j, group, omega)
+                words = np.array([_rev_bits(h, frame.qwidth) + tail for h in range(h_count)])
+                key = np.strings.add(key, words[digit])
+            keys.append(key)
+    # the words have equal widths, so joined keys sort as the key tuples do
+    joined, where = np.unique(np.concatenate(keys), return_inverse=True)
+    k = frame.kept
+    paths = tuple(tuple(w[i : i + k] for i in range(0, len(w), k)) for w in joined.tolist())
+    return paths, where
 
 
 def propagate_branches(
@@ -478,41 +522,32 @@ def propagate_branches(
     groups = 1 << frame.freeq
     group_disc = np.zeros((groups, low_total))
     group_cons = np.zeros((groups, low_total))
-    # per-group reductions, chunks merged in fixed unit order
-    per_group_n2: list[dict[tuple[int, ...], float]] = [dict() for _ in range(groups)]
-    per_group_gram: list[dict] = [dict() for _ in range(groups)]
-    for (group, a_lo, a_hi), (disc, n2, qpaths, gram) in zip(units, results):
+    group_units: list[list] = [[] for _ in range(groups)]
+    for (group, a_lo, a_hi), (disc, cons, codes, blocks) in zip(units, results):
         group_disc[group, a_lo:a_hi] = disc
-        group_cons[group, a_lo:a_hi] = n2.sum(axis=0)
-        tgt_n2 = per_group_n2[group]
-        for i, qp in enumerate(qpaths):
-            tgt_n2[qp] = tgt_n2.get(qp, 0.0) + float(n2[i].sum())
-        tgt_g = per_group_gram[group]
-        for pair, val in gram.items():
-            tgt_g[pair] = tgt_g.get(pair, 0j) + val
+        group_cons[group, a_lo:a_hi] = cons
+        group_units[group].append((codes, blocks))
+    # each group's path codes, sorted: the rows of its accumulator
+    group_codes = [np.unique(np.concatenate([c for c, _ in us])) for us in group_units]
+    paths, where = _path_keys(frame, kind, group_codes)
 
-    step_js = list(range(1, steps + 1)) if kind == "full" else [steps]
-    g_map: dict[tuple[FullPath, FullPath], complex] = {}
-    for group in range(groups):
-        for omega in range(1 << frame.nomega):
-            words = {j: frame.definite_word(j, group, omega) for j in step_js}
-            key_of: dict[tuple[int, ...], FullPath] = {}
-            for qp in sorted(per_group_n2[group]):
-                key_of[qp] = tuple(
-                    _rev_bits(h, frame.qwidth) + words[j]
-                    for h, j in zip(qp, step_js)
-                )
-            # kind="full" keys never repeat across (group, omega); coarse-kind
-            # final words can, so contributions are accumulated either way
-            for (qa, qb), val in sorted(per_group_gram[group].items()):
-                pair = (key_of[qa], key_of[qb])
-                g_map[pair] = g_map.get(pair, 0j) + weight * val
-
-    paths = tuple(sorted({ka for ka, kb in g_map if ka == kb}))
-    index = {p: i for i, p in enumerate(paths)}
+    # each element sums its units in unit order from 0, and the weight is a
+    # power of two, so scaling is exact; coarse-kind keys that repeat across
+    # (group, omega) accumulate in (group, omega) order
     gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
-    for (ka, kb), val in g_map.items():
-        gram[index[ka], index[kb]] = val
+    at = 0
+    for codes_g, us in zip(group_codes, group_units):
+        acc = np.zeros((len(codes_g), len(codes_g)), dtype=np.complex128)
+        for codes, blocks in us:
+            rows = np.searchsorted(codes_g, codes)
+            for lo, g in blocks:
+                sel = rows[lo : lo + len(g)]
+                acc[np.ix_(sel, sel)] += g
+        acc *= weight
+        for _ in range(1 << frame.nomega):
+            sel = where[at : at + len(codes_g)]
+            gram[np.ix_(sel, sel)] += acc
+            at += len(codes_g)
     discarded_total = weight * float(group_disc.sum()) * (1 << frame.nomega)
 
     return BranchEnsemble(
@@ -524,7 +559,6 @@ def propagate_branches(
         gram=gram,
         discarded_total=discarded_total,
         _frame=frame,
-        _index=index,
         _group_disc=group_disc,
         _group_cons=group_cons,
     )
@@ -534,13 +568,7 @@ def full_dfunc(ensemble: BranchEnsemble, ys: Sequence[str], zs: Sequence[str]) -
     """Decoherence functional entry between two per-step window histories."""
     if ensemble.kind != "full":
         raise ParameterError("full_dfunc needs a kind='full' ensemble")
-    ykey = ensemble._check_path(ys)
-    zkey = ensemble._check_path(zs)
-    yi = ensemble._index.get(ykey)
-    zi = ensemble._index.get(zkey)
-    if yi is None or zi is None:
-        return 0j
-    return complex(ensemble.gram[yi, zi])
+    return ensemble._entry(ensemble._check_path(ys), ensemble._check_path(zs))
 
 
 def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
@@ -551,21 +579,15 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     side independently.
     """
     if ensemble.kind == "coarse":
-        ykey = ensemble._check_path([y])
-        zkey = ensemble._check_path([z])
-        yi = ensemble._index.get(ykey)
-        zi = ensemble._index.get(zkey)
-        if yi is None or zi is None:
-            return 0j
-        return complex(ensemble.gram[yi, zi])
+        return ensemble._entry(ensemble._check_path([y]), ensemble._check_path([z]))
     for word in (y, z):
         if len(word) != ensemble._frame.kept or any(ch not in "01" for ch in word):
             raise ParameterError(
                 f"window value must be {ensemble._frame.kept} bits of '0'/'1', got {word!r}"
             )
-    rows = [i for i, p in enumerate(ensemble.paths) if p[-1] == y]
-    cols = [i for i, p in enumerate(ensemble.paths) if p[-1] == z]
-    if not rows or not cols:
+    rows = np.flatnonzero(ensemble._finals == y)
+    cols = np.flatnonzero(ensemble._finals == z)
+    if not rows.size or not cols.size:
         return 0j
     return complex(ensemble.gram[np.ix_(rows, cols)].sum())
 
@@ -622,12 +644,19 @@ def offdiagonal_norm(ensemble: BranchEnsemble, mode: str = "max") -> float:
     n = len(ensemble.paths)
     if n < 2:
         return 0.0
-    mags = np.abs(ensemble.gram)
-    mask = ~np.eye(n, dtype=bool)
+    # the off-diagonal entries in row-major order are the flat array's runs
+    # of n entries between consecutive diagonal ones
+    flat = np.abs(ensemble.gram).ravel()
     if mode == "max":
-        return float(mags[mask].max())
+        return float(flat[1:].reshape(n - 1, n + 1)[:, :n].max())
     if mode == "rms":
-        return float(np.sqrt(np.mean(mags[mask] ** 2)))
+        # move the runs to the front in place, so the mean sums the same
+        # contiguous sequence the masked copy used to, without an n*n copy
+        for k in range(n - 1):
+            flat[k * n : (k + 1) * n] = flat[k * (n + 1) + 1 : (k + 1) * (n + 1)]
+        off = flat[: n * (n - 1)]
+        off *= off
+        return float(np.sqrt(np.mean(off)))
     raise ParameterError(f"mode must be 'max' or 'rms', got {mode!r}")
 
 

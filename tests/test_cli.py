@@ -330,8 +330,6 @@ def test_module_entry_point():
 _EVERY = ("check", "full-histories", "coarse-entropy", "sweep")
 # sweep derives its geometry from --init-x and ignores these flags
 _GEOMETRY = ("check", "full-histories", "coarse-entropy")
-# check always propagates unpruned and ignores --prune
-_PRUNED = ("full-histories", "coarse-entropy", "sweep")
 _BUDGET_REFUSED = [
     "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9", "--steps", "8",
     "--init-x", "01",
@@ -356,8 +354,8 @@ _BAD_INPUTS = [
     (_EVERY, ["--config", "{unknown_key}"], {}, 2),
     (_EVERY, [], {"QBAKER_THREADS": "two"}, 2),
     (_EVERY, ["--threads", "0"], {}, 2),
-    (_PRUNED, ["--prune", "-0.5"], {}, 2),
-    (_PRUNED, ["--prune", "nan"], {}, 2),
+    (_EVERY, ["--prune", "-0.5"], {}, 2),
+    (_EVERY, ["--prune", "nan"], {}, 2),
     (("check",), ["--qubits", "12", "--dot", "6", "--left", "2", "--right", "3"], {}, 2),
     (_EVERY, ["--out", "{unwritable}"], {}, 2),
     (("full-histories",), _BUDGET_REFUSED, {}, 4),

@@ -1,5 +1,7 @@
 """Tests for branch propagation, functionals, and the asymptotic oracles."""
 
+import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -26,7 +28,6 @@ from qbaker import (
     transfer_kernel,
 )
 from qbaker import histories
-from qbaker.core import index_to_bits
 
 from _dense_reference import dense_branches, dense_gram
 
@@ -62,28 +63,38 @@ def branch_vector(ens, label, path):
     for word, j in zip(key, step_js):
         if word[frame.qwidth :] != frame.definite_word(j, group, omega):
             return out
-    qpath = tuple(histories._rev_int(word[: frame.qwidth]) for word in key)
+    code = 0
+    for word in key:
+        code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % histories._CHUNK
     a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
     kernel = transfer_kernel(frame.dot) if histories._needs_kernel(frame, ens.kind) else None
-    _, qpaths, h_last, amp = histories._grow_unit(
+    _, codes, amp = histories._grow_unit(
         kernel, frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
     )
-    if qpath not in qpaths:
+    rows = np.flatnonzero(codes == code)
+    if not rows.size:
         return out
-    row = qpaths.index(qpath)
+    row = int(rows[0])
     coeffs = amp[row, low - a_lo].T
-    head_base = int(h_last[row]) << frame.left
+    head_base = int(codes[row] % (1 << frame.qwidth)) << frame.left
     mid = "".join(
         str(frame.label_bit(p + ens.steps, group, omega))
         for p in range(frame.dot + 1, frame.left + frame.kept + 1)
     )
     spect = label[frame.left + frame.kept + ens.steps :]
-    for lo_idx in range(coeffs.shape[0]):
-        head = histories._rev_bits(head_base + lo_idx, frame.dot)
-        for f_idx in range(coeffs.shape[1]):
-            tail = index_to_bits(f_idx, ens.steps)
-            out[int(head + mid + spect + tail, 2)] = coeffs[lo_idx, f_idx]
+    # the coefficient of (lo_idx, f_idx) sits at bits head + mid + spect + tail:
+    # head is the dot-bit reversed momentum index, tail the fresh register
+    heads = [
+        int(histories._rev_bits(head_base + lo_idx, frame.dot), 2)
+        for lo_idx in range(coeffs.shape[0])
+    ]
+    idx = (
+        (np.array(heads)[:, None] << (frame.qubits - frame.dot))
+        + (int(mid + spect, 2) << ens.steps)
+        + np.arange(coeffs.shape[1])
+    )
+    out[idx] = coeffs
     return out
 
 
@@ -242,6 +253,98 @@ def test_pruned_run_stays_consistent():
     assert missing
     path = sorted(missing)[0]
     assert full_dfunc(ens, path, path) == 0j
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kind):
+    # left 8 puts four a-chunks in each of two groups, so each group's
+    # accumulator sums the blocks of several units; on kind "full" pruning
+    # also keeps different path lists in different units of one group
+    block = make_block(13, 9, 8, 3, "01")
+    ens = propagate_branches(block, 2, prune_eps=0.01, kind=kind)
+    frame = ens._frame
+    chunk = histories._CHUNK
+    assert frame.freeq > 0 and (1 << frame.left) > chunk
+    assert not histories._needs_kernel(frame, kind)
+    # branch_vector regrows a whole unit per call; grow each unit once
+    monkeypatch.setattr(histories, "_grow_unit", functools.lru_cache(histories._grow_unit))
+    grow = functools.partial(histories._grow_unit, None, frame, kind, ens.prune_eps)
+    path_lists = [
+        {tuple(grow(group, a_lo, a_lo + chunk)[1]) for a_lo in range(0, 1 << frame.left, chunk)}
+        for group in range(1 << frame.freeq)
+    ]
+    assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
+    want = np.zeros_like(ens.gram)
+    for label in block.labels():
+        vecs = np.array([branch_vector(ens, label, path) for path in ens.paths])
+        # want[i, j] = weight * <b_j | b_i>
+        want += block.weight * (vecs @ vecs.conj().T)
+    np.testing.assert_allclose(ens.gram, want, rtol=0, atol=1e-12)
+
+
+def pair_dict_gram(ens):
+    """paths and gram by the pair-dict reduction the engine used to run.
+
+    Sums each group's per-unit overlaps pair by pair in unit order, scales
+    them by the ensemble weight and adds them up per path-key pair in
+    (group, omega) order: the order the array scatter must reproduce.
+    """
+    frame, kind = ens._frame, ens.kind
+    kernel = transfer_kernel(frame.dot) if histories._needs_kernel(frame, kind) else None
+    low, h_count = 1 << frame.left, 1 << frame.qwidth
+    step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
+    pairs = {}
+    for group in range(1 << frame.freeq):
+        per_group = {}
+        for a_lo in range(0, low, histories._CHUNK):
+            a_hi = min(a_lo + histories._CHUNK, low)
+            _, _, codes, blocks = histories._run_unit(
+                kernel, frame, kind, ens.prune_eps, group, a_lo, a_hi
+            )
+            for lo, g in blocks:
+                for i, j in itertools.product(range(len(g)), repeat=2):
+                    pair = (int(codes[lo + i]), int(codes[lo + j]))
+                    per_group[pair] = per_group.get(pair, 0j) + complex(g[i, j])
+        for omega in range(1 << frame.nomega):
+
+            def key(code):
+                digits = [code // h_count**i % h_count for i in reversed(range(len(step_js)))]
+                return tuple(
+                    histories._rev_bits(d, frame.qwidth) + frame.definite_word(j, group, omega)
+                    for d, j in zip(digits, step_js)
+                )
+
+            for (qa, qb), val in per_group.items():
+                pair = (key(qa), key(qb))
+                pairs[pair] = pairs.get(pair, 0j) + ens.weight * val
+    paths = tuple(sorted({ka for ka, kb in pairs if ka == kb}))
+    index = {p: i for i, p in enumerate(paths)}
+    gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
+    for (ka, kb), val in pairs.items():
+        gram[index[ka], index[kb]] = val
+    return paths, gram
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window",
+    [
+        (8, 4, 2, 3, 2, "010"),
+        (8, 4, 1, 3, 2, "0110"),
+        (9, 4, 2, 4, 3, "011"),
+        (13, 9, 8, 3, 2, "01"),
+    ],
+)
+def test_gram_equals_the_pair_dict_reduction(
+    qubits, dot, left, right, steps, window, prune_eps, kind
+):
+    ens = propagate_branches(
+        make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
+    )
+    paths, gram = pair_dict_gram(ens)
+    assert ens.paths == paths
+    np.testing.assert_array_equal(ens.gram, gram)
 
 
 def test_threads_bit_identical(medium_full):
@@ -425,6 +528,18 @@ def test_offdiagonal_norm_modes(medium_full):
     assert 0.0 < rms <= mx
     with pytest.raises(ParameterError, match="mode"):
         offdiagonal_norm(medium_full, mode="sum")
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
+    rng = np.random.default_rng(n)
+    gram = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gram[rng.random((n, n)) < 0.5] = 0
+    ens = dataclasses.replace(medium_full, paths=medium_full.paths[:n], gram=gram.copy())
+    mags = np.abs(gram)[~np.eye(n, dtype=bool)]
+    assert offdiagonal_norm(ens, mode="max") == mags.max()
+    assert offdiagonal_norm(ens, mode="rms") == np.sqrt(np.mean(mags**2))
+    np.testing.assert_array_equal(ens.gram, gram)
 
 
 def test_ideal_coarse_value():
