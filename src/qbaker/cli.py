@@ -12,6 +12,13 @@ Subcommands:
 * ``sweep``: asymptotic trends over a grid of window offsets and step
   counts, holding the window width fixed while the system grows.
 
+``full-histories`` and ``coarse-entropy`` are one pipeline (cmd_histories)
+run with kind "full" or "coarse": build the block state, propagate,
+take the history distribution, tabulate it against the shift-chain oracle
+(_history_rows), and summarize entropy, off-diagonal size and masses
+(_summary).  ``sweep`` runs the same steps per grid point and keeps the
+summary plus the largest oracle residual of each kind.
+
 Flags override config-file values (flat ``key = value`` lines, ``#``
 comments allowed); built-in defaults fill whatever remains.  Data goes
 to CSV ('#'-prefixed comment lines carry the config echo and the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -275,15 +283,27 @@ def _geometry(cfg: dict) -> CoarseGraining:
     return graining
 
 
-def _geometry_echo(cfg: dict, experiment: str) -> list[tuple[str, object]]:
-    return [
-        ("experiment", experiment),
-        ("qubits", cfg["qubits"]),
-        ("dot", cfg["dot"]),
-        ("left", cfg["left"]),
-        ("right", cfg["right"]),
-        ("steps", cfg["steps"]),
-    ]
+def _history_rows(dist, kind: str, window: str, steps: int) -> list[tuple]:
+    """(path, p, oracle_p, abs_residual) rows against the shift-chain oracle.
+
+    Kind "full" lists the retained paths and every shift continuation of the
+    initial window; kind "coarse" lists all final window words, whose oracle
+    compares the surviving core window[steps:] with the word's leading bits.
+    """
+    kept = len(window)
+    if kind == "full":
+        paths = sorted(set(dist.paths) | _shift_continuations(window, steps))
+        oracles = [ideal_full_value(window, path, path) for path in paths]
+    else:
+        paths = [(format(v, f"0{kept}b"),) for v in range(1 << kept)]
+        core = window[steps:]
+        oracles = [ideal_coarse_value(core, word[: kept - steps], steps) for (word,) in paths]
+    prob = dict(zip(dist.paths, dist.probabilities))
+    rows = []
+    for path, oracle in zip(paths, oracles):
+        p = float(prob.get(path, 0.0))
+        rows.append((";".join(path), p, oracle, abs(p - oracle)))
+    return rows
 
 
 def _summary(dist, steps, off_max, off_rms, discarded) -> list[tuple[str, object]]:
@@ -299,72 +319,39 @@ def _summary(dist, steps, off_max, off_rms, discarded) -> list[tuple[str, object
     ]
 
 
-def cmd_full_histories(cfg: dict) -> int:
+def cmd_histories(cfg: dict, kind: str) -> int:
+    """full-histories (kind "full") and coarse-entropy (kind "coarse")."""
     clock = _StageClock()
     graining = _geometry(cfg)
     steps = cfg["steps"]
-    window = _window_bits(cfg["init_x"], graining.kept, "init-x")
+    echo = [("experiment", "full-histories" if kind == "full" else "coarse-entropy")]
+    echo += [(key, cfg[key]) for key in ("qubits", "dot", "left", "right", "steps")]
+    if kind == "full":
+        window = _window_bits(cfg["init_x"], graining.kept, "init-x")
+        echo.append(("init_x", window))
+    else:
+        if steps > graining.kept:
+            raise ParameterError(
+                f"need steps <= window width {graining.kept} to leave a window core, "
+                f"got steps={steps}"
+            )
+        core = _window_bits(cfg["init_x"], graining.kept - steps, "init-x window core")
+        # the leading bits are consumed during the run; default them to zeros
+        window = "0" * steps + core
+        echo += [("init_x", core), ("window", window)]
     block = BlockInitialState(graining, window)
     clock.mark("build")
     ens = propagate_branches(
-        block, steps, prune_eps=cfg["prune"], threads=cfg["threads"]
+        block, steps, prune_eps=cfg["prune"], kind=kind, threads=cfg["threads"]
     )
     clock.mark("propagate")
     dist = history_distribution(ens)
-    prob = dict(zip(dist.paths, dist.probabilities))
-    rows = []
-    for path in sorted(set(dist.paths) | _shift_continuations(window, steps)):
-        p = float(prob.get(path, 0.0))
-        oracle = ideal_full_value(window, path, path)
-        rows.append((";".join(path), p, oracle, abs(p - oracle)))
-    off_max = offdiagonal_norm(ens, mode="max")
-    off_rms = offdiagonal_norm(ens, mode="rms")
+    rows = _history_rows(dist, kind, window, steps)
+    off_max, off_rms = offdiagonal_norm(ens)
     clock.mark("functional")
     summary = _summary(dist, steps, off_max, off_rms, ens.discarded_total)
     clock.mark("entropy")
-    echo = _geometry_echo(cfg, "full-histories")
-    echo += [("init_x", window), ("prune", cfg["prune"])]
-    _emit(cfg, echo, _ROW_HEADER, rows, summary)
-    clock.mark("write")
-    clock.report()
-    return 0
-
-
-def cmd_coarse_entropy(cfg: dict) -> int:
-    clock = _StageClock()
-    graining = _geometry(cfg)
-    steps = cfg["steps"]
-    kept = graining.kept
-    core_width = kept - steps
-    if core_width < 0:
-        raise ParameterError(
-            f"need steps <= window width {kept} to leave a window core, "
-            f"got steps={steps}"
-        )
-    core = _window_bits(cfg["init_x"], core_width, "init-x window core")
-    # the leading bits are consumed during the run; default them to zeros
-    window = "0" * steps + core
-    block = BlockInitialState(graining, window)
-    clock.mark("build")
-    ens = propagate_branches(
-        block, steps, prune_eps=cfg["prune"], kind="coarse", threads=cfg["threads"]
-    )
-    clock.mark("propagate")
-    dist = history_distribution(ens)
-    prob = {p[0]: v for p, v in zip(dist.paths, dist.probabilities)}
-    rows = []
-    for value in range(1 << kept):
-        word = format(value, f"0{kept}b")
-        p = float(prob.get(word, 0.0))
-        oracle = ideal_coarse_value(core, word[:core_width], steps)
-        rows.append((word, p, oracle, abs(p - oracle)))
-    off_max = offdiagonal_norm(ens, mode="max")
-    off_rms = offdiagonal_norm(ens, mode="rms")
-    clock.mark("functional")
-    summary = _summary(dist, steps, off_max, off_rms, ens.discarded_total)
-    clock.mark("entropy")
-    echo = _geometry_echo(cfg, "coarse-entropy")
-    echo += [("init_x", core), ("window", window), ("prune", cfg["prune"])]
+    echo.append(("prune", cfg["prune"]))
     _emit(cfg, echo, _ROW_HEADER, rows, summary)
     clock.mark("write")
     clock.report()
@@ -384,9 +371,7 @@ def cmd_sweep(cfg: dict) -> int:
         for steps in steps_list:
             t0 = time.perf_counter()
             # grow the system symmetrically, window width held fixed
-            qubits = 2 * left + kept
-            dot = left + (kept + 1) // 2
-            right = left
+            qubits, dot, right = 2 * left + kept, left + (kept + 1) // 2, left
             graining = CoarseGraining(SystemShape(qubits, dot), left, right)
             validate_run(graining, steps)
             block = BlockInitialState(graining, window)
@@ -394,42 +379,16 @@ def cmd_sweep(cfg: dict) -> int:
                 block, steps, prune_eps=cfg["prune"], threads=cfg["threads"]
             )
             dist = history_distribution(ens)
-            h = entropy_bits(dist)
-            prob = dict(zip(dist.paths, dist.probabilities))
-            full_resid = max(
-                abs(float(prob.get(path, 0.0)) - ideal_full_value(window, path, path))
-                for path in sorted(
-                    set(dist.paths) | _shift_continuations(window, steps)
-                )
-            )
-            coarse_resid = None
+            point = dict(_summary(dist, steps, *offdiagonal_norm(ens), ens.discarded_total))
+            point.update(left=left, steps=steps, qubits=qubits, dot=dot, right=right)
+            full_rows = _history_rows(dist, "full", window, steps)
+            point.update(window=window, full_residual_max=max(row[3] for row in full_rows))
+            point["coarse_residual_max"] = None
             if steps <= kept:
-                cdist = history_distribution(ens, kind="coarse")
-                cprob = {p[0]: v for p, v in zip(cdist.paths, cdist.probabilities)}
-                core = window[steps:]
-                coarse_resid = max(
-                    abs(
-                        float(cprob.get(word, 0.0))
-                        - ideal_coarse_value(core, word[: kept - steps], steps)
-                    )
-                    for word in (format(v, f"0{kept}b") for v in range(1 << kept))
-                )
-            rows.append(
-                (
-                    left,
-                    steps,
-                    qubits,
-                    dot,
-                    right,
-                    window,
-                    h,
-                    abs(h - steps),
-                    offdiagonal_norm(ens),
-                    coarse_resid,
-                    full_resid,
-                    ens.discarded_total,
-                )
-            )
+                marginal = history_distribution(ens, kind="coarse")
+                coarse_rows = _history_rows(marginal, "coarse", window, steps)
+                point["coarse_residual_max"] = max(row[3] for row in coarse_rows)
+            rows.append(tuple(point[key] for key in _SWEEP_HEADER))
             print(
                 f"sweep point left={left} steps={steps}: "
                 f"runtime {time.perf_counter() - t0:.3f}s",
@@ -505,7 +464,7 @@ def cmd_check(cfg: dict) -> int:
     ens_c = propagate_branches(
         block, cfg["steps"], prune_eps=0.0, kind="coarse", threads=cfg["threads"]
     )
-    record("coarse decoherence exactness", offdiagonal_norm(ens_c))
+    record("coarse decoherence exactness", offdiagonal_norm(ens_c)[0])
     ens_f = propagate_branches(
         block, cfg["steps"], prune_eps=0.0, threads=cfg["threads"]
     )
@@ -531,8 +490,8 @@ def cmd_check(cfg: dict) -> int:
 
 _COMMANDS = {
     "check": cmd_check,
-    "coarse-entropy": cmd_coarse_entropy,
-    "full-histories": cmd_full_histories,
+    "coarse-entropy": functools.partial(cmd_histories, kind="coarse"),
+    "full-histories": functools.partial(cmd_histories, kind="full"),
     "sweep": cmd_sweep,
 }
 

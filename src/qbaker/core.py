@@ -1,4 +1,4 @@
-"""Bit-string conventions, register geometry, and small vector helpers.
+"""Bit-string conventions and register geometry.
 
 Bit strings are plain Python strings of '0'/'1', most significant bit first,
 so that index("101") = 5.  Positions are 1-indexed when sliced: bits a..b
@@ -9,8 +9,6 @@ conventions; nothing else in the package defines its own bit order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -77,12 +75,3 @@ def binary_fraction(bits: str, append_one: bool = False) -> float:
     if not digits:
         return 0.0
     return int(digits, 2) / (1 << len(digits))
-
-
-def inner_product(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"need equal-length vectors, got shapes {u.shape} and {v.shape}")
-    return complex(np.vdot(u, v))

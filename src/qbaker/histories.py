@@ -24,10 +24,10 @@ approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
 Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
-final amplitudes where it runs, to per-label masses and one Gram block array
-per run of rows sharing a last window value, and the amplitudes are freed
-before the unit returns: no branch vector is kept, so peak memory is one step
-workspace per thread plus the path Gram matrix.  The blocks are summed per
+final amplitudes where it runs, to one Gram block array per run of rows
+sharing a last window value, and the amplitudes are freed before the unit
+returns: no branch vector is kept, so peak memory is one step workspace per
+thread plus the path Gram matrix.  The blocks are summed per
 group in unit order over integer path codes, then scattered into the Gram
 matrix once per (group, omega).
 
@@ -186,10 +186,10 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     in_flight = min(threads, n_units)
     # path keys, an upper bound on the paths (coarse-kind keys can repeat)
     n_paths = groups * (1 << frame.nomega) * rows_final
-    # every unit's path codes, masses and Gram blocks (h runs of `rows`
-    # paths) until the reduction, the norms of the units in flight, and one
-    # group's accumulator with a scatter's gather copy and index arrays
-    held = n_units * (rows_final * (rows * itemsize + 8) + a * 16 + h * _BLOCK_OBJECT_BYTES)
+    # every unit's path codes, discarded masses and Gram blocks (h runs of
+    # `rows` paths) until the reduction, the norms of the units in flight, and
+    # one group's accumulator with a scatter's gather copy and index arrays
+    held = n_units * (rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES)
     held += in_flight * 2 * rows_final * a * 8 + 3 * rows_final**2 * itemsize
     # per key: the string and index arrays of its sort, its joined string,
     # and its tuple of word strings
@@ -311,17 +311,15 @@ def _run_unit(
     a_lo: int,
     a_hi: int,
 ):
-    """Grow one unit, then reduce its amplitudes to masses and Gram blocks.
+    """Grow one unit, then reduce its amplitudes to Gram blocks.
 
-    Returns per-label discarded and retained mass, the path codes, and one
-    (lo, block) per run of equal last window value, where block[i, j] is the
-    overlap of the paths in rows lo + i and lo + j; paths in different runs
-    are orthogonal.  All in norm units: ensemble weights are applied by the
+    Returns per-label discarded mass, the path codes, and one (lo, block)
+    per run of equal last window value, where block[i, j] is the overlap of
+    the paths in rows lo + i and lo + j; paths in different runs are
+    orthogonal.  All in norm units: ensemble weights are applied by the
     caller.  The amplitudes are freed on return.
     """
     disc, codes, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
-    flat = amp.view(np.float64)
-    cons = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
     blocks = []
     for _, lo, hi in _runs(codes % (1 << frame.qwidth)):
         sub = amp[lo:hi]
@@ -330,7 +328,7 @@ def _run_unit(
         # dense_equiv_gflop counter matches it
         blas = sub.shape[0] * sub.size >= _GEMM_MIN_MACS
         blocks.append((lo, np.einsum("ialf,jalf->ij", sub, sub.conj(), optimize=blas)))
-    return disc, cons, codes, blocks
+    return disc, codes, blocks
 
 
 @dataclass
@@ -347,7 +345,7 @@ class HistoryDistribution:
 
 @dataclass
 class BranchEnsemble:
-    """Path overlaps and per-label masses from one propagation run.
+    """Path overlaps and pruned mass from one propagation run.
 
     `paths` is sorted lexicographically; `gram[i, j]` is the decoherence
     functional value between paths[i] (ket side) and paths[j] (bra side),
@@ -362,8 +360,6 @@ class BranchEnsemble:
     gram: np.ndarray
     discarded_total: float
     _frame: _Frame = field(repr=False)
-    _group_disc: np.ndarray = field(repr=False)
-    _group_cons: np.ndarray = field(repr=False)
 
     @property
     def weight(self) -> float:
@@ -373,32 +369,6 @@ class BranchEnsemble:
     @property
     def probabilities(self) -> np.ndarray:
         return self.gram.diagonal().real.copy()
-
-    def _decode_label(self, label: str) -> tuple[int, int, int]:
-        frame = self._frame
-        if len(label) != frame.qubits or any(ch not in "01" for ch in label):
-            raise ParameterError(
-                f"label must be {frame.qubits} bits of '0'/'1', got {label!r}"
-            )
-        if label[frame.left : frame.left + frame.kept] != self.block.window:
-            raise ParameterError(
-                f"label window {label[frame.left:frame.left + frame.kept]!r} does not "
-                f"match block window {self.block.window!r}"
-            )
-        low = _rev_int(label[: frame.left])
-        group = _rev_int(label[frame.left + frame.kept : frame.dot + frame.steps])
-        omega = _rev_int(label[frame.omega_start : frame.left + frame.kept + frame.steps])
-        return low, group, omega
-
-    def discarded_mass(self, label: str) -> float:
-        """Pruned-away squared norm for one initial label (norm units)."""
-        low, group, _ = self._decode_label(label)
-        return float(self._group_disc[group, low])
-
-    def retained_mass(self, label: str) -> float:
-        """Sum of retained branch squared norms for one initial label."""
-        low, group, _ = self._decode_label(label)
-        return float(self._group_cons[group, low])
 
     @cached_property
     def _finals(self) -> np.ndarray:
@@ -521,11 +491,9 @@ def propagate_branches(
     weight = 2.0 ** -(frame.left + steps)
     groups = 1 << frame.freeq
     group_disc = np.zeros((groups, low_total))
-    group_cons = np.zeros((groups, low_total))
     group_units: list[list] = [[] for _ in range(groups)]
-    for (group, a_lo, a_hi), (disc, cons, codes, blocks) in zip(units, results):
+    for (group, a_lo, a_hi), (disc, codes, blocks) in zip(units, results):
         group_disc[group, a_lo:a_hi] = disc
-        group_cons[group, a_lo:a_hi] = cons
         group_units[group].append((codes, blocks))
     # each group's path codes, sorted: the rows of its accumulator
     group_codes = [np.unique(np.concatenate([c for c, _ in us])) for us in group_units]
@@ -559,8 +527,6 @@ def propagate_branches(
         gram=gram,
         discarded_total=discarded_total,
         _frame=frame,
-        _group_disc=group_disc,
-        _group_cons=group_cons,
     )
 
 
@@ -639,25 +605,22 @@ def entropy_bits(dist: HistoryDistribution) -> float:
     return acc
 
 
-def offdiagonal_norm(ensemble: BranchEnsemble, mode: str = "max") -> float:
-    """Size of the off-diagonal functional entries over retained paths."""
+def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
+    """Max and rms size of the off-diagonal functional entries over retained paths."""
     n = len(ensemble.paths)
     if n < 2:
-        return 0.0
+        return 0.0, 0.0
     # the off-diagonal entries in row-major order are the flat array's runs
     # of n entries between consecutive diagonal ones
     flat = np.abs(ensemble.gram).ravel()
-    if mode == "max":
-        return float(flat[1:].reshape(n - 1, n + 1)[:, :n].max())
-    if mode == "rms":
-        # move the runs to the front in place, so the mean sums the same
-        # contiguous sequence the masked copy used to, without an n*n copy
-        for k in range(n - 1):
-            flat[k * n : (k + 1) * n] = flat[k * (n + 1) + 1 : (k + 1) * (n + 1)]
-        off = flat[: n * (n - 1)]
-        off *= off
-        return float(np.sqrt(np.mean(off)))
-    raise ParameterError(f"mode must be 'max' or 'rms', got {mode!r}")
+    off_max = float(flat[1:].reshape(n - 1, n + 1)[:, :n].max())
+    # move the runs to the front in place, so the mean sums the same
+    # contiguous sequence the masked copy used to, without an n*n copy
+    for k in range(n - 1):
+        flat[k * n : (k + 1) * n] = flat[k * (n + 1) + 1 : (k + 1) * (n + 1)]
+    off = flat[: n * (n - 1)]
+    off *= off
+    return off_max, float(np.sqrt(np.mean(off)))
 
 
 def ideal_coarse_value(x: str, y: str, steps: int) -> float:

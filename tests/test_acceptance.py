@@ -124,7 +124,7 @@ def test_criterion_2_dense_oracle_equivalence():
             worst_pair = max(
                 worst_pair, abs(coarse_dfunc(ens_c, ya[0], yb[0]) - gm_c[(ya, yb)])
             )
-        worst_off = max(worst_off, offdiagonal_norm(ens_c))
+        worst_off = max(worst_off, offdiagonal_norm(ens_c)[0])
         finals = sorted({p[0] for p in keys_c})
         for y, z in itertools.product(finals, finals):
             worst_sum = max(
@@ -139,7 +139,7 @@ def test_criterion_2_dense_oracle_equivalence():
         worst_pair = max(
             worst_pair, abs(coarse_dfunc(ens_c, ya[0], yb[0]) - gm_c[(ya, yb)])
         )
-    worst_off = max(worst_off, offdiagonal_norm(ens_c))
+    worst_off = max(worst_off, offdiagonal_norm(ens_c)[0])
     ok = (
         paths_match
         and worst_pair <= TOL_EXACT
@@ -181,7 +181,7 @@ def test_criterion_4_dominant_path_structure():
     near = max(abs(v - 0.25) for _, v in dominant) if dominant else float("inf")
     consistent = all(ideal_full_value("01", p, p) > 0 for p, _ in dominant)
     violating = sum(v for p, v in pairs if ideal_full_value("01", p, p) == 0.0)
-    off = offdiagonal_norm(ens)
+    off = offdiagonal_norm(ens)[0]
     ok = (
         len(dominant) == 4
         and near <= 0.05

@@ -192,6 +192,35 @@ def test_sweep_blank_coarse_residual_when_core_vanishes(tmp_path):
     assert float(rows[0]["entropy_bits"]) > 2.0
 
 
+@pytest.mark.parametrize("steps,prune", [("2", "1e-12"), ("3", "0.01")])
+def test_sweep_point_equals_full_histories_at_its_geometry(tmp_path, steps, prune):
+    # a sweep point at left 6 with a 2-bit window is qubits 2*6 + 2, dot 6 + 1,
+    # right 6; both commands must report the same numbers for it
+    sweep_out = tmp_path / "sweep.csv"
+    assert main(
+        [
+            "sweep", "--sweep-left", "6", "--sweep-steps", steps, "--init-x", "01",
+            "--prune", prune, "--out", str(sweep_out),
+        ]
+    ) == 0
+    _, _, (point,) = read_csv(sweep_out)
+    full_out = tmp_path / "full.csv"
+    assert main(
+        [
+            "full-histories", "--qubits", point["qubits"], "--dot", point["dot"],
+            "--left", point["left"], "--right", point["right"], "--steps", steps,
+            "--init-x", "01", "--prune", prune, "--out", str(full_out),
+        ]
+    ) == 0
+    summary, _, rows = read_csv(full_out)
+    assert (point["qubits"], point["dot"], point["right"]) == ("14", "7", "6")
+    for key in ("entropy_bits", "offdiag_max", "discarded_mass"):
+        assert float(point[key]) == float(summary[key]), key
+    assert float(point["full_residual_max"]) == max(float(r["abs_residual"]) for r in rows)
+    if prune != "1e-12":
+        assert float(point["discarded_mass"]) > 0.0
+
+
 def test_empty_sweep_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["sweep", "--sweep-left", "", "--out", str(out)]) == 0

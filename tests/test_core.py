@@ -1,4 +1,4 @@
-"""Bit conventions, binary fractions, and inner-product plumbing."""
+"""Bit conventions, binary fractions, and register shapes."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from qbaker import (
     binary_fraction,
     bits_to_index,
     index_to_bits,
-    inner_product,
 )
 
 
@@ -83,30 +82,6 @@ def test_binary_fraction_monotone(length, append):
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(0 <= v < 1 for v in values)
-
-
-def test_inner_product_basis():
-    e0 = np.array([1, 0, 0, 0], dtype=np.complex128)
-    e1 = np.array([0, 1, 0, 0], dtype=np.complex128)
-    assert inner_product(e0, e0) == 1
-    assert inner_product(e0, e1) == 0
-    # conjugate-linear in the first argument
-    assert inner_product(1j * e0, e0) == -1j
-
-
-def test_inner_product_cauchy_schwarz():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        u = rng.normal(size=32) + 1j * rng.normal(size=32)
-        v = rng.normal(size=32) + 1j * rng.normal(size=32)
-        lhs = abs(inner_product(u, v)) ** 2
-        rhs = inner_product(u, u).real * inner_product(v, v).real
-        assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_inner_product_shape_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(np.zeros(4), np.zeros(8))
 
 
 def test_system_shape():

@@ -41,6 +41,54 @@ def make_block(qubits, dot, left, right, window):
     )
 
 
+def decode_label(ens, label):
+    """(low, group, omega) indices of an initial label of the ensemble's block."""
+    frame = ens._frame
+    if len(label) != frame.qubits or any(ch not in "01" for ch in label):
+        raise ParameterError(f"label must be {frame.qubits} bits of '0'/'1', got {label!r}")
+    window = label[frame.left : frame.left + frame.kept]
+    if window != ens.block.window:
+        raise ParameterError(
+            f"label window {window!r} does not match block window {ens.block.window!r}"
+        )
+    low = histories._rev_int(label[: frame.left])
+    group = histories._rev_int(label[frame.left + frame.kept : frame.dot + frame.steps])
+    omega = histories._rev_int(label[frame.omega_start : frame.left + frame.kept + frame.steps])
+    return low, group, omega
+
+
+def _unit_kernel(ens):
+    frame = ens._frame
+    return transfer_kernel(frame.dot) if histories._needs_kernel(frame, ens.kind) else None
+
+
+def label_masses(ens):
+    """{label: (discarded, retained)} squared norms of every initial label.
+
+    The engine books only the total discarded mass, so this regrows every
+    (group, a-chunk) unit with histories._grow_unit and sums each label's
+    pruned and final branch norms (norm units).
+    """
+    frame = ens._frame
+    low_total = 1 << frame.left
+    disc = np.zeros((1 << frame.freeq, low_total))
+    kept = np.zeros_like(disc)
+    for group in range(1 << frame.freeq):
+        for a_lo in range(0, low_total, histories._CHUNK):
+            a_hi = min(a_lo + histories._CHUNK, low_total)
+            d, _, amp = histories._grow_unit(
+                _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
+            )
+            flat = amp.view(np.float64)
+            disc[group, a_lo:a_hi] = d
+            kept[group, a_lo:a_hi] = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
+    masses = {}
+    for label in ens.block.labels():
+        low, group, _ = decode_label(ens, label)
+        masses[label] = (float(disc[group, low]), float(kept[group, low]))
+    return masses
+
+
 def branch_vector(ens, label, path):
     """Dot-basis coefficients of the branch grown from one initial label.
 
@@ -55,7 +103,7 @@ def branch_vector(ens, label, path):
             f"got {frame.qubits}"
         )
     key = ens._check_path(path)
-    low, group, omega = ens._decode_label(label)
+    low, group, omega = decode_label(ens, label)
     out = np.zeros(1 << frame.qubits, dtype=np.complex128)
     step_js = range(1, ens.steps + 1) if ens.kind == "full" else [ens.steps]
     # the path determines the definite window words; mismatch with this
@@ -68,9 +116,8 @@ def branch_vector(ens, label, path):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % histories._CHUNK
     a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
-    kernel = transfer_kernel(frame.dot) if histories._needs_kernel(frame, ens.kind) else None
     _, codes, amp = histories._grow_unit(
-        kernel, frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
+        _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
     )
     rows = np.flatnonzero(codes == code)
     if not rows.size:
@@ -182,11 +229,11 @@ def test_entropy_regression(qubits, dot, left, right, steps, kind, window, entro
 def test_single_step_decoheres_exactly():
     # one step: different window values label orthogonal projections
     ens = propagate_branches(make_block(7, 4, 2, 2, "010"), 1, prune_eps=0.0)
-    assert offdiagonal_norm(ens) == 0.0
+    assert offdiagonal_norm(ens) == (0.0, 0.0)
 
 
 def test_coarse_kind_decoheres_exactly(medium_coarse):
-    assert offdiagonal_norm(medium_coarse) == 0.0
+    assert offdiagonal_norm(medium_coarse) == (0.0, 0.0)
 
 
 def test_coarse_equals_summed_full(medium_full):
@@ -218,9 +265,9 @@ def test_probability_conservation_unpruned(medium_full, medium_coarse):
 
 
 def test_per_label_conservation_unpruned(medium_full):
-    for label in medium_full.block.labels():
-        assert medium_full.discarded_mass(label) == 0.0
-        assert abs(medium_full.retained_mass(label) - 1.0) < 1e-10
+    for disc, kept in label_masses(medium_full).values():
+        assert disc == 0.0
+        assert abs(kept - 1.0) < 1e-10
 
 
 def test_gram_hermitian_and_positive(medium_full):
@@ -237,10 +284,9 @@ def test_pruned_run_stays_consistent():
     # every prune event kills mass below eps and the event count per label
     # is bounded by 2**(kept*steps)
     bound = eps * 2 ** (block.graining.kept * 2)
-    for label in block.labels():
-        disc = ens.discarded_mass(label)
+    for disc, kept in label_masses(ens).values():
         assert 0.0 <= disc <= bound
-        assert abs(disc + ens.retained_mass(label) - 1.0) < 1e-9
+        assert abs(disc + kept - 1.0) < 1e-9
     dist = history_distribution(ens)
     assert abs(dist.total() - 1.0) < 1e-9
     assert np.linalg.eigvalsh(ens.gram).min() >= -1e-9
@@ -290,7 +336,6 @@ def pair_dict_gram(ens):
     (group, omega) order: the order the array scatter must reproduce.
     """
     frame, kind = ens._frame, ens.kind
-    kernel = transfer_kernel(frame.dot) if histories._needs_kernel(frame, kind) else None
     low, h_count = 1 << frame.left, 1 << frame.qwidth
     step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
     pairs = {}
@@ -298,8 +343,8 @@ def pair_dict_gram(ens):
         per_group = {}
         for a_lo in range(0, low, histories._CHUNK):
             a_hi = min(a_lo + histories._CHUNK, low)
-            _, _, codes, blocks = histories._run_unit(
-                kernel, frame, kind, ens.prune_eps, group, a_lo, a_hi
+            _, codes, blocks = histories._run_unit(
+                _unit_kernel(ens), frame, kind, ens.prune_eps, group, a_lo, a_hi
             )
             for lo, g in blocks:
                 for i, j in itertools.product(range(len(g)), repeat=2):
@@ -462,8 +507,8 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
         np.testing.assert_allclose(g, g.conj().T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(g).min() >= -1e-9
         assert abs(history_distribution(e).total() - 1.0) <= tol
-        for label in block.labels():
-            assert abs(e.discarded_mass(label) + e.retained_mass(label) - 1.0) <= tol
+        for disc, kept in label_masses(e).values():
+            assert abs(disc + kept - 1.0) <= tol
         if prune_eps == 0:
             keys, gmat = dense_gram(block, steps, kind)
             index = {p: i for i, p in enumerate(e.paths)}
@@ -494,10 +539,10 @@ def test_functional_lookup_validation(medium_full, medium_coarse):
 
 def test_label_validation(medium_full):
     with pytest.raises(ParameterError, match="label"):
-        medium_full.retained_mass("0" * 7)
+        decode_label(medium_full, "0" * 7)
     with pytest.raises(ParameterError, match="window"):
         # window slice of the label must match the block window "010"
-        medium_full.retained_mass("00110000")
+        decode_label(medium_full, "00110000")
 
 
 def test_distribution_kind_validation(medium_full, medium_coarse):
@@ -521,13 +566,11 @@ def test_entropy_examples():
     assert entropy_bits(dist(1.0, 0.0, 1e-16)) == 0.0
 
 
-def test_offdiagonal_norm_modes(medium_full):
-    mx = offdiagonal_norm(medium_full, mode="max")
-    rms = offdiagonal_norm(medium_full, mode="rms")
-    assert mx > 0.0
+def test_offdiagonal_norm_returns_max_and_rms(medium_full):
+    mx, rms = offdiagonal_norm(medium_full)
     assert 0.0 < rms <= mx
-    with pytest.raises(ParameterError, match="mode"):
-        offdiagonal_norm(medium_full, mode="sum")
+    single = dataclasses.replace(medium_full, paths=medium_full.paths[:1], gram=np.ones((1, 1)))
+    assert offdiagonal_norm(single) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
@@ -537,8 +580,7 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
     gram[rng.random((n, n)) < 0.5] = 0
     ens = dataclasses.replace(medium_full, paths=medium_full.paths[:n], gram=gram.copy())
     mags = np.abs(gram)[~np.eye(n, dtype=bool)]
-    assert offdiagonal_norm(ens, mode="max") == mags.max()
-    assert offdiagonal_norm(ens, mode="rms") == np.sqrt(np.mean(mags**2))
+    assert offdiagonal_norm(ens) == (mags.max(), np.sqrt(np.mean(mags**2)))
     np.testing.assert_array_equal(ens.gram, gram)
 
 
@@ -650,8 +692,8 @@ def test_pruned_run_conserves_mass_and_leaves_kernel_alone(qubits, dot, left, ri
     ens = propagate_branches(block, 2, prune_eps=0.01)
     assert ens.discarded_total > 0.0
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
-    for label in block.labels()[:: max(1, len(block.labels()) // 64)]:
-        assert abs(ens.discarded_mass(label) + ens.retained_mass(label) - 1.0) < 1e-9
+    for disc, kept in label_masses(ens).values():
+        assert abs(disc + kept - 1.0) < 1e-9
     np.testing.assert_array_equal(transfer_kernel(dot), before)
 
 
