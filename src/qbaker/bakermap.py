@@ -30,11 +30,6 @@ def _check_state(state: np.ndarray, shape: SystemShape) -> np.ndarray:
     return arr
 
 
-def _check_dot(shape: SystemShape, dot: int) -> None:
-    if not 0 <= dot <= shape.qubits:
-        raise ParameterError(f"need 0 <= dot <= qubits, got dot={dot}, qubits={shape.qubits}")
-
-
 def half_integer_fourier(dim: int, sign: int = +1) -> np.ndarray:
     """Dense antiperiodic Fourier matrix with half-integer index offsets.
 
@@ -110,7 +105,7 @@ def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
     is what makes the family orthonormal.
     """
     n_qubits = shape.qubits
-    _check_dot(shape, dot)
+    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     if len(bits) != n_qubits:
         raise ValueError(f"label must have {n_qubits} bits, got {len(bits)}")
     phase = np.exp(1j * np.pi * binary_fraction(bits[:dot][::-1], append_one=True))
@@ -134,7 +129,7 @@ def localization_centers(shape: SystemShape, dot: int, bits: str) -> Localizatio
     degenerate ends dot=0 and dot=qubits give a full-torus window on the
     crude side.
     """
-    _check_dot(shape, dot)
+    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     if len(bits) != shape.qubits:
         raise ValueError(f"label must have {shape.qubits} bits, got {len(bits)}")
     return LocalizationWindow(
@@ -152,7 +147,7 @@ def synthesize(coeffs: np.ndarray, shape: SystemShape, dot: int) -> np.ndarray:
     reversed, then apply the half-integer kernel across them.  O(N * 2^N).
     """
     n_qubits = shape.qubits
-    _check_dot(shape, dot)
+    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     arr = _check_state(coeffs, shape)
     perm = tuple(range(dot, n_qubits)) + tuple(range(dot - 1, -1, -1))
     t = np.ascontiguousarray(arr.reshape((2,) * n_qubits).transpose(perm))
@@ -163,7 +158,7 @@ def synthesize(coeffs: np.ndarray, shape: SystemShape, dot: int) -> np.ndarray:
 def analyze(state: np.ndarray, shape: SystemShape, dot: int) -> np.ndarray:
     """Expand a state in the dot-basis: exact inverse of synthesize."""
     n_qubits = shape.qubits
-    _check_dot(shape, dot)
+    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     arr = _check_state(state, shape)
     block = arr.reshape(1 << (n_qubits - dot), 1 << dot)
     t = _momentum_transform(block, inverse=True).reshape((2,) * n_qubits)

@@ -44,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .bakermap import DENSE_LIMIT, baker_matrix, basis_state, bvs_reference_matrix
-from .coarsegrain import BlockInitialState, CoarseGraining, project, validate_run
-from .core import SystemShape
+from .coarsegrain import BlockInitialState, CoarseGraining, project, run_graining
+from .core import SystemShape, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .histories import (
     coarse_dfunc,
@@ -58,6 +58,7 @@ from .histories import (
 )
 
 _CHECK_TOL = 1e-10
+_EXIT_CODES = {ParameterError: 2, InvariantError: 3, ResourceLimitError: 4}
 _ROW_HEADER = ("path", "p", "oracle_p", "abs_residual")
 _SWEEP_HEADER = (
     "left",
@@ -174,11 +175,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _window_bits(value: str | None, width: int, what: str) -> str:
-    if value is None:
-        return "0" * width
-    if len(value) != width or any(ch not in "01" for ch in value):
-        raise ParameterError(f"{what} must be {width} bits of '0'/'1', got {value!r}")
-    return value
+    return "0" * width if value is None else check_word(value, width, what)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -231,11 +228,8 @@ def _render_json(echo, header, rows, summary) -> str:
 
 
 def _emit(cfg: dict, echo, header, rows, summary) -> None:
-    if cfg["format"] == "csv":
-        text = _render_csv(echo, header, rows, summary)
-    else:
-        text = _render_json(echo, header, rows, summary)
-    _write_text(text, cfg["out"])
+    render = _render_csv if cfg["format"] == "csv" else _render_json
+    _write_text(render(echo, header, rows, summary), cfg["out"])
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -268,19 +262,7 @@ class _StageClock:
 
 def _geometry(cfg: dict) -> CoarseGraining:
     shape = SystemShape(cfg["qubits"], cfg["dot"])
-    left, right = cfg["left"], cfg["right"]
-    # name the standing run inequalities before the structural window check,
-    # so a config that breaks both reports the constraint that moved
-    if left >= 0 and not left < shape.dot:
-        raise ParameterError(f"need left < dot, got left={left}, dot={shape.dot}")
-    if right >= 0 and not right < shape.qubits - shape.dot:
-        raise ParameterError(
-            f"need right < qubits - dot, got right={right}, "
-            f"qubits={shape.qubits}, dot={shape.dot}"
-        )
-    graining = CoarseGraining(shape, left, right)
-    validate_run(graining, cfg["steps"])
-    return graining
+    return run_graining(shape, cfg["left"], cfg["right"], cfg["steps"])
 
 
 def _history_rows(dist, kind: str, window: str, steps: int) -> list[tuple]:
@@ -360,7 +342,7 @@ def cmd_histories(cfg: dict, kind: str) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     window = cfg["init_x"] if cfg["init_x"] is not None else "01"
-    window = _window_bits(window, len(window), "init-x")
+    check_word(window, len(window), "init-x")
     if not window:
         raise ParameterError("init-x must be a nonempty window for a sweep")
     kept = len(window)
@@ -372,8 +354,7 @@ def cmd_sweep(cfg: dict) -> int:
             t0 = time.perf_counter()
             # grow the system symmetrically, window width held fixed
             qubits, dot, right = 2 * left + kept, left + (kept + 1) // 2, left
-            graining = CoarseGraining(SystemShape(qubits, dot), left, right)
-            validate_run(graining, steps)
+            graining = run_graining(SystemShape(qubits, dot), left, right, steps)
             block = BlockInitialState(graining, window)
             ens = propagate_branches(
                 block, steps, prune_eps=cfg["prune"], threads=cfg["threads"]
@@ -562,12 +543,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
-    except ParameterError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

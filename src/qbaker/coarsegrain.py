@@ -4,6 +4,8 @@ A graining splits the label string into `left` ignored leading bits, a kept
 window of width qubits - left - right, and `right` ignored trailing bits.
 Projectors onto fixed window values are diagonal in the dot-basis, which is
 why all history propagation happens in dot-basis coordinates.
+run_graining is the one check of a run's geometry (validate_run applies it
+to a built graining); core.check_word checks window words.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bakermap import DENSE_LIMIT, basis_state
-from .core import SystemShape, index_to_bits
-from .errors import ParameterError, ResourceLimitError
+from .core import SystemShape, check_word, index_to_bits
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class CoarseGraining:
 
     def __post_init__(self) -> None:
         # structural validity only; the standing inequalities against the dot
-        # position are dynamical constraints checked by validate_run, so that
+        # position are dynamical constraints checked by run_graining, so that
         # pure masking and enumeration stay usable for any split
         if self.left < 0:
             raise ParameterError(f"need left >= 0, got left={self.left}")
@@ -43,12 +44,6 @@ class CoarseGraining:
     def kept(self) -> int:
         return self.shape.qubits - self.left - self.right
 
-    def check_window(self, window: str) -> None:
-        if len(window) != self.kept or any(ch not in "01" for ch in window):
-            raise ParameterError(
-                f"window must be {self.kept} bits of '0'/'1', got {window!r}"
-            )
-
 
 def project(coeffs: np.ndarray, graining: CoarseGraining, window: str) -> np.ndarray:
     """Keep only dot-basis coefficients whose window bits equal `window`.
@@ -56,7 +51,7 @@ def project(coeffs: np.ndarray, graining: CoarseGraining, window: str) -> np.nda
     Diagonal 0/1 mask; the surviving flat indices are those whose middle
     label bits (positions left+1 .. left+kept) spell the window string.
     """
-    graining.check_window(window)
+    check_word(window, graining.kept, "window")
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape != (graining.shape.dim,):
         raise ValueError(f"coefficients must have shape ({graining.shape.dim},), got {arr.shape}")
@@ -73,7 +68,7 @@ def enumerate_block(graining: CoarseGraining, window: str) -> list[str]:
     Ordering is lexicographic in (leading bits, trailing bits); every
     ensemble reduction in this package iterates labels in this order.
     """
-    graining.check_window(window)
+    check_word(window, graining.kept, "window")
     labels = []
     for a in range(1 << graining.left):
         head = index_to_bits(a, graining.left)
@@ -82,27 +77,32 @@ def enumerate_block(graining: CoarseGraining, window: str) -> list[str]:
     return labels
 
 
-def validate_run(graining: CoarseGraining, steps: int) -> None:
-    """Check the standing inequalities for a history run of `steps` iterations.
+def run_graining(shape: SystemShape, left: int, right: int, steps: int) -> CoarseGraining:
+    """The graining of a history run of `steps` iterations, checked.
 
     Propagation needs left < dot (some window bits are read from the live
     register), right < qubits - dot (spectator bits exist), and
     1 <= steps < right (no window reading ever reaches the injected fresh
     bits).  The graining constructor deliberately does not enforce these, so
-    every dynamical entry point funnels through here first.
+    every dynamical entry point funnels through here first, and a split that
+    also fails those structural checks names the inequality against the dot.
     """
-    shape = graining.shape
-    if not graining.left < shape.dot:
-        raise ParameterError(f"need left < dot, got left={graining.left}, dot={shape.dot}")
-    if not graining.right < shape.qubits - shape.dot:
+    if left >= 0 and not left < shape.dot:
+        raise ParameterError(f"need left < dot, got left={left}, dot={shape.dot}")
+    if right >= 0 and not right < shape.qubits - shape.dot:
         raise ParameterError(
-            f"need right < qubits - dot, got right={graining.right}, "
+            f"need right < qubits - dot, got right={right}, "
             f"qubits={shape.qubits}, dot={shape.dot}"
         )
-    if not 1 <= steps < graining.right:
-        raise ParameterError(
-            f"need 1 <= steps < right, got steps={steps}, right={graining.right}"
-        )
+    graining = CoarseGraining(shape, left, right)
+    if not 1 <= steps < right:
+        raise ParameterError(f"need 1 <= steps < right, got steps={steps}, right={right}")
+    return graining
+
+
+def validate_run(graining: CoarseGraining, steps: int) -> None:
+    """Check the standing inequalities (see run_graining) for an existing graining."""
+    run_graining(graining.shape, graining.left, graining.right, steps)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class BlockInitialState:
     window: str
 
     def __post_init__(self) -> None:
-        self.graining.check_window(self.window)
+        check_word(self.window, self.graining.kept, "window")
 
     @property
     def weight(self) -> float:
@@ -125,16 +125,3 @@ class BlockInitialState:
 
     def labels(self) -> list[str]:
         return enumerate_block(self.graining, self.window)
-
-    def dense_matrix(self) -> np.ndarray:
-        """Density matrix in computational coordinates.  Test oracle only."""
-        shape = self.graining.shape
-        if shape.qubits > DENSE_LIMIT:
-            raise ResourceLimitError(
-                f"dense initial state limited to qubits <= {DENSE_LIMIT}, got {shape.qubits}"
-            )
-        rho = np.zeros((shape.dim, shape.dim), dtype=np.complex128)
-        for label in self.labels():
-            vec = basis_state(shape, shape.dot, label)
-            rho += self.weight * np.outer(vec, vec.conj())
-        return rho

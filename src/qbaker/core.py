@@ -4,6 +4,8 @@ Bit strings are plain Python strings of '0'/'1', most significant bit first,
 so that index("101") = 5.  Positions are 1-indexed when sliced: bits a..b
 inclusive is ``bits[a - 1:b]``.  Every other module consumes these
 conventions; nothing else in the package defines its own bit order.
+check_word is the package's one test of a bit word: CLI window flags,
+grainings, path entries and the functions here all call it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,19 @@ from .errors import ParameterError
 MAX_QUBITS = 24
 
 
-def _check_bits(bits: str) -> None:
-    if not isinstance(bits, str) or any(ch not in "01" for ch in bits):
-        raise ValueError(f"bit string must contain only '0'/'1', got {bits!r}")
+def check_word(word: str, width: int | None = None, what: str = "bit string") -> str:
+    """Return `word` if it is `width` characters of '0'/'1' (any length if None).
+
+    A word of a named width is a run input and fails with ParameterError
+    naming `what`; a width-free bit string fails with ValueError.
+    """
+    bad = not isinstance(word, str) or any(ch not in "01" for ch in word)
+    if width is None:
+        if bad:
+            raise ValueError(f"{what} must contain only '0'/'1', got {word!r}")
+    elif bad or len(word) != width:
+        raise ParameterError(f"{what} must be {width} bits of '0'/'1', got {word!r}")
+    return word
 
 
 @dataclass(frozen=True)
@@ -31,13 +43,10 @@ class SystemShape:
 
     qubits: int
     dot: int
-    max_qubits: int = MAX_QUBITS
 
     def __post_init__(self) -> None:
-        if not 1 <= self.qubits <= self.max_qubits:
-            raise ParameterError(
-                f"need 1 <= qubits <= {self.max_qubits}, got qubits={self.qubits}"
-            )
+        if not 1 <= self.qubits <= MAX_QUBITS:
+            raise ParameterError(f"need 1 <= qubits <= {MAX_QUBITS}, got qubits={self.qubits}")
         if not 0 <= self.dot <= self.qubits:
             raise ParameterError(
                 f"need 0 <= dot <= qubits, got dot={self.dot}, qubits={self.qubits}"
@@ -50,7 +59,7 @@ class SystemShape:
 
 def bits_to_index(bits: str) -> int:
     """Integer value of an MSB-first bit string; empty string maps to 0."""
-    _check_bits(bits)
+    check_word(bits)
     if len(bits) > MAX_QUBITS:
         raise ValueError(f"bit string longer than {MAX_QUBITS}: {len(bits)}")
     return int(bits, 2) if bits else 0
@@ -70,7 +79,7 @@ def binary_fraction(bits: str, append_one: bool = False) -> float:
 
     Dyadic rationals of this depth are exact in double precision.
     """
-    _check_bits(bits)
+    check_word(bits)
     digits = bits + "1" if append_one else bits
     if not digits:
         return 0.0

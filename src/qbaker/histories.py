@@ -25,11 +25,11 @@ evaluation at small sizes.
 
 Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
 final amplitudes where it runs, to one Gram block array per run of rows
-sharing a last window value, and the amplitudes are freed before the unit
-returns: no branch vector is kept, so peak memory is one step workspace per
-thread plus the path Gram matrix.  The blocks are summed per
-group in unit order over integer path codes, then scattered into the Gram
-matrix once per (group, omega).
+sharing a last window value, and the thread's next unit overwrites the
+amplitudes in its reused step workspace: no branch vector is kept, so peak
+memory is one step workspace per thread plus the path Gram matrix.  The
+blocks are summed per group in unit order over integer path codes, then
+scattered into the Gram matrix once per (group, omega).
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,6 +58,7 @@ import numpy as np
 
 from .bakermap import apply_columns, kernel_columns, transfer_kernel
 from .coarsegrain import BlockInitialState, validate_run
+from .core import check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
 
 FullPath = tuple[str, ...]
@@ -155,42 +157,39 @@ def _needs_kernel(frame: _Frame, kind: str) -> bool:
 def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
-    A unit's largest moment is its last step: the input amplitudes, the
-    contraction output, the output's window-value-major copy and the Gram
-    product's conj() copy of one window-value run; a dense contraction adds
-    the copy np.tensordot makes of its kernel column block.  Every unit in
-    flight holds that much.  The dense kernel, the path Gram matrix and the
-    arrays and path keys of the reduction come once.
+    Every thread in flight holds a _Workspace, two buffers the size of a
+    unit's last contraction output, and beside it a step's largest
+    transient: step 1's kernel columns, or a contraction's temporary for
+    one run of rows (the FFT's copy of its in-place operand, or the
+    np.tensordot result plus the copy it makes of its kernel column block).
+    The dense kernel, the path Gram matrix and the arrays and path keys of
+    the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
     h = 1 << frame.qwidth
     a = min(_CHUNK, 1 << frame.left)
-    fresh = 1 << (frame.steps - 1)
     # rows entering the last step, and live rows after it
     rows = h ** (frame.steps - 1) if kind == "full" else 1
     rows_final = h * rows
-    out = rows * a * fresh * two_m * itemsize
-    if frame.steps == 1:
-        # step 1 reads one kernel column per label
-        amp_in = a * two_m * itemsize
-    else:
-        # compact rows on kind "full", the whole momentum register on "coarse"
-        amp_in = out // (2 * h) if kind == "full" else out // 2
-    unit = amp_in + 2 * out + out // h
+    out = rows * a * (1 << (frame.steps - 1)) * two_m * itemsize
+    # a run is out // h on kind "full", the one row of kind "coarse"
+    run = out // h if kind == "full" else out
     dense = _needs_kernel(frame, kind)
     if dense:
-        unit += (1 << (frame.left if kind == "full" else frame.dot)) * two_m * itemsize
+        run += (1 << (frame.left if kind == "full" else frame.dot)) * two_m * itemsize
+    unit = 2 * out + max(a * two_m * itemsize, run)
     groups = 1 << frame.freeq
     n_units = groups * -(-(1 << frame.left) // _CHUNK)
     in_flight = min(threads, n_units)
     # path keys, an upper bound on the paths (coarse-kind keys can repeat)
     n_paths = groups * (1 << frame.nomega) * rows_final
     # every unit's path codes, discarded masses and Gram blocks (h runs of
-    # `rows` paths) until the reduction, the norms of the units in flight, and
-    # one group's accumulator with a scatter's gather copy and index arrays
+    # `rows` paths) until the reduction, the norms and S of the units in
+    # flight, and one group's accumulator with a scatter's gather copy and
+    # index arrays
     held = n_units * (rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES)
-    held += in_flight * 2 * rows_final * a * 8 + 3 * rows_final**2 * itemsize
+    held += in_flight * (2 * rows_final + 1) * a * 8 + 3 * rows_final**2 * itemsize
     # per key: the string and index arrays of its sort, its joined string,
     # and its tuple of word strings
     words = frame.steps if kind == "full" else 1
@@ -203,6 +202,22 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
         ("path gram matrix", n_paths * n_paths * itemsize),
         ("path bookkeeping", held + _RUN_BYTES * in_flight),
     ]
+
+
+class _Workspace:
+    """Two flat complex buffers one thread reuses for every unit it runs, so a
+    run touches the same pages however its threads interleave."""
+
+    def __init__(self):
+        self._bufs = [np.empty(0, dtype=np.complex128)] * 2
+
+    def take(self, shape: tuple[int, ...], busy: np.ndarray | None = None) -> np.ndarray:
+        """A C-contiguous array of `shape` in a buffer that does not hold `busy`."""
+        n = math.prod(shape)
+        i = int(busy is not None and np.may_share_memory(self._bufs[0], busy))
+        if self._bufs[i].size < n:
+            self._bufs[i] = np.empty(n, dtype=np.complex128)
+        return self._bufs[i][:n].reshape(shape)
 
 
 def _runs(h_last: np.ndarray):
@@ -220,14 +235,18 @@ def _grow_unit(
     group: int,
     a_lo: int,
     a_hi: int,
+    ws: _Workspace | None = None,
 ):
     """Propagate one (group, a-chunk) block of initial labels for `steps` steps.
 
-    Amplitudes are held as (row, a, fresh, momentum) and each step replaces
-    its input, so at most two step-sized arrays are live at once.  Returns
-    per-chunk discarded mass (norm units), each row's path code (its window
-    values as base-2**qwidth digits, the first step's most significant, so
-    the last digit is the last window value) and the final amplitudes.
+    Amplitudes are held as (row, a, fresh, momentum) in the two buffers of
+    ws (a new _Workspace if None), each step writing the buffer its input
+    does not use; the returned amplitudes last until ws runs another unit.
+    Returns per-label discarded mass (norm units), the sum over labels of
+    2S + S**2 (S the sum of a label's pruned norms' roots), each row's path
+    code (its window values as base-2**qwidth digits, the first step's most
+    significant, so the last digit is the last window value) and the final
+    amplitudes.
     """
     m = 1 << frame.dot
     h_count = 1 << frame.qwidth
@@ -235,20 +254,24 @@ def _grow_unit(
     a_width = a_hi - a_lo
     base0 = _rev_int(frame.window[: frame.qwidth]) * low + a_lo
     disc = np.zeros(a_width)
+    root = np.zeros(a_width)
     codes = np.zeros(1, dtype=np.int64)
+    ws = ws or _Workspace()
 
     for j in range(1, frame.steps + 1):
         feed = frame.feed_bit(j, group)
         if j == 1:
             start = feed * m + base0
-            amp = kernel_columns(frame.dot, start, start + a_width).T.copy()
-            amp = amp.reshape(1, a_width, 1, 2 * m)
+            amp = ws.take((1, a_width, 1, 2 * m))
+            amp[0, :, 0] = kernel_columns(frame.dot, start, start + a_width).T
         else:
             # rows share the momentum block of their last window value (the
             # code's last digit); on the coarse path one row holds the whole
             # momentum register
             runs = _runs(codes % h_count)
-            amp = _contract_rows(amp, kernel, frame.dot, feed, runs)
+            rows_n, _, f_width, _ = amp.shape
+            out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
+            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, out)
 
         # output composite index = fresh_bit * m + momentum', and the fresh
         # bit joins the fresh register as its newest (lowest) digit
@@ -262,36 +285,40 @@ def _grow_unit(
         split = amp.reshape(rows_n, a_width, f_width, h_count, low)
         flat = split.view(np.float64)
         norms = np.einsum("rafhl,rafhl->hra", flat, flat)
-        amp = np.ascontiguousarray(np.moveaxis(split, 3, 0))
-        # free the unsplit buffer before pruning copies the kept rows
+        amp = ws.take((h_count, rows_n, a_width, f_width, low), busy=split)
+        np.copyto(amp, np.moveaxis(split, 3, 0))
         del split, flat
         if prune_eps > 0:
             kill = norms < prune_eps
             if kill.any():
-                disc += np.where(kill, norms, 0.0).sum(axis=(0, 1))
+                dead = np.where(kill, norms, 0.0)
+                disc += dead.sum(axis=(0, 1))
+                root += np.sqrt(dead, out=dead).sum(axis=(0, 1))
+                del dead
                 amp[kill] = 0
         amp = amp.reshape(h_count * rows_n, a_width, f_width, low)
         codes = (codes * h_count + np.arange(h_count)[:, None]).reshape(-1)
         if prune_eps > 0:
             keep = (norms >= prune_eps).any(axis=2).reshape(-1)
             if not keep.all():
-                amp = amp[keep]
+                # mode="clip" fills kept directly; "raise" would buffer a copy
+                kept = ws.take((int(keep.sum()),) + amp.shape[1:], busy=amp)
+                amp = np.take(amp, np.flatnonzero(keep), axis=0, out=kept, mode="clip")
                 codes = codes[keep]
-    return disc, codes, amp
+    return disc, float((root * (2.0 + root)).sum()), codes, amp
 
 
 def _contract_rows(
-    amp: np.ndarray, kernel: np.ndarray | None, dot: int, feed: int, runs
+    amp: np.ndarray, kernel: np.ndarray | None, dot: int, feed: int, runs, out: np.ndarray
 ) -> np.ndarray:
-    """Apply one step's kernel columns along amp's last axis, run by run.
+    """Apply one step's kernel columns along amp's last axis into out, run by run.
 
     Rows in a run of equal last window value take the same column block.
     kernel is the dense transfer_kernel(dot) on narrow runs, else None and
     the columns are applied by FFT.
     """
     m = 1 << dot
-    rows_n, a_width, f_width, width = amp.shape
-    out = np.empty((rows_n, a_width, f_width, 2 * m), dtype=np.complex128)
+    width = amp.shape[-1]
     for h, lo, hi in runs:
         start = feed * m + h * width
         if kernel is None:
@@ -310,25 +337,28 @@ def _run_unit(
     group: int,
     a_lo: int,
     a_hi: int,
+    ws: _Workspace | None = None,
 ):
     """Grow one unit, then reduce its amplitudes to Gram blocks.
 
-    Returns per-label discarded mass, the path codes, and one (lo, block)
-    per run of equal last window value, where block[i, j] is the overlap of
-    the paths in rows lo + i and lo + j; paths in different runs are
-    orthogonal.  All in norm units: ensemble weights are applied by the
-    caller.  The amplitudes are freed on return.
+    Returns _grow_unit's masses and path codes, and one (lo, block) per run
+    of equal last window value, where block[i, j] is the overlap of the
+    paths in rows lo + i and lo + j; paths in different runs are orthogonal.
+    All in norm units: ensemble weights are applied by the caller.  The
+    amplitudes stay in ws until its next unit overwrites them.
     """
-    disc, codes, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
+    ws = ws or _Workspace()
+    disc, cross, codes, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi, ws)
     blocks = []
     for _, lo, hi in _runs(codes % (1 << frame.qwidth)):
         sub = amp[lo:hi]
+        conj = np.conjugate(sub, out=ws.take(sub.shape, busy=amp))
         # sums over every axis but the row; large products go through one
         # BLAS ZGEMM.  The spec string is kept verbatim because perfbench's
         # dense_equiv_gflop counter matches it
         blas = sub.shape[0] * sub.size >= _GEMM_MIN_MACS
-        blocks.append((lo, np.einsum("ialf,jalf->ij", sub, sub.conj(), optimize=blas)))
-    return disc, codes, blocks
+        blocks.append((lo, np.einsum("ialf,jalf->ij", sub, conj, optimize=blas)))
+    return disc, cross, codes, blocks
 
 
 @dataclass
@@ -349,7 +379,9 @@ class BranchEnsemble:
 
     `paths` is sorted lexicographically; `gram[i, j]` is the decoherence
     functional value between paths[i] (ket side) and paths[j] (bra side),
-    so its diagonal holds the history probabilities.
+    so its diagonal holds the history probabilities.  `cross_bound` sums
+    weight * (2S + S**2) over labels, S the sum of a label's pruned branch
+    norms (see history_distribution).
     """
 
     block: BlockInitialState
@@ -359,6 +391,7 @@ class BranchEnsemble:
     paths: tuple[FullPath, ...]
     gram: np.ndarray
     discarded_total: float
+    cross_bound: float
     _frame: _Frame = field(repr=False)
 
     @property
@@ -391,10 +424,7 @@ class BranchEnsemble:
                 f"{self.kind}-kind paths have {want} window value(s), got {len(key)}"
             )
         for word in key:
-            if len(word) != self._frame.kept or any(ch not in "01" for ch in word):
-                raise ParameterError(
-                    f"each path entry must be {self._frame.kept} bits of '0'/'1', got {word!r}"
-                )
+            check_word(word, self._frame.kept, "each path entry")
         return key
 
 
@@ -415,7 +445,7 @@ def _path_keys(frame: _Frame, kind: str, group_codes: list[np.ndarray]):
             for j, digit in zip(step_js, digits):
                 tail = frame.definite_word(j, group, omega)
                 words = np.array([_rev_bits(h, frame.qwidth) + tail for h in range(h_count)])
-                key = np.strings.add(key, words[digit])
+                key = key + words[digit]
             keys.append(key)
     # the words have equal widths, so joined keys sort as the key tuples do
     joined, where = np.unique(np.concatenate(keys), return_inverse=True)
@@ -453,14 +483,7 @@ def propagate_branches(
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     shape = graining.shape
-    frame = _Frame(
-        qubits=shape.qubits,
-        dot=shape.dot,
-        left=graining.left,
-        kept=graining.kept,
-        steps=steps,
-        window=block.window,
-    )
+    frame = _Frame(shape.qubits, shape.dot, graining.left, graining.kept, steps, block.window)
     items = _estimate_bytes(frame, kind, threads)
     total = sum(size for _, size in items)
     if total > budget_bytes:
@@ -478,25 +501,30 @@ def propagate_branches(
         for a_lo in range(0, low_total, _CHUNK)
     ]
 
-    def run(unit: tuple[int, int, int]):
-        group, a_lo, a_hi = unit
-        return _run_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi)
+    local = threading.local()  # one _Workspace per pool thread
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, units))
-    else:
-        results = [run(u) for u in units]
+    def run(unit: tuple[int, int, int]):
+        local.ws = getattr(local, "ws", None) or _Workspace()
+        return _run_unit(kernel, frame, kind, prune_eps, *unit, ws=local.ws)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, units))
 
     weight = 2.0 ** -(frame.left + steps)
     groups = 1 << frame.freeq
     group_disc = np.zeros((groups, low_total))
     group_units: list[list] = [[] for _ in range(groups)]
-    for (group, a_lo, a_hi), (disc, codes, blocks) in zip(units, results):
+    cross = 0.0
+    for (group, a_lo, a_hi), (disc, unit_cross, codes, blocks) in zip(units, results):
         group_disc[group, a_lo:a_hi] = disc
+        cross += unit_cross
         group_units[group].append((codes, blocks))
-    # each group's path codes, sorted: the rows of its accumulator
-    group_codes = [np.unique(np.concatenate([c for c, _ in us])) for us in group_units]
+    # each group's path codes, sorted and deduplicated: the rows of its
+    # accumulator (np.unique would import numpy.ma, which no budget counts)
+    group_codes = []
+    for us in group_units:
+        codes = np.sort(np.concatenate([c for c, _ in us]))
+        group_codes.append(codes[np.diff(codes, prepend=-1) != 0])
     paths, where = _path_keys(frame, kind, group_codes)
 
     # each element sums its units in unit order from 0, and the weight is a
@@ -516,7 +544,6 @@ def propagate_branches(
             sel = where[at : at + len(codes_g)]
             gram[np.ix_(sel, sel)] += acc
             at += len(codes_g)
-    discarded_total = weight * float(group_disc.sum()) * (1 << frame.nomega)
 
     return BranchEnsemble(
         block=block,
@@ -525,7 +552,8 @@ def propagate_branches(
         prune_eps=prune_eps,
         paths=paths,
         gram=gram,
-        discarded_total=discarded_total,
+        discarded_total=weight * float(group_disc.sum()) * (1 << frame.nomega),
+        cross_bound=weight * cross * (1 << frame.nomega),
         _frame=frame,
     )
 
@@ -547,10 +575,7 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     if ensemble.kind == "coarse":
         return ensemble._entry(ensemble._check_path([y]), ensemble._check_path([z]))
     for word in (y, z):
-        if len(word) != ensemble._frame.kept or any(ch not in "01" for ch in word):
-            raise ParameterError(
-                f"window value must be {ensemble._frame.kept} bits of '0'/'1', got {word!r}"
-            )
+        check_word(word, ensemble._frame.kept, "window value")
     rows = np.flatnonzero(ensemble._finals == y)
     cols = np.flatnonzero(ensemble._finals == z)
     if not rows.size or not cols.size:
@@ -580,9 +605,13 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         raise InvariantError(f"history probability {low} below -{_NEGATIVE_CLIP}")
     np.clip(probs, 0.0, None, out=probs)
     total = float(probs.sum() + ensemble.discarded_total)
-    # marginals of a pruned full ensemble absorb cross terms, so only
-    # kind-matching distributions carry the tight conservation guarantee
-    tol = 1e-6 if marginal else (1e-9 if ensemble.prune_eps > 0 else 1e-10)
+    tol = 1e-9 if ensemble.prune_eps > 0 else 1e-10
+    if marginal:
+        # per label the marginal is |psi - E|**2, psi the unpruned final state
+        # and E the pruned branches carried to the last step, so with the
+        # discarded mass d it misses 1 by at most d + 2|E| + |E|**2
+        # (Cauchy-Schwarz), and |E| <= S (Minkowski)
+        tol += ensemble.discarded_total + ensemble.cross_bound
     if abs(total - 1.0) > tol:
         raise InvariantError(
             f"probability plus discarded mass sums to {total}, expected 1 within {tol}"

@@ -6,10 +6,21 @@ reduced-register engine can be compared against it entry by entry.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from qbaker import analyze, apply_baker, basis_state, project, synthesize
+
+
+def dense_block_matrix(block):
+    """Density matrix of a block initial state in computational coordinates."""
+    shape = block.graining.shape
+    rho = np.zeros((shape.dim, shape.dim), dtype=np.complex128)
+    for label in block.labels():
+        vec = basis_state(shape, shape.dot, label)
+        rho += block.weight * np.outer(vec, vec.conj())
+    return rho
 
 
 def dense_branches(block, steps, kind):
@@ -50,3 +61,40 @@ def dense_gram(block, steps, kind):
                 acc += np.vdot(per[yb], per[ya])
         gmat[(ya, yb)] = w * acc
     return keys, gmat
+
+
+def dense_pruned_marginal(block, steps, eps):
+    """(marginal, discarded, cross) masses of a pruned kind-"full" run.
+
+    Each label's branches are projected on every window value after every
+    step, and a branch whose squared norm falls below eps is dropped, as the
+    engine prunes.  A label's final-window marginal is the squared norm of
+    the sum of its retained final branches; its discarded mass is the sum of
+    the dropped squared norms, and S the sum of the dropped norms.  Returned
+    with the block weight applied: the marginal, the discarded mass and
+    sum(2S + S**2).
+    """
+    shape, g = block.graining.shape, block.graining
+    words = [format(w, f"0{g.kept}b") for w in range(1 << g.kept)]
+    marginal = discarded = cross = 0.0
+    for label in block.labels():
+        branches = [basis_state(shape, shape.dot, label)]
+        lost = root = 0.0
+        for _ in range(steps):
+            kept = []
+            for vec in branches:
+                coeffs = analyze(apply_baker(vec, shape), shape, shape.dot)
+                for word in words:
+                    sub = project(coeffs, g, word)
+                    norm2 = np.vdot(sub, sub).real
+                    if norm2 < eps:
+                        lost += norm2
+                        root += math.sqrt(norm2)
+                    else:
+                        kept.append(synthesize(sub, shape, shape.dot))
+            branches = kept
+        total = np.sum(branches, axis=0) if branches else np.zeros(shape.dim)
+        marginal += block.weight * np.vdot(total, total).real
+        discarded += block.weight * lost
+        cross += block.weight * root * (2.0 + root)
+    return marginal, discarded, cross

@@ -1,11 +1,18 @@
 """End-to-end tests for the command-line front end."""
 
 import csv
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbaker.cli import main
 
@@ -192,10 +199,12 @@ def test_sweep_blank_coarse_residual_when_core_vanishes(tmp_path):
     assert float(rows[0]["entropy_bits"]) > 2.0
 
 
-@pytest.mark.parametrize("steps,prune", [("2", "1e-12"), ("3", "0.01")])
+@pytest.mark.parametrize("steps,prune", [("2", "1e-12"), ("3", "0.01"), ("2", "0.01")])
 def test_sweep_point_equals_full_histories_at_its_geometry(tmp_path, steps, prune):
     # a sweep point at left 6 with a 2-bit window is qubits 2*6 + 2, dot 6 + 1,
-    # right 6; both commands must report the same numbers for it
+    # right 6; both commands must report the same numbers for it.  At steps 2
+    # and prune 0.01 the sweep's final-window marginal misses conservation by
+    # 3.7e-4, within the bound its pruned branches give
     sweep_out = tmp_path / "sweep.csv"
     assert main(
         [
@@ -413,3 +422,118 @@ def test_bad_inputs_exit_with_a_code_and_an_error_line(
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+
+
+_GEOMETRY_KEYS = ("qubits", "dot", "left", "right", "steps")
+_FREE_GEOMETRY = {
+    "qubits": st.integers(-1, 10) | st.sampled_from([12, 25]),
+    "dot": st.integers(-1, 12),
+    "left": st.integers(-1, 10),
+    "right": st.integers(-1, 10),
+    "steps": st.integers(-1, 5),
+}
+_BAD_WORDS = st.text("01", max_size=7) | st.text("012a ", min_size=1, max_size=3)
+
+
+def _lists(low, high):
+    return st.lists(st.integers(low, high), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+# per knob: values a run accepts, and values it refuses (the sweep lists
+# stay small: "-1,0" is refused by argparse, which reads it as a flag)
+_KNOBS = {
+    "prune": (st.sampled_from(["0", "1e-12", "1e-3", "0.01", "inf"]), st.sampled_from(["-0.5", "nan"])),
+    "format": (st.sampled_from(["csv", "json"]), st.just("xml")),
+    "threads": (st.integers(1, 3), st.integers(-1, 0)),
+}
+_SWEEP_KNOBS = {
+    "sweep-left": (_lists(2, 4), st.sampled_from(["", "four", "1,,2", "-1,0", "-1"])),
+    "sweep-steps": (_lists(1, 3), st.sampled_from(["two", "2,", "0"])),
+}
+
+
+@st.composite
+def _run_geometry(draw, qubit_cap):
+    """A valid run geometry, the budget-refused one, or five free values."""
+    pick = draw(st.sampled_from(["valid"] * 3 + ["free", "budget"]))
+    if pick == "budget":
+        return dict(zip(_GEOMETRY_KEYS, (20, 10, 9, 9, 8)))
+    if pick == "free":
+        return {k: draw(st.none() | _FREE_GEOMETRY[k]) for k in _GEOMETRY_KEYS}
+    qubits = draw(st.integers(4, qubit_cap))
+    dot = draw(st.integers(1, qubits - 3))
+    left = draw(st.integers(0, dot - 1))
+    right = draw(st.integers(2, min(qubits - dot, qubits - left) - 1))
+    steps = draw(st.integers(1, right - 1))
+    return dict(zip(_GEOMETRY_KEYS, (qubits, dot, left, right, steps)))
+
+
+def _knob(draw, good, bad):
+    mode = draw(st.sampled_from(["omit"] * 2 + ["good"] * 5 + ["bad"]))
+    return None if mode == "omit" else draw(good if mode == "good" else bad)
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, config-file lines, --out name, QBAKER_THREADS) for one run."""
+    command = draw(st.sampled_from(_EVERY))
+    # check's dense suites grow as 4**qubits
+    values = draw(_run_geometry(8 if command == "check" else 10))
+    if command == "sweep":
+        width = draw(st.integers(1, 3))
+    elif None in values.values():
+        width = draw(st.integers(0, 6))
+    else:
+        kept = values["qubits"] - values["left"] - values["right"]
+        width = max(kept - values["steps"] if command == "coarse-entropy" else kept, 0)
+    values["init-x"] = _knob(draw, st.text("01", min_size=width, max_size=width), _BAD_WORDS)
+    knobs = dict(_KNOBS, **_SWEEP_KNOBS) if command == "sweep" else _KNOBS
+    for key, (good, bad) in knobs.items():
+        values[key] = _knob(draw, good, bad)
+    argv, lines = [command], []
+    for key, value in values.items():
+        if value is None:
+            continue
+        if draw(st.booleans()):
+            argv += [f"--{key}", str(value)]
+        else:
+            lines.append(f"{key.replace('-', '_')} = {value}")
+    bad_line = draw(st.sampled_from([None] * 5 + ["qubitz = 7", "qubits 7", "out = ."]))
+    if bad_line is not None:
+        lines.append(bad_line)
+    out = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt"]))
+    env = draw(st.sampled_from([None, None, None, "1", "two"]))
+    return argv, lines, out, env
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_argvs())
+def test_random_argv_exits_with_a_code_and_an_error_line(tmp_path_factory, case):
+    argv, lines, out, env = case
+    work = tmp_path_factory.mktemp("argv")
+    if lines:
+        (work / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = argv + ["--config", str(work / "run.cfg")]
+    if out is not None:
+        argv = argv + ["--out", str(work / out)]
+    stderr = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        os.environ.pop("QBAKER_THREADS", None)
+        if env is not None:
+            os.environ["QBAKER_THREADS"] = env
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses the command line itself, e.g. a value "-1,0"
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, lines, err)
+    assert "Traceback" not in err
+    if code:
+        # our own "error: " line, or argparse's "qbaker <command>: error: "
+        errors = [ln for ln in err.splitlines() if re.match(r"(qbaker[\w -]*: )?error: ", ln)]
+        assert errors, (argv, lines, err)

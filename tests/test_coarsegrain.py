@@ -17,6 +17,8 @@ from qbaker import (
     validate_run,
 )
 
+from _dense_reference import dense_block_matrix
+
 
 def test_graining_fields():
     g = CoarseGraining(SystemShape(8, 4), 2, 3)
@@ -128,7 +130,7 @@ def test_block_initial_state():
 def test_block_dense_matrix_trace_and_rank():
     g = CoarseGraining(SystemShape(6, 3), 1, 2)
     block = BlockInitialState(g, "110")
-    rho = block.dense_matrix()
+    rho = dense_block_matrix(block)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-12)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
     eigs = np.linalg.eigvalsh(rho)

@@ -3,7 +3,11 @@
 import dataclasses
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from qbaker import (
     BlockInitialState,
     CoarseGraining,
     HistoryDistribution,
+    InvariantError,
     ParameterError,
     ResourceLimitError,
     SystemShape,
@@ -28,8 +33,9 @@ from qbaker import (
     transfer_kernel,
 )
 from qbaker import histories
+from qbaker.core import check_word
 
-from _dense_reference import dense_branches, dense_gram
+from _dense_reference import dense_branches, dense_gram, dense_pruned_marginal
 
 # largest register branch_vector rebuilds as a full 2**qubits vector
 RECONSTRUCT_LIMIT = 20
@@ -44,8 +50,7 @@ def make_block(qubits, dot, left, right, window):
 def decode_label(ens, label):
     """(low, group, omega) indices of an initial label of the ensemble's block."""
     frame = ens._frame
-    if len(label) != frame.qubits or any(ch not in "01" for ch in label):
-        raise ParameterError(f"label must be {frame.qubits} bits of '0'/'1', got {label!r}")
+    check_word(label, frame.qubits, "label")
     window = label[frame.left : frame.left + frame.kept]
     if window != ens.block.window:
         raise ParameterError(
@@ -76,7 +81,7 @@ def label_masses(ens):
     for group in range(1 << frame.freeq):
         for a_lo in range(0, low_total, histories._CHUNK):
             a_hi = min(a_lo + histories._CHUNK, low_total)
-            d, _, amp = histories._grow_unit(
+            d, _, _, amp = histories._grow_unit(
                 _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
             )
             flat = amp.view(np.float64)
@@ -116,7 +121,7 @@ def branch_vector(ens, label, path):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % histories._CHUNK
     a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
-    _, codes, amp = histories._grow_unit(
+    _, _, codes, amp = histories._grow_unit(
         _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
     )
     rows = np.flatnonzero(codes == code)
@@ -316,7 +321,7 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     monkeypatch.setattr(histories, "_grow_unit", functools.lru_cache(histories._grow_unit))
     grow = functools.partial(histories._grow_unit, None, frame, kind, ens.prune_eps)
     path_lists = [
-        {tuple(grow(group, a_lo, a_lo + chunk)[1]) for a_lo in range(0, 1 << frame.left, chunk)}
+        {tuple(grow(group, a_lo, a_lo + chunk)[2]) for a_lo in range(0, 1 << frame.left, chunk)}
         for group in range(1 << frame.freeq)
     ]
     assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
@@ -343,7 +348,7 @@ def pair_dict_gram(ens):
         per_group = {}
         for a_lo in range(0, low, histories._CHUNK):
             a_hi = min(a_lo + histories._CHUNK, low)
-            _, codes, blocks = histories._run_unit(
+            _, _, codes, blocks = histories._run_unit(
                 _unit_kernel(ens), frame, kind, ens.prune_eps, group, a_lo, a_hi
             )
             for lo, g in blocks:
@@ -392,10 +397,88 @@ def test_gram_equals_the_pair_dict_reduction(
     np.testing.assert_array_equal(ens.gram, gram)
 
 
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window",
+    [
+        # dense kernel, four groups of one a-chunk
+        (12, 7, 5, 4, 3, "001"),
+        # FFT, two groups of four a-chunks
+        (13, 9, 8, 3, 2, "01"),
+    ],
+)
+def test_a_reused_workspace_leaves_no_trace_between_units(
+    qubits, dot, left, right, steps, window, prune_eps, kind
+):
+    # each pool thread runs all its units in one _Workspace; a unit must get
+    # the same result there as in a workspace of its own
+    ens = propagate_branches(
+        make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
+    )
+    frame = ens._frame
+    low = 1 << frame.left
+    units = [
+        (group, a_lo, min(a_lo + histories._CHUNK, low))
+        for group in range(1 << frame.freeq)
+        for a_lo in range(0, low, histories._CHUNK)
+    ]
+    assert len(units) > 1
+    run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, kind, prune_eps)
+    ws = histories._Workspace()
+    for unit in reversed(units):
+        disc, cross, codes, blocks = run(*unit, ws=ws)
+        want_disc, want_cross, want_codes, want_blocks = run(*unit)
+        np.testing.assert_array_equal(disc, want_disc)
+        assert cross == want_cross
+        np.testing.assert_array_equal(codes, want_codes)
+        assert [lo for lo, _ in blocks] == [lo for lo, _ in want_blocks]
+        for (_, g), (_, want) in zip(blocks, want_blocks):
+            np.testing.assert_array_equal(g, want)
+
+
 def test_threads_bit_identical(medium_full):
     ens4 = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, prune_eps=0.0, threads=4)
     assert ens4.paths == medium_full.paths
     assert np.array_equal(ens4.gram, medium_full.gram)
+
+
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window,eps",
+    [
+        (7, 3, 1, 3, 2, "010", 0.01),
+        (8, 4, 1, 3, 2, "0110", 1e-3),
+        (9, 4, 2, 4, 3, "011", 0.01),
+        (10, 5, 4, 4, 3, "01", 0.01),
+    ],
+)
+def test_pruned_marginal_stays_within_the_derived_bound(
+    qubits, dot, left, right, steps, window, eps
+):
+    # the final-window marginal of a pruned full ensemble misses conservation
+    # by the cross terms of its pruned branches, far more than rounding; the
+    # bound discarded + sum w (2S + S**2) must hold against the dense oracle
+    block = make_block(qubits, dot, left, right, window)
+    ens = propagate_branches(block, steps, prune_eps=eps)
+    marginal, discarded, cross = dense_pruned_marginal(block, steps, eps)
+    assert abs(ens.discarded_total - discarded) < 1e-12
+    assert abs(ens.cross_bound - cross) < 1e-12
+    dist = history_distribution(ens, kind="coarse")
+    assert abs(dist.probabilities.sum() - marginal) < 1e-12
+    miss = abs(marginal + discarded - 1.0)
+    assert 1e-6 < miss <= discarded + cross
+
+
+def test_marginal_tolerance_is_the_pruned_bound(medium_full):
+    # unpruned the bound is 0 and the floor alone remains; pruned, the check
+    # passes with either term of the bound and fails without both
+    assert medium_full.cross_bound == 0.0
+    ens = propagate_branches(make_block(8, 4, 1, 3, "0110"), 2, prune_eps=1e-3)
+    for term in ("discarded_total", "cross_bound"):
+        history_distribution(dataclasses.replace(ens, **{term: 0.0}), kind="coarse")
+    bare = dataclasses.replace(ens, discarded_total=0.0, cross_bound=0.0)
+    with pytest.raises(InvariantError, match="within 1e-09"):
+        history_distribution(bare, kind="coarse")
 
 
 def test_propagate_rejects_bad_parameters():
@@ -456,6 +539,23 @@ def test_budget_bounds_the_traced_peak(
     finally:
         tracemalloc.stop()
     assert peak <= _projected_bytes(block, steps, kind, threads)
+
+
+def test_budget_holds_for_the_first_propagation_of_a_process():
+    # the budget counts what a run allocates, so the first propagation in a
+    # fresh interpreter must not pull in a numpy submodule (np.unique imports
+    # numpy.ma, np.strings imports numpy.strings); run the smallest budget
+    # case as the only test of a new process
+    case = "test_budget_bounds_the_traced_peak[8-4-2-3-2-010-full-0.0-1]"
+    src = str(Path(histories.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::{case}"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
 
 
 def test_default_budget_admits_the_left_10_sweep_point():
