@@ -2,14 +2,11 @@
 
 from .bakermap import (
     DENSE_LIMIT,
-    LocalizationWindow,
     analyze,
     apply_baker,
     baker_matrix,
     basis_state,
     bvs_reference_matrix,
-    half_integer_fourier,
-    localization_centers,
     synthesize,
     transfer,
     transfer_kernel,
@@ -17,7 +14,6 @@ from .bakermap import (
 from .coarsegrain import (
     BlockInitialState,
     CoarseGraining,
-    enumerate_block,
     project,
     validate_run,
 )
@@ -46,7 +42,6 @@ __all__ = [
     "MAX_QUBITS",
     "DENSE_LIMIT",
     "SystemShape",
-    "LocalizationWindow",
     "CoarseGraining",
     "BlockInitialState",
     "BranchEnsemble",
@@ -63,14 +58,11 @@ __all__ = [
     "bvs_reference_matrix",
     "coarse_dfunc",
     "entropy_bits",
-    "enumerate_block",
     "full_dfunc",
-    "half_integer_fourier",
     "history_distribution",
     "ideal_coarse_value",
     "ideal_full_value",
     "index_to_bits",
-    "localization_centers",
     "offdiagonal_norm",
     "project",
     "propagate_branches",

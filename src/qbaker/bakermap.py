@@ -13,7 +13,6 @@ shift of the symbolic itinerary.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ DENSE_LIMIT = 10  # dense reference matrices are test oracles, not production pa
 def _check_state(state: np.ndarray, shape: SystemShape) -> np.ndarray:
     arr = np.asarray(state, dtype=np.complex128)
     if arr.shape != (shape.dim,):
-        raise ValueError(f"state must have shape ({shape.dim},), got {arr.shape}")
+        raise ParameterError(f"state must have shape ({shape.dim},), got {arr.shape}")
     return arr
 
 
@@ -38,9 +37,9 @@ def half_integer_fourier(dim: int, sign: int = +1) -> np.ndarray:
     apply the same kernel through an FFT.
     """
     if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+        raise ParameterError(f"dim must be >= 1, got {dim}")
     if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise ParameterError(f"sign must be +1 or -1, got {sign}")
     idx = np.arange(dim) + 0.5
     return np.exp(sign * 2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
@@ -87,13 +86,6 @@ def _step_twiddles(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pre, mid, post
 
 
-class LocalizationWindow(NamedTuple):
-    position: float
-    momentum: float
-    position_width: float
-    momentum_width: float
-
-
 def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
     """Localized basis state for the given dot position and label string.
 
@@ -107,7 +99,7 @@ def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
     n_qubits = shape.qubits
     SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     if len(bits) != n_qubits:
-        raise ValueError(f"label must have {n_qubits} bits, got {len(bits)}")
+        raise ParameterError(f"label must have {n_qubits} bits, got {len(bits)}")
     phase = np.exp(1j * np.pi * binary_fraction(bits[:dot][::-1], append_one=True))
     pos_dim = 1 << (n_qubits - dot)
     state = np.zeros(pos_dim, dtype=np.complex128)
@@ -119,25 +111,6 @@ def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
         ) / np.sqrt(2.0)
         state = np.kron(state, factor)
     return state
-
-
-def localization_centers(shape: SystemShape, dot: int, bits: str) -> LocalizationWindow:
-    """Phase-space window of a basis state: centers and widths in both directions.
-
-    Position support is strict (amplitudes vanish outside the window);
-    momentum localization is crude (the window only bounds the bulk).  The
-    degenerate ends dot=0 and dot=qubits give a full-torus window on the
-    crude side.
-    """
-    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
-    if len(bits) != shape.qubits:
-        raise ValueError(f"label must have {shape.qubits} bits, got {len(bits)}")
-    return LocalizationWindow(
-        position=binary_fraction(bits[dot:], append_one=True),
-        momentum=binary_fraction(bits[:dot][::-1], append_one=True),
-        position_width=2.0 ** -(shape.qubits - dot),
-        momentum_width=2.0**-dot,
-    )
 
 
 def synthesize(coeffs: np.ndarray, shape: SystemShape, dot: int) -> np.ndarray:
@@ -204,7 +177,7 @@ def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
     """
     m = 1 << dot
     if not 0 <= start < stop <= 2 * m:
-        raise ValueError(f"need 0 <= start < stop <= {2 * m}, got start={start}, stop={stop}")
+        raise ParameterError(f"need 0 <= start < stop <= {2 * m}, got start={start}, stop={stop}")
     width = stop - start
     # g over every d = c - 2r the block touches, lowest first
     d = np.arange(start - 2 * (m - 1), stop)
@@ -232,7 +205,7 @@ def apply_columns(
     m = 1 << dot
     width = x.shape[-1]
     if start < 0 or start + width > 2 * m:
-        raise ValueError(f"columns {start}..{start + width - 1} outside 0..{2 * m - 1}")
+        raise ParameterError(f"columns {start}..{start + width - 1} outside 0..{2 * m - 1}")
     if out is None:
         out = np.empty(x.shape[:-1] + (2 * m,), dtype=np.complex128)
     pre, mid, post = _step_twiddles(dot)
@@ -266,7 +239,7 @@ def transfer_kernel(dot: int) -> np.ndarray:
     builds this dense matrix only for its narrow contractions.
     """
     if dot < 0:
-        raise ValueError(f"dot must be >= 0, got {dot}")
+        raise ParameterError(f"dot must be >= 0, got {dot}")
     kernel = kernel_columns(dot, 0, 2 << dot)
     kernel.flags.writeable = False
     return kernel

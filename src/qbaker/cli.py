@@ -464,8 +464,7 @@ def cmd_check(cfg: dict) -> int:
     verdict = f"invariant violated: {failures[0]}" if failures else "all checks passed"
     _write_text("\n".join(lines + [verdict]) + "\n", cfg["out"])
     if failures:
-        print(f"error: invariant violated: {failures[0]}", file=sys.stderr)
-        return 3
+        raise InvariantError(verdict)
     return 0
 
 
@@ -530,10 +529,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--sweep-left",
         dest="sweep_left",
-        help="comma-separated window offsets (empty for a header-only table)",
+        help="comma-separated window offsets (empty for a header-only table; "
+        "write a list that starts with '-' as --sweep-left=-1,2)",
     )
     sweep.add_argument(
-        "--sweep-steps", dest="sweep_steps", help="comma-separated step counts"
+        "--sweep-steps",
+        dest="sweep_steps",
+        help="comma-separated step counts (write a list that starts with '-' "
+        "as --sweep-steps=-1,2)",
     )
     return parser
 

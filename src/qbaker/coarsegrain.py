@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemShape, check_word, index_to_bits
+from .core import SystemShape, check_word
 from .errors import ParameterError
 
 
@@ -54,27 +54,14 @@ def project(coeffs: np.ndarray, graining: CoarseGraining, window: str) -> np.nda
     check_word(window, graining.kept, "window")
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape != (graining.shape.dim,):
-        raise ValueError(f"coefficients must have shape ({graining.shape.dim},), got {arr.shape}")
+        raise ParameterError(
+            f"coefficients must have shape ({graining.shape.dim},), got {arr.shape}"
+        )
     view = arr.reshape(1 << graining.left, 1 << graining.kept, 1 << graining.right)
     out = np.zeros_like(view)
     idx = int(window, 2)
     out[:, idx, :] = view[:, idx, :]
     return out.reshape(graining.shape.dim)
-
-
-def enumerate_block(graining: CoarseGraining, window: str) -> list[str]:
-    """All label strings with the given window value, leading bits major.
-
-    Ordering is lexicographic in (leading bits, trailing bits); every
-    ensemble reduction in this package iterates labels in this order.
-    """
-    check_word(window, graining.kept, "window")
-    labels = []
-    for a in range(1 << graining.left):
-        head = index_to_bits(a, graining.left)
-        for b in range(1 << graining.right):
-            labels.append(head + window + index_to_bits(b, graining.right))
-    return labels
 
 
 def run_graining(shape: SystemShape, left: int, right: int, steps: int) -> CoarseGraining:
@@ -109,8 +96,10 @@ def validate_run(graining: CoarseGraining, steps: int) -> None:
 class BlockInitialState:
     """Uniform mixture over all labels sharing one kept-window value.
 
-    Represented as an ensemble of dot-basis labels with equal weight
-    2**-(left+right); never materialized as a dense matrix outside tests.
+    Each of the 2**(left+right) labels carries weight 2**-(left+right).  The
+    state is only this (graining, window) pair: propagation sweeps its labels
+    in (group, a-chunk) units and never lists them, and no dense matrix of
+    it is built outside tests.
     """
 
     graining: CoarseGraining
@@ -118,10 +107,3 @@ class BlockInitialState:
 
     def __post_init__(self) -> None:
         check_word(self.window, self.graining.kept, "window")
-
-    @property
-    def weight(self) -> float:
-        return 2.0 ** -(self.graining.left + self.graining.right)
-
-    def labels(self) -> list[str]:
-        return enumerate_block(self.graining, self.window)

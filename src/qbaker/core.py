@@ -5,7 +5,8 @@ so that index("101") = 5.  Positions are 1-indexed when sliced: bits a..b
 inclusive is ``bits[a - 1:b]``.  Every other module consumes these
 conventions; nothing else in the package defines its own bit order.
 check_word is the package's one test of a bit word: CLI window flags,
-grainings, path entries and the functions here all call it.
+grainings, path entries and the functions here all call it.  Every
+malformed or out-of-range argument here raises ParameterError.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ MAX_QUBITS = 24
 def check_word(word: str, width: int | None = None, what: str = "bit string") -> str:
     """Return `word` if it is `width` characters of '0'/'1' (any length if None).
 
-    A word of a named width is a run input and fails with ParameterError
-    naming `what`; a width-free bit string fails with ValueError.
+    Any other word raises ParameterError naming `what`.
     """
     bad = not isinstance(word, str) or any(ch not in "01" for ch in word)
     if width is None:
         if bad:
-            raise ValueError(f"{what} must contain only '0'/'1', got {word!r}")
+            raise ParameterError(f"{what} must contain only '0'/'1', got {word!r}")
     elif bad or len(word) != width:
         raise ParameterError(f"{what} must be {width} bits of '0'/'1', got {word!r}")
     return word
@@ -61,16 +61,16 @@ def bits_to_index(bits: str) -> int:
     """Integer value of an MSB-first bit string; empty string maps to 0."""
     check_word(bits)
     if len(bits) > MAX_QUBITS:
-        raise ValueError(f"bit string longer than {MAX_QUBITS}: {len(bits)}")
+        raise ParameterError(f"bit string longer than {MAX_QUBITS}: {len(bits)}")
     return int(bits, 2) if bits else 0
 
 
 def index_to_bits(index: int, length: int) -> str:
     """MSB-first bit string of `index`, zero-padded to `length` bits."""
     if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+        raise ParameterError(f"length must be >= 0, got {length}")
     if not 0 <= index < (1 << length):
-        raise ValueError(f"index {index} out of range for {length} bits")
+        raise ParameterError(f"index {index} out of range for {length} bits")
     return format(index, f"0{length}b") if length else ""
 
 

@@ -2,7 +2,13 @@
 
 
 class ParameterError(ValueError):
-    """A run parameter violates one of the documented inequalities."""
+    """An argument is malformed or out of range.
+
+    Covers every argument check in the package, from a bit word with a stray
+    character to a run geometry that breaks one of the standing inequalities
+    (left < dot, right < qubits - dot, 1 <= steps < right).  Subclasses
+    ValueError.
+    """
 
 
 class InvariantError(RuntimeError):

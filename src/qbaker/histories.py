@@ -131,7 +131,7 @@ class _Frame:
         return (omega >> (pos - self.omega_start - 1)) & 1
 
     def feed_bit(self, j: int, group: int) -> int:
-        """Label bit consumed by the dense kernel at step j (never an omega bit)."""
+        """Label bit the kernel consumes at step j (never an omega bit)."""
         return self.label_bit(self.dot + j, group, 0)
 
     def definite_word(self, j: int, group: int, omega: int) -> str:
@@ -393,11 +393,6 @@ class BranchEnsemble:
     discarded_total: float
     cross_bound: float
     _frame: _Frame = field(repr=False)
-
-    @property
-    def weight(self) -> float:
-        # weight of one active label: spectator multiplicity folded in
-        return 2.0 ** -(self._frame.left + self.steps)
 
     @property
     def probabilities(self) -> np.ndarray:

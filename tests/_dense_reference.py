@@ -1,8 +1,9 @@
 """Dense-vector reference propagation shared by the test modules.
 
-Propagates every label of a block initial state as a full coefficient
-vector, projecting after each step (or only the last one), so the fast
-reduced-register engine can be compared against it entry by entry.
+Lists every label of a block initial state (enumerate_block, block_labels)
+with its weight (block_weight), then propagates each label as a full
+coefficient vector, projecting after each step (or only the last one), so
+the fast reduced-register engine can be compared against it entry by entry.
 """
 
 import itertools
@@ -10,16 +11,41 @@ import math
 
 import numpy as np
 
-from qbaker import analyze, apply_baker, basis_state, project, synthesize
+from qbaker import analyze, apply_baker, basis_state, index_to_bits, project, synthesize
+from qbaker.core import check_word
+
+
+def enumerate_block(graining, window):
+    """All label strings with the given window value, leading bits major.
+
+    Ordering is lexicographic in (leading bits, trailing bits).
+    """
+    check_word(window, graining.kept, "window")
+    labels = []
+    for a in range(1 << graining.left):
+        head = index_to_bits(a, graining.left)
+        for b in range(1 << graining.right):
+            labels.append(head + window + index_to_bits(b, graining.right))
+    return labels
+
+
+def block_labels(block):
+    """The labels a block initial state mixes, in enumerate_block order."""
+    return enumerate_block(block.graining, block.window)
+
+
+def block_weight(block):
+    """Weight of each label of a block initial state: 2**-(left+right)."""
+    return 2.0 ** -(block.graining.left + block.graining.right)
 
 
 def dense_block_matrix(block):
     """Density matrix of a block initial state in computational coordinates."""
     shape = block.graining.shape
     rho = np.zeros((shape.dim, shape.dim), dtype=np.complex128)
-    for label in block.labels():
+    for label in block_labels(block):
         vec = basis_state(shape, shape.dot, label)
-        rho += block.weight * np.outer(vec, vec.conj())
+        rho += block_weight(block) * np.outer(vec, vec.conj())
     return rho
 
 
@@ -27,7 +53,7 @@ def dense_branches(block, steps, kind):
     shape = block.graining.shape
     g = block.graining
     out = {}
-    for label in block.labels():
+    for label in block_labels(block):
         branches = {(): basis_state(shape, shape.dot, label)}
         for j in range(1, steps + 1):
             nxt = {}
@@ -52,7 +78,7 @@ def dense_branches(block, steps, kind):
 def dense_gram(block, steps, kind):
     ref = dense_branches(block, steps, kind)
     keys = sorted({p for per in ref.values() for p in per})
-    w = block.weight
+    w = block_weight(block)
     gmat = {}
     for ya, yb in itertools.product(keys, keys):
         acc = 0j
@@ -77,7 +103,7 @@ def dense_pruned_marginal(block, steps, eps):
     shape, g = block.graining.shape, block.graining
     words = [format(w, f"0{g.kept}b") for w in range(1 << g.kept)]
     marginal = discarded = cross = 0.0
-    for label in block.labels():
+    for label in block_labels(block):
         branches = [basis_state(shape, shape.dot, label)]
         lost = root = 0.0
         for _ in range(steps):
@@ -94,7 +120,7 @@ def dense_pruned_marginal(block, steps, eps):
                         kept.append(synthesize(sub, shape, shape.dot))
             branches = kept
         total = np.sum(branches, axis=0) if branches else np.zeros(shape.dim)
-        marginal += block.weight * np.vdot(total, total).real
-        discarded += block.weight * lost
-        cross += block.weight * root * (2.0 + root)
+        marginal += block_weight(block) * np.vdot(total, total).real
+        discarded += block_weight(block) * lost
+        cross += block_weight(block) * root * (2.0 + root)
     return marginal, discarded, cross

@@ -1,5 +1,7 @@
 """Localized bases, fast transforms, the dot-shift map, and its dense oracles."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,40 @@ from qbaker import (
     apply_baker,
     baker_matrix,
     basis_state,
+    binary_fraction,
     bits_to_index,
     bvs_reference_matrix,
-    half_integer_fourier,
     index_to_bits,
-    localization_centers,
     synthesize,
     transfer,
     transfer_kernel,
 )
-from qbaker.bakermap import apply_columns, kernel_columns
+from qbaker.bakermap import apply_columns, half_integer_fourier, kernel_columns
+
+
+class LocalizationWindow(NamedTuple):
+    position: float
+    momentum: float
+    position_width: float
+    momentum_width: float
+
+
+def localization_centers(shape, dot, bits):
+    """Phase-space window of a basis state: centers and widths in both directions.
+
+    Position support is strict (amplitudes vanish outside the window);
+    momentum localization is crude (the window only bounds the bulk).  The
+    degenerate ends dot=0 and dot=qubits give a full-torus window on the
+    crude side.  The basis-support oracle of the tests below.
+    """
+    SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
+    assert len(bits) == shape.qubits
+    return LocalizationWindow(
+        position=binary_fraction(bits[dot:], append_one=True),
+        momentum=binary_fraction(bits[:dot][::-1], append_one=True),
+        position_width=2.0 ** -(shape.qubits - dot),
+        momentum_width=2.0**-dot,
+    )
 
 
 def all_labels(qubits):

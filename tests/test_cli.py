@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbaker import cli
 from qbaker.cli import main
 
 
@@ -40,6 +41,19 @@ def test_check_passes(capsys):
     assert "all checks passed" in out
     assert "reference map correspondence" in out
     assert "FAIL" not in out
+
+
+def test_check_failure_exits_3_after_writing_its_report(tmp_path, monkeypatch, capsys):
+    # a negative tolerance fails every suite; the first one is reported
+    monkeypatch.setattr(cli, "_CHECK_TOL", -1.0)
+    out = tmp_path / "report.txt"
+    assert main(["check", "--out", str(out)]) == 3
+    report = out.read_text(encoding="utf-8")
+    *suites, verdict = report.splitlines()
+    assert len(suites) == 8 and all(line.endswith(" FAIL") for line in suites)
+    assert verdict == "invariant violated: basis orthonormality"
+    err = capsys.readouterr().err
+    assert err == "error: invariant violated: basis orthonormality\n"
 
 
 def test_check_names_violated_inequality(capsys):

@@ -1,0 +1,154 @@
+"""The package's contract: its public names and one error type for a bad argument."""
+
+import re
+
+import numpy as np
+import pytest
+
+import qbaker
+from qbaker import (
+    BlockInitialState,
+    BranchEnsemble,
+    CoarseGraining,
+    ParameterError,
+    SystemShape,
+    apply_baker,
+    basis_state,
+    bits_to_index,
+    history_distribution,
+    ideal_coarse_value,
+    ideal_full_value,
+    index_to_bits,
+    project,
+    propagate_branches,
+    synthesize,
+    transfer_kernel,
+)
+from qbaker import bakermap, coarsegrain
+from qbaker.bakermap import apply_columns, half_integer_fourier, kernel_columns
+from qbaker.core import check_word
+
+PUBLIC_NAMES = [
+    "BlockInitialState",
+    "BranchEnsemble",
+    "CoarseGraining",
+    "DENSE_LIMIT",
+    "HistoryDistribution",
+    "InvariantError",
+    "MAX_QUBITS",
+    "ParameterError",
+    "ResourceLimitError",
+    "SystemShape",
+    "analyze",
+    "apply_baker",
+    "baker_matrix",
+    "basis_state",
+    "binary_fraction",
+    "bits_to_index",
+    "bvs_reference_matrix",
+    "coarse_dfunc",
+    "entropy_bits",
+    "full_dfunc",
+    "history_distribution",
+    "ideal_coarse_value",
+    "ideal_full_value",
+    "index_to_bits",
+    "offdiagonal_norm",
+    "project",
+    "propagate_branches",
+    "synthesize",
+    "transfer",
+    "transfer_kernel",
+    "validate_run",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(qbaker.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(qbaker, name) is not None
+    namespace = {}
+    exec("from qbaker import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+
+
+def test_test_only_names_left_the_package():
+    assert not hasattr(bakermap, "LocalizationWindow")
+    assert not hasattr(bakermap, "localization_centers")
+    assert not hasattr(coarsegrain, "enumerate_block")
+    assert not hasattr(BlockInitialState, "labels")
+    assert not hasattr(BlockInitialState, "weight")
+    assert not hasattr(BranchEnsemble, "weight")
+    # the dense reference map still builds on it, but it is not exported
+    assert callable(bakermap.half_integer_fourier)
+    assert "half_integer_fourier" not in qbaker.__all__
+
+
+def _block():
+    return BlockInitialState(CoarseGraining(SystemShape(8, 4), 2, 3), "010")
+
+
+# (bad call, the message it raises); every argument check in the package
+_BAD_CALLS = {
+    "state shape": (
+        lambda: synthesize(np.zeros(3), SystemShape(2, 0), 0),
+        "state must have shape (4,), got (3,)",
+    ),
+    "fourier dim": (lambda: half_integer_fourier(0), "dim must be >= 1, got 0"),
+    "fourier sign": (lambda: half_integer_fourier(2, 0), "sign must be +1 or -1, got 0"),
+    "label width": (
+        lambda: basis_state(SystemShape(3, 1), 1, "01"),
+        "label must have 3 bits, got 2",
+    ),
+    "kernel columns": (
+        lambda: kernel_columns(2, 3, 3),
+        "need 0 <= start < stop <= 8, got start=3, stop=3",
+    ),
+    "applied columns": (
+        lambda: apply_columns(np.ones((1, 2)), 0, 1),
+        "columns 1..2 outside 0..1",
+    ),
+    "kernel dot": (lambda: transfer_kernel(-1), "dot must be >= 0, got -1"),
+    "projected shape": (
+        lambda: project(np.zeros(17), CoarseGraining(SystemShape(8, 4), 2, 3), "010"),
+        "coefficients must have shape (256,), got (17,)",
+    ),
+    "free-width word": (
+        lambda: check_word("012"),
+        "bit string must contain only '0'/'1', got '012'",
+    ),
+    "long word": (lambda: bits_to_index("0" * 25), "bit string longer than 24: 25"),
+    "negative length": (lambda: index_to_bits(0, -1), "length must be >= 0, got -1"),
+    "index range": (lambda: index_to_bits(8, 3), "index 8 out of range for 3 bits"),
+    "propagation kind": (
+        lambda: propagate_branches(_block(), 2, kind="both"),
+        "kind must be 'full' or 'coarse', got 'both'",
+    ),
+    "distribution kind": (
+        lambda: history_distribution(propagate_branches(_block(), 2), kind="both"),
+        "kind must be 'full' or 'coarse', got 'both'",
+    ),
+    "core widths": (
+        lambda: ideal_coarse_value("0", "01", 1),
+        "cores must have equal length, got 1 and 2",
+    ),
+    "history lengths": (
+        lambda: ideal_full_value("01", ["01"], []),
+        "histories must have equal length, got 1 and 0",
+    ),
+    "window widths": (
+        lambda: ideal_full_value("01", ["011"], ["011"]),
+        "every window value must have the initial window's width 2",
+    ),
+    "terminal dot": (
+        lambda: apply_baker(np.zeros(4), SystemShape(2, 2)),
+        "need dot <= qubits - 1 to step the map, got dot=2, qubits=2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+def test_every_argument_check_raises_parameter_error(case):
+    call, message = _BAD_CALLS[case]
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()

@@ -35,7 +35,13 @@ from qbaker import (
 from qbaker import histories
 from qbaker.core import check_word
 
-from _dense_reference import dense_branches, dense_gram, dense_pruned_marginal
+from _dense_reference import (
+    block_labels,
+    block_weight,
+    dense_branches,
+    dense_gram,
+    dense_pruned_marginal,
+)
 
 # largest register branch_vector rebuilds as a full 2**qubits vector
 RECONSTRUCT_LIMIT = 20
@@ -88,7 +94,7 @@ def label_masses(ens):
             disc[group, a_lo:a_hi] = d
             kept[group, a_lo:a_hi] = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
     masses = {}
-    for label in ens.block.labels():
+    for label in block_labels(ens.block):
         low, group, _ = decode_label(ens, label)
         masses[label] = (float(disc[group, low]), float(kept[group, low]))
     return masses
@@ -192,7 +198,7 @@ def test_branch_vectors_match_dense_reference():
     for kind in ("full", "coarse"):
         ens = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
         ref = dense_branches(block, 2, kind)
-        for label in block.labels():
+        for label in block_labels(block):
             for path in ens.paths:
                 got = branch_vector(ens, label, path)
                 want = ref[label].get(path)
@@ -326,10 +332,10 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     ]
     assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
     want = np.zeros_like(ens.gram)
-    for label in block.labels():
+    for label in block_labels(block):
         vecs = np.array([branch_vector(ens, label, path) for path in ens.paths])
         # want[i, j] = weight * <b_j | b_i>
-        want += block.weight * (vecs @ vecs.conj().T)
+        want += block_weight(block) * (vecs @ vecs.conj().T)
     np.testing.assert_allclose(ens.gram, want, rtol=0, atol=1e-12)
 
 
@@ -366,7 +372,7 @@ def pair_dict_gram(ens):
 
             for (qa, qb), val in per_group.items():
                 pair = (key(qa), key(qb))
-                pairs[pair] = pairs.get(pair, 0j) + ens.weight * val
+                pairs[pair] = pairs.get(pair, 0j) + 2.0 ** -(frame.left + ens.steps) * val
     paths = tuple(sorted({ka for ka, kb in pairs if ka == kb}))
     index = {p: i for i, p in enumerate(paths)}
     gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
