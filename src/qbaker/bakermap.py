@@ -222,7 +222,6 @@ def apply_columns(
     return out
 
 
-@lru_cache(maxsize=8)
 def transfer_kernel(dot: int) -> np.ndarray:
     """Dense unitary kernel mixing the dot-adjacent labels in one map step.
 
@@ -234,7 +233,7 @@ def transfer_kernel(dot: int) -> np.ndarray:
 
     The kernel is F_M^dagger times each half of F_2M (half-integer DFTs,
     M = 2**dot, as in the Balazs-Voros/Saraceno quantized baker), built here
-    from the closed form in kernel_columns.  Cached and read-only.
+    from the closed form in kernel_columns, once per call, and read-only.
     Propagation applies wide column blocks through apply_columns instead and
     builds this dense matrix only for its narrow contractions.
     """

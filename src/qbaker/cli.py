@@ -19,8 +19,9 @@ take the history distribution, tabulate it against the shift-chain oracle
 (_summary).  ``sweep`` runs the same steps per grid point and keeps the
 summary plus the largest oracle residual of each kind.
 
-Flags override config-file values (flat ``key = value`` lines, ``#``
-comments allowed); built-in defaults fill whatever remains.  Data goes
+Each option is declared once, in _OPTIONS.  Flags override config-file
+values (flat ``key = value`` lines, ``#`` comments allowed), both through
+the option's one converter; built-in defaults fill the rest.  Data goes
 to CSV ('#'-prefixed comment lines carry the config echo and the
 summary block) or JSON (one object with keys "config", "rows",
 "summary").  Floats are written with 17 significant digits, row order
@@ -36,6 +37,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -75,33 +77,27 @@ _SWEEP_HEADER = (
     "discarded_mass",
 )
 
-# defaults satisfy left < dot, right < qubits - dot, steps < right with margin
-_DEFAULTS = {
-    "qubits": 8,
-    "dot": 4,
-    "left": 2,
-    "right": 3,
-    "steps": 2,
-    "prune": 1e-12,
-    "format": "csv",
-    "sweep_left": "4,6,8",
-    "sweep_steps": "2",
+# key -> (converter, default, help); the flag is "--" + key with "_" -> "-"
+# (sweep_* on sweep only).  Defaults: left < dot < qubits - right, steps < right.
+_OPTIONS = {
+    "qubits": (int, 8, "total qubit count"),
+    "dot": (int, 4, "dot position of the map"),
+    "left": (int, 2, "ignored leading qubits"),
+    "right": (int, 3, "ignored trailing qubits"),
+    "steps": (int, 2, "number of map iterations"),
+    "init_x": (str, None, "initial window bits (window core for coarse-entropy; "
+               "defaults to all zeros)"),
+    "prune": (float, 1e-12, "branch-norm pruning threshold"),
+    "out": (str, None, "output file (default: stdout)"),
+    "format": (str, "csv", "output format: csv or json"),
+    "threads": (int, None, "propagation threads (default: available cores)"),
+    "sweep_left": (str, "4,6,8", "comma-separated window offsets (empty for a "
+                   "header-only table; write a list that starts with '-' as "
+                   "--sweep-left=-1,2)"),
+    "sweep_steps": (str, "2", "comma-separated step counts (write a list that "
+                    "starts with '-' as --sweep-steps=-1,2)"),
 }
-
-_CONVERTERS = {
-    "qubits": int,
-    "dot": int,
-    "left": int,
-    "right": int,
-    "steps": int,
-    "init_x": str,
-    "prune": float,
-    "out": str,
-    "format": str,
-    "threads": int,
-    "sweep_left": str,
-    "sweep_steps": str,
-}
+_SWEEP_ONLY = ("sweep_left", "sweep_steps")
 
 
 def _fmt(value: float) -> str:
@@ -130,36 +126,30 @@ def _read_config_file(path: str) -> dict[str, str]:
                     )
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from None
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag value if given, else config-file value, else built-in default."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_CONVERTERS))
+    """Flag text, else config-file text, each through its converter; else default."""
+    file_values = _read_config_file(args.config) if args.config is not None else {}
+    unknown = sorted(set(file_values) - set(_OPTIONS))
     if unknown:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
     cfg: dict = {}
-    for key, conv in _CONVERTERS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in file_values:
-            try:
-                cfg[key] = conv(file_values[key])
-            except ValueError:
-                raise ParameterError(
-                    f"config key {key} needs a {conv.__name__} value, "
-                    f"got {file_values[key]!r}"
-                ) from None
-        else:
-            cfg[key] = _DEFAULTS.get(key)
+    for key, (conv, default, _) in _OPTIONS.items():
+        text = getattr(args, key, None)
+        if text is None:
+            text = file_values.get(key)
+        try:
+            cfg[key] = default if text is None else conv(text)
+        except ValueError:
+            raise ParameterError(f"{key} needs a {conv.__name__} value, got {text!r}") from None
     if cfg["format"] not in ("csv", "json"):
         raise ParameterError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
-    if not cfg["prune"] >= 0:
-        raise ParameterError(f"prune must be >= 0, got {cfg['prune']}")
+    if not 0 <= cfg["prune"] < math.inf:
+        raise ParameterError(f"prune must be a finite number >= 0, got {cfg['prune']}")
     if cfg["threads"] is None:
         env = os.environ.get("QBAKER_THREADS")
         if env is not None:
@@ -468,33 +458,38 @@ def cmd_check(cfg: dict) -> int:
     return 0
 
 
+# subcommand -> (function, help)
 _COMMANDS = {
-    "check": cmd_check,
-    "coarse-entropy": functools.partial(cmd_histories, kind="coarse"),
-    "full-histories": functools.partial(cmd_histories, kind="full"),
-    "sweep": cmd_sweep,
+    "check": (
+        cmd_check,
+        "run the invariant suites and report deviations "
+        "(always propagates unpruned: --prune is validated but not used)",
+    ),
+    "coarse-entropy": (
+        functools.partial(cmd_histories, kind="coarse"),
+        "final-window-only distribution and entropy for a window core",
+    ),
+    "full-histories": (
+        functools.partial(cmd_histories, kind="full"),
+        "per-step window histories against the shift-chain oracle",
+    ),
+    "sweep": (
+        cmd_sweep,
+        "trend table over window offsets and step counts "
+        "(geometry derived from --init-x width; --qubits/--dot/--left/"
+        "--right/--steps are ignored)",
+    ),
 }
+
+
+def _add_options(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), help=_OPTIONS[key][2])
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--qubits", type=int, help="total qubit count")
-    common.add_argument("--dot", type=int, help="dot position of the map")
-    common.add_argument("--left", type=int, help="ignored leading qubits")
-    common.add_argument("--right", type=int, help="ignored trailing qubits")
-    common.add_argument("--steps", type=int, help="number of map iterations")
-    common.add_argument(
-        "--init-x",
-        dest="init_x",
-        help="initial window bits (window core for coarse-entropy; "
-        "defaults to all zeros)",
-    )
-    common.add_argument("--prune", type=float, help="branch-norm pruning threshold")
-    common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument(
-        "--threads", type=int, help="propagation threads (default: available cores)"
-    )
+    _add_options(common, [key for key in _OPTIONS if key not in _SWEEP_ONLY])
     common.add_argument("--config", help="key = value config file; flags override")
 
     parser = argparse.ArgumentParser(
@@ -503,41 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "entropy growth, and decoherence trends.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "check",
-        parents=[common],
-        help="run the invariant suites and report deviations "
-        "(always propagates unpruned: --prune is validated but not used)",
-    )
-    sub.add_parser(
-        "coarse-entropy",
-        parents=[common],
-        help="final-window-only distribution and entropy for a window core",
-    )
-    sub.add_parser(
-        "full-histories",
-        parents=[common],
-        help="per-step window histories against the shift-chain oracle",
-    )
-    sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="trend table over window offsets and step counts "
-        "(geometry derived from --init-x width; --qubits/--dot/--left/"
-        "--right/--steps are ignored)",
-    )
-    sweep.add_argument(
-        "--sweep-left",
-        dest="sweep_left",
-        help="comma-separated window offsets (empty for a header-only table; "
-        "write a list that starts with '-' as --sweep-left=-1,2)",
-    )
-    sweep.add_argument(
-        "--sweep-steps",
-        dest="sweep_steps",
-        help="comma-separated step counts (write a list that starts with '-' "
-        "as --sweep-steps=-1,2)",
-    )
+    for name, (_, help_text) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "sweep":
+            _add_options(command, _SWEEP_ONLY)
     return parser
 
 
@@ -545,7 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

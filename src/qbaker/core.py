@@ -3,7 +3,12 @@
 Bit strings are plain Python strings of '0'/'1', most significant bit first,
 so that index("101") = 5.  Positions are 1-indexed when sliced: bits a..b
 inclusive is ``bits[a - 1:b]``.  Every other module consumes these
-conventions; nothing else in the package defines its own bit order.
+conventions, with one stated exception: the dot-side labels 1..dot(+1) are
+read in reversed significance, label 1 the low bit.  The map's kernel mixes
+those labels in that order (bakermap.transfer_kernel), so histories._rev_int
+and _rev_bits turn window bits into kernel indices and back that way, and
+bakermap.basis_state builds each momentum phase from the binary fraction of
+bits t..1.
 check_word is the package's one test of a bit word: CLI window flags,
 grainings, path entries and the functions here all call it.  Every
 malformed or out-of-range argument here raises ParameterError.

@@ -11,7 +11,7 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
 * later steps apply a block of w columns to every live row.  When
   w >= W (= _FFT_MIN_WIDTH, 256) that is one length-2M inverse FFT and two
   length-M FFTs per row (bakermap.apply_columns); narrower blocks multiply
-  the dense cached transfer_kernel(dot), which is faster there.  w is
+  the dense transfer_kernel(dot), which is faster there.  w is
   2**left on kind "full" and 2**dot on kind "coarse", and only a run with
   w < W builds the dense kernel.
 

@@ -379,6 +379,51 @@ def test_module_entry_point():
     assert "all checks passed" in proc.stdout
 
 
+# per option: a value a run accepts, then one it refuses ({tmp} is a directory)
+_EITHER_WAY = {
+    "qubits": ("9", "x"),
+    "dot": ("3", "1.5"),
+    "left": ("1", "x"),
+    "right": ("3", "-1"),
+    "steps": ("1", "1.5"),
+    "init_x": ("010", "012"),
+    "prune": ("0.01", "inf"),
+    "out": ("{tmp}/out.csv", "{tmp}/missing/out.csv"),
+    "format": ("json", "xml"),
+    "threads": ("1", "two"),
+    "sweep_left": ("4", "four"),
+    "sweep_steps": ("1", "two"),
+}
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_an_option_means_the_same_from_a_flag_and_a_config_file(
+    tmp_path, monkeypatch, capsys, key, valid
+):
+    text = _EITHER_WAY[key][0 if valid else 1].format(tmp=tmp_path)
+    if key.startswith("sweep_"):
+        small = {"sweep_left": "4", "sweep_steps": "1"}
+        argv = ["sweep"] + [f"--{k.replace('_', '-')}={v}" for k, v in small.items() if k != key]
+    else:
+        argv = ["full-histories"]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    monkeypatch.delenv("QBAKER_THREADS", raising=False)
+    results = []
+    for source in ([f"--{key.replace('_', '-')}={text}"], ["--config", str(config)]):
+        code = main(argv + source)
+        out, err = capsys.readouterr()
+        if key == "out" and valid:
+            out = (tmp_path / "out.csv").read_bytes()
+            (tmp_path / "out.csv").unlink()
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        results.append((code, out if valid else errors))
+    assert results[0] == results[1]
+    code, seen = results[0]
+    assert (code == 0) == valid and seen
+
+
 _EVERY = ("check", "full-histories", "coarse-entropy", "sweep")
 # sweep derives its geometry from --init-x and ignores these flags
 _GEOMETRY = ("check", "full-histories", "coarse-entropy")
@@ -404,10 +449,14 @@ _BAD_INPUTS = [
     (_EVERY, ["--init-x", "012"], {}, 2),
     (_GEOMETRY, ["--init-x", "0101010"], {}, 2),
     (_EVERY, ["--config", "{unknown_key}"], {}, 2),
+    (_EVERY, ["--config", "{not_utf8}"], {}, 2),
+    (_EVERY, ["--config", ""], {}, 2),
     (_EVERY, [], {"QBAKER_THREADS": "two"}, 2),
     (_EVERY, ["--threads", "0"], {}, 2),
     (_EVERY, ["--prune", "-0.5"], {}, 2),
     (_EVERY, ["--prune", "nan"], {}, 2),
+    (_EVERY, ["--prune", "inf"], {}, 2),
+    (_EVERY, ["--prune", "1e400"], {}, 2),
     (("check",), ["--qubits", "12", "--dot", "6", "--left", "2", "--right", "3"], {}, 2),
     (_EVERY, ["--out", "{unwritable}"], {}, 2),
     (("full-histories",), _BUDGET_REFUSED, {}, 4),
@@ -428,7 +477,13 @@ def test_bad_inputs_exit_with_a_code_and_an_error_line(
 ):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("qubitz = 7\n", encoding="utf-8")
-    places = {"unknown_key": str(unknown), "unwritable": str(tmp_path / "missing" / "out.csv")}
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"\xff\xfequbits = 8\n")
+    places = {
+        "unknown_key": str(unknown),
+        "not_utf8": str(not_utf8),
+        "unwritable": str(tmp_path / "missing" / "out.csv"),
+    }
     monkeypatch.delenv("QBAKER_THREADS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -460,7 +515,7 @@ def _lists(low, high):
 # per knob: values a run accepts, and values it refuses (the sweep lists
 # stay small: "-1,0" is refused by argparse, which reads it as a flag)
 _KNOBS = {
-    "prune": (st.sampled_from(["0", "1e-12", "1e-3", "0.01", "inf"]), st.sampled_from(["-0.5", "nan"])),
+    "prune": (st.sampled_from(["0", "1e-12", "1e-3", "0.01"]), st.sampled_from(["-0.5", "nan", "inf"])),
     "format": (st.sampled_from(["csv", "json"]), st.just("xml")),
     "threads": (st.integers(1, 3), st.integers(-1, 0)),
 }
@@ -493,7 +548,7 @@ def _knob(draw, good, bad):
 
 @st.composite
 def _argvs(draw):
-    """(argv, config-file lines, --out name, QBAKER_THREADS) for one run."""
+    """(argv, config-file lines, --config name, --out name, QBAKER_THREADS) for one run."""
     command = draw(st.sampled_from(_EVERY))
     # check's dense suites grow as 4**qubits
     values = draw(_run_geometry(8 if command == "check" else 10))
@@ -515,23 +570,29 @@ def _argvs(draw):
         if draw(st.booleans()):
             argv += [f"--{key}", str(value)]
         else:
-            lines.append(f"{key.replace('-', '_')} = {value}")
-    bad_line = draw(st.sampled_from([None] * 5 + ["qubitz = 7", "qubits 7", "out = ."]))
+            lines.append(f"{key.replace('-', '_')} = {value}".encode())
+    # the config file is written as bytes, so a line need not be UTF-8
+    bad_lines = [b"qubitz = 7", b"qubits 7", b"out = .", b"\xff\xfequbits = 8", b"dot = \xe9"]
+    bad_line = draw(st.sampled_from([None] * 8 + bad_lines))
     if bad_line is not None:
         lines.append(bad_line)
+    # "" stands for `--config ""`, a path no file can have
+    config = draw(st.sampled_from(["run.cfg"] * 9 + [""]))
     out = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt"]))
     env = draw(st.sampled_from([None, None, None, "1", "two"]))
-    return argv, lines, out, env
+    return argv, lines, config, out, env
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_argvs())
 def test_random_argv_exits_with_a_code_and_an_error_line(tmp_path_factory, case):
-    argv, lines, out, env = case
+    argv, lines, config, out, env = case
     work = tmp_path_factory.mktemp("argv")
-    if lines:
-        (work / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv = argv + ["--config", str(work / "run.cfg")]
+    if not config:
+        argv = argv + ["--config", ""]
+    elif lines:
+        (work / config).write_bytes(b"\n".join(lines) + b"\n")
+        argv = argv + ["--config", str(work / config)]
     if out is not None:
         argv = argv + ["--out", str(work / out)]
     stderr = io.StringIO()

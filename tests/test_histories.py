@@ -2,11 +2,13 @@
 
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -536,8 +538,6 @@ def test_budget_bounds_the_traced_peak(
     qubits, dot, left, right, steps, window, kind, prune_eps, threads
 ):
     block = make_block(qubits, dot, left, right, window)
-    # a dense run then builds its kernel inside the traced region
-    transfer_kernel.cache_clear()
     tracemalloc.start()
     try:
         propagate_branches(block, steps, prune_eps=prune_eps, kind=kind, threads=threads)
@@ -801,6 +801,24 @@ def test_pruned_run_conserves_mass_and_leaves_kernel_alone(qubits, dot, left, ri
     for disc, kept in label_masses(ens).values():
         assert abs(disc + kept - 1.0) < 1e-9
     np.testing.assert_array_equal(transfer_kernel(dot), before)
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_no_kernel_outlives_its_run(monkeypatch, kind):
+    # each run builds its dense kernel once; neither a cache nor the
+    # returned ensemble may keep it alive afterwards
+    refs = []
+
+    def recording(dot):
+        kernel = transfer_kernel(dot)
+        refs.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(histories, "transfer_kernel", recording)
+    ens = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, kind=kind)
+    gc.collect()
+    assert ens.paths and refs
+    assert all(ref() is None for ref in refs)
 
 
 def test_budget_counts_the_kernel_only_on_dense_runs(monkeypatch):
