@@ -630,21 +630,18 @@ def entropy_bits(dist: HistoryDistribution) -> float:
 
 
 def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
-    """Max and rms size of the off-diagonal functional entries over retained paths."""
+    """Max and rms size of the off-diagonal functional entries over retained paths.
+
+    The rms sums the squares with math.fsum, which rounds the exact sum once
+    whatever the order of its terms.
+    """
     n = len(ensemble.paths)
     if n < 2:
         return 0.0, 0.0
-    # the off-diagonal entries in row-major order are the flat array's runs
-    # of n entries between consecutive diagonal ones
-    flat = np.abs(ensemble.gram).ravel()
-    off_max = float(flat[1:].reshape(n - 1, n + 1)[:, :n].max())
-    # move the runs to the front in place, so the mean sums the same
-    # contiguous sequence the masked copy used to, without an n*n copy
-    for k in range(n - 1):
-        flat[k * n : (k + 1) * n] = flat[k * (n + 1) + 1 : (k + 1) * (n + 1)]
-    off = flat[: n * (n - 1)]
-    off *= off
-    return off_max, float(np.sqrt(np.mean(off)))
+    mags = np.abs(ensemble.gram)
+    np.fill_diagonal(mags, 0.0)
+    off = mags[mags > 0]
+    return float(mags.max()), math.sqrt(math.fsum((off * off).tolist()) / (n * (n - 1)))
 
 
 def ideal_coarse_value(x: str, y: str, steps: int) -> float:

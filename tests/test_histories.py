@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -686,7 +687,7 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
     gram[rng.random((n, n)) < 0.5] = 0
     ens = dataclasses.replace(medium_full, paths=medium_full.paths[:n], gram=gram.copy())
     mags = np.abs(gram)[~np.eye(n, dtype=bool)]
-    assert offdiagonal_norm(ens) == (mags.max(), np.sqrt(np.mean(mags**2)))
+    assert offdiagonal_norm(ens) == (mags.max(), np.sqrt(math.fsum(mags**2) / (n * (n - 1))))
     np.testing.assert_array_equal(ens.gram, gram)
 
 
