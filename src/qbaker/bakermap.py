@@ -66,7 +66,9 @@ def _momentum_transform(block: np.ndarray, inverse: bool) -> np.ndarray:
     return tail * np.fft.ifft(block * head) * np.sqrt(size)
 
 
-@lru_cache(maxsize=8)
+# one dot at a time: every apply_columns call of a run reuses it, and no run
+# steps at one dot, then another, then the first again
+@lru_cache(maxsize=1)
 def _step_twiddles(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three fused twiddle vectors of apply_columns, read-only.
 

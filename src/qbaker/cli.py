@@ -20,8 +20,9 @@ take the history distribution, tabulate it against the shift-chain oracle
 summary plus the largest oracle residual of each kind.
 
 Each option is declared once, in _OPTIONS.  Flags override config-file
-values (flat ``key = value`` lines, ``#`` comments allowed), both through
-the option's one converter; built-in defaults fill the rest.  Data goes
+values (flat ``key = value`` lines, ``#`` comments allowed), and those
+override the ``QBAKER_THREADS`` environment variable for ``threads``, all
+through the option's one converter; built-in defaults fill the rest.  Data goes
 to CSV ('#'-prefixed comment lines carry the config echo and the
 summary block) or JSON (one object with keys "config", "rows",
 "summary").  Floats are written with 17 significant digits, row order
@@ -132,7 +133,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag text, else config-file text, each through its converter; else default."""
+    """Flag text, else config-file text (else QBAKER_THREADS for threads),
+    each through its converter; else default."""
     file_values = _read_config_file(args.config) if args.config is not None else {}
     unknown = sorted(set(file_values) - set(_OPTIONS))
     if unknown:
@@ -142,6 +144,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         text = getattr(args, key, None)
         if text is None:
             text = file_values.get(key)
+        if text is None and key == "threads":
+            text = os.environ.get("QBAKER_THREADS")
         try:
             cfg[key] = default if text is None else conv(text)
         except ValueError:
@@ -151,16 +155,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if not 0 <= cfg["prune"] < math.inf:
         raise ParameterError(f"prune must be a finite number >= 0, got {cfg['prune']}")
     if cfg["threads"] is None:
-        env = os.environ.get("QBAKER_THREADS")
-        if env is not None:
-            try:
-                cfg["threads"] = int(env)
-            except ValueError:
-                raise ParameterError(
-                    f"QBAKER_THREADS needs an int value, got {env!r}"
-                ) from None
-        else:
-            cfg["threads"] = os.cpu_count() or 1
+        cfg["threads"] = os.cpu_count() or 1
     return cfg
 
 

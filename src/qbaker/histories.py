@@ -27,9 +27,14 @@ Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
 final amplitudes where it runs, to one Gram block array per run of rows
 sharing a last window value, and the thread's next unit overwrites the
 amplitudes in its reused step workspace: no branch vector is kept, so peak
-memory is one step workspace per thread plus the path Gram matrix.  The
-blocks are summed per group in unit order over integer path codes, then
-scattered into the Gram matrix once per (group, omega).
+memory is one step workspace per thread plus the path Gram blocks.  The
+unit blocks are summed in unit order over integer path codes, into one
+accumulator per (group, last window value).  On kind "full" each
+accumulator is a block of the path Gram matrix: paths that differ in their
+group, omega or last window value are orthogonal, so the n x n matrix is
+never formed, and a group's 2**nomega omegas share one block matrix.  On
+kind "coarse", whose path keys repeat across groups, the accumulators are
+added into one dense matrix over at most 2**kept paths.
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -162,8 +167,8 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     transient: step 1's kernel columns, or a contraction's temporary for
     one run of rows (the FFT's copy of its in-place operand, or the
     np.tensordot result plus the copy it makes of its kernel column block).
-    The dense kernel, the path Gram matrix and the arrays and path keys of
-    the reduction come once.
+    The dense kernel or the FFT's cached twiddles, the path Gram blocks and
+    the arrays and path keys of the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -186,20 +191,32 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     n_paths = groups * (1 << frame.nomega) * rows_final
     # every unit's path codes, discarded masses and Gram blocks (h runs of
     # `rows` paths) until the reduction, the norms and S of the units in
-    # flight, and one group's accumulator with a scatter's gather copy and
-    # index arrays
+    # flight, and a scatter's gather copy and sum with one group's index
+    # arrays
     held = n_units * (rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES)
-    held += in_flight * (2 * rows_final + 1) * a * 8 + 3 * rows_final**2 * itemsize
+    held += in_flight * (2 * rows_final + 1) * a * 8 + 2 * rows**2 * itemsize + 4 * rows_final * 8
+    # kind "full" keeps h blocks of `rows` paths per group; kind "coarse" one
+    # dense matrix over its distinct paths.  Beside them: each path's
+    # position in its block and the functionals' two lookup arrays
+    if kind == "full":
+        blocks = groups * h * (rows**2 * itemsize + 2 * _BLOCK_OBJECT_BYTES)
+    else:
+        blocks = min(n_paths, 1 << frame.kept) ** 2 * itemsize
+    blocks += n_paths * 3 * 8
     # per key: the string and index arrays of its sort, its joined string,
     # and its tuple of word strings
     words = frame.steps if kind == "full" else 1
     width = words * frame.kept
     key = sys.getsizeof(("",) * words) + words * sys.getsizeof("0" * frame.kept)
     held += n_paths * (16 * width + 24 + sys.getsizeof("0" * width) + key)
-    built = [("transfer kernel", two_m * two_m * itemsize)] if dense else []
+    if dense:
+        built = [("transfer kernel", two_m * two_m * itemsize)]
+    else:
+        # apply_columns' cached pre, mid and post: 2M + 2M + M entries
+        built = [("step twiddles", 5 * (two_m // 2) * itemsize)] if frame.steps > 1 else []
     return built + [
         ("step workspace", unit * in_flight),
-        ("path gram matrix", n_paths * n_paths * itemsize),
+        ("path gram blocks", blocks),
         ("path bookkeeping", held + _RUN_BYTES * in_flight),
     ]
 
@@ -377,11 +394,16 @@ class HistoryDistribution:
 class BranchEnsemble:
     """Path overlaps and pruned mass from one propagation run.
 
-    `paths` is sorted lexicographically; `gram[i, j]` is the decoherence
-    functional value between paths[i] (ket side) and paths[j] (bra side),
-    so its diagonal holds the history probabilities.  `cross_bound` sums
-    weight * (2S + S**2) over labels, S the sum of a label's pruned branch
-    norms (see history_distribution).
+    `paths` is sorted lexicographically.  The path Gram matrix G, whose
+    entry G[i, j] is the decoherence functional value between paths[i]
+    (ket side) and paths[j] (bra side), is kept as its nonzero blocks: each
+    of `blocks` is (positions, matrix), and for every row p of the 2-D
+    positions array G[p[a], p[b]] = matrix[a, b].  Entries between paths in
+    different rows or blocks are zero.  On kind "full" a block holds one
+    (group, last window value) and its rows are the group's omegas, which
+    share the matrix; kind "coarse" has one dense block over every path.
+    `cross_bound` sums weight * (2S + S**2) over labels, S the sum of a
+    label's pruned branch norms (see history_distribution).
     """
 
     block: BlockInitialState
@@ -389,14 +411,42 @@ class BranchEnsemble:
     kind: str
     prune_eps: float
     paths: tuple[FullPath, ...]
-    gram: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     discarded_total: float
     cross_bound: float
     _frame: _Frame = field(repr=False)
 
     @property
+    def gram(self) -> np.ndarray:
+        """The dense path Gram matrix, assembled from the blocks on each call."""
+        n = len(self.paths)
+        out = np.zeros((n, n), dtype=np.complex128)
+        for positions, matrix in self.blocks:
+            for row in positions:
+                out[np.ix_(row, row)] = matrix
+        return out
+
+    @property
     def probabilities(self) -> np.ndarray:
-        return self.gram.diagonal().real.copy()
+        probs = np.zeros(len(self.paths))
+        for positions, matrix in self.blocks:
+            probs[positions] = matrix.diagonal().real
+        return probs
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        # each path's slot (one per row of a block), its index in the slot's
+        # matrix, and the matrix of every slot
+        n = len(self.paths)
+        slot = np.zeros(n, dtype=np.int64)
+        local = np.zeros(n, dtype=np.int64)
+        matrices = []
+        for positions, matrix in self.blocks:
+            for row in positions:
+                slot[row] = len(matrices)
+                local[row] = np.arange(len(row))
+                matrices.append(matrix)
+        return slot, local, matrices
 
     @cached_property
     def _finals(self) -> np.ndarray:
@@ -409,7 +459,10 @@ class BranchEnsemble:
         zi = bisect.bisect_left(self.paths, zkey)
         if self.paths[yi : yi + 1] != (ykey,) or self.paths[zi : zi + 1] != (zkey,):
             return 0j
-        return complex(self.gram[yi, zi])
+        slot, local, matrices = self._lookup
+        if slot[yi] != slot[zi]:
+            return 0j
+        return complex(matrices[slot[yi]][local[yi], local[zi]])
 
     def _check_path(self, path: Sequence[str]) -> FullPath:
         want = self.steps if self.kind == "full" else 1
@@ -524,21 +577,39 @@ def propagate_branches(
 
     # each element sums its units in unit order from 0, and the weight is a
     # power of two, so scaling is exact; coarse-kind keys that repeat across
-    # (group, omega) accumulate in (group, omega) order
-    gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
+    # groups accumulate in group order
+    h_count = 1 << frame.qwidth
+    copies = 1 << frame.nomega
+    dense = np.zeros((len(paths),) * 2, dtype=np.complex128) if kind == "coarse" else None
+    blocks = []
     at = 0
     for codes_g, us in zip(group_codes, group_units):
-        acc = np.zeros((len(codes_g), len(codes_g)), dtype=np.complex128)
-        for codes, blocks in us:
-            rows = np.searchsorted(codes_g, codes)
-            for lo, g in blocks:
-                sel = rows[lo : lo + len(g)]
-                acc[np.ix_(sel, sel)] += g
-        acc *= weight
-        for _ in range(1 << frame.nomega):
-            sel = where[at : at + len(codes_g)]
-            gram[np.ix_(sel, sel)] += acc
-            at += len(codes_g)
+        # the group's rows with each last window value, and each row's index
+        # in its value's accumulator
+        members = [np.flatnonzero(codes_g % h_count == v) for v in range(h_count)]
+        local = np.zeros(len(codes_g), dtype=np.int64)
+        for rows in members:
+            local[rows] = np.arange(len(rows))
+        accs = [np.zeros((len(rows), len(rows)), dtype=np.complex128) for rows in members]
+        for codes, unit_blocks in us:
+            sel_all = local[np.searchsorted(codes_g, codes)]
+            for lo, g in unit_blocks:
+                sel = sel_all[lo : lo + len(g)]
+                accs[int(codes[lo]) % h_count][np.ix_(sel, sel)] += g
+        # the group's paths of each omega sit at where[at + row]
+        positions = where[at : at + copies * len(codes_g)].reshape(copies, len(codes_g))
+        at += copies * len(codes_g)
+        for rows, acc in zip(members, accs):
+            if not len(rows):
+                continue
+            acc *= weight
+            if dense is None:
+                blocks.append((positions[:, rows], acc))
+            else:
+                for sel in positions[:, rows]:
+                    dense[np.ix_(sel, sel)] += acc
+    if dense is not None:
+        blocks = [(np.arange(len(paths))[None, :], dense)]
 
     return BranchEnsemble(
         block=block,
@@ -546,7 +617,7 @@ def propagate_branches(
         kind=kind,
         prune_eps=prune_eps,
         paths=paths,
-        gram=gram,
+        blocks=tuple(blocks),
         discarded_total=weight * float(group_disc.sum()) * (1 << frame.nomega),
         cross_bound=weight * cross * (1 << frame.nomega),
         _frame=frame,
@@ -564,8 +635,8 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     """Functional entry between two final-step-only window histories.
 
     On a kind='coarse' ensemble this is a direct lookup.  On a kind='full'
-    ensemble it sums the gram block over all intermediate window values, each
-    side independently.
+    ensemble it sums the Gram submatrix over all intermediate window values,
+    each side independently.
     """
     if ensemble.kind == "coarse":
         return ensemble._entry(ensemble._check_path([y]), ensemble._check_path([z]))
@@ -575,7 +646,15 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     cols = np.flatnonzero(ensemble._finals == z)
     if not rows.size or not cols.size:
         return 0j
-    return complex(ensemble.gram[np.ix_(rows, cols)].sum())
+    # gram[np.ix_(rows, cols)], zeros included, so the sum adds what the
+    # dense submatrix would
+    slot, local, matrices = ensemble._lookup
+    sub = np.zeros((rows.size, cols.size), dtype=np.complex128)
+    for s in set(slot[rows].tolist()) & set(slot[cols].tolist()):
+        ri = np.flatnonzero(slot[rows] == s)
+        ci = np.flatnonzero(slot[cols] == s)
+        sub[np.ix_(ri, ci)] = matrices[s][np.ix_(local[rows[ri]], local[cols[ci]])]
+    return complex(sub.sum())
 
 
 def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> HistoryDistribution:
@@ -632,16 +711,23 @@ def entropy_bits(dist: HistoryDistribution) -> float:
 def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
     """Max and rms size of the off-diagonal functional entries over retained paths.
 
-    The rms sums the squares with math.fsum, which rounds the exact sum once
-    whatever the order of its terms.
+    Both read each block matrix once.  The rms sums the squares with
+    math.fsum, which rounds the exact sum once whatever the order of its
+    terms; a matrix shared by a power-of-two number of position rows counts
+    each square that many times by one exact multiplication.
     """
     n = len(ensemble.paths)
     if n < 2:
         return 0.0, 0.0
-    mags = np.abs(ensemble.gram)
-    np.fill_diagonal(mags, 0.0)
-    off = mags[mags > 0]
-    return float(mags.max()), math.sqrt(math.fsum((off * off).tolist()) / (n * (n - 1)))
+    off_max = 0.0
+    squares = []
+    for positions, matrix in ensemble.blocks:
+        mags = np.abs(matrix)
+        np.fill_diagonal(mags, 0.0)
+        off = mags[mags > 0]
+        off_max = max(off_max, float(off.max(initial=0.0)))
+        squares.append(off * off * len(positions))
+    return off_max, math.sqrt(math.fsum(np.concatenate(squares).tolist()) / (n * (n - 1)))
 
 
 def ideal_coarse_value(x: str, y: str, steps: int) -> float:

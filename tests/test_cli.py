@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbaker import cli
+from qbaker import cli, histories
 from qbaker.cli import main
 
 
@@ -337,7 +337,8 @@ def test_threads_env_override(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("QBAKER_THREADS", "two")
     assert main(["full-histories"]) == 2
-    assert "QBAKER_THREADS" in capsys.readouterr().err
+    # the variable's text goes through the threads option's one converter
+    assert "threads needs a int value, got 'two'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -354,6 +355,50 @@ def test_byte_identical_runs_and_threads(tmp_path, fmt):
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1]
     assert blobs[0] == blobs[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["full-histories", "--init-x", "011"],
+        ["full-histories", "--qubits", "12", "--dot", "6", "--left", "3", "--right", "5",
+         "--steps", "3", "--init-x", "0110", "--prune", "0.01", "--format", "json"],
+        ["coarse-entropy", "--init-x", "1"],
+        ["sweep", "--sweep-left", "4,5", "--sweep-steps", "1,2,3", "--prune", "0.01"],
+        ["check", "--init-x", "101"],
+    ],
+)
+def test_no_subcommand_reads_the_dense_gram(monkeypatch, tmp_path, argv):
+    # the functionals read the Gram blocks; the dense view is for tests only
+    want, got = tmp_path / "want", tmp_path / "got"
+    assert main(argv + ["--threads", "2", "--out", str(want)]) == 0
+
+    def refuse(ens):
+        raise AssertionError("BranchEnsemble.gram was read")
+
+    monkeypatch.setattr(histories.BranchEnsemble, "gram", property(refuse))
+    assert main(argv + ["--threads", "2", "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_wide_window_run_peaks_far_below_its_dense_gram():
+    # 4096 paths: a dense Gram matrix alone would be 256 MiB.  A fresh
+    # interpreter runs the CLI as its child and reads the child's peak RSS
+    argv = ["full-histories", "--qubits", "14", "--dot", "5", "--left", "2", "--right", "6",
+            "--steps", "3", "--init-x", "110111", "--out", os.devnull]
+    script = (
+        "import resource, subprocess, sys\n"
+        f"code = subprocess.run([sys.executable, '-m', 'qbaker', *{argv!r}]).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib <= 150 * 1024
 
 
 def test_stdout_matches_file_output(tmp_path, capsys):

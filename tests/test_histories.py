@@ -35,7 +35,7 @@ from qbaker import (
     propagate_branches,
     transfer_kernel,
 )
-from qbaker import histories
+from qbaker import bakermap, histories
 from qbaker.core import check_word
 
 from _dense_reference import (
@@ -511,12 +511,16 @@ def test_budget_gate():
         propagate_branches(big, 8)
 
 
-def _projected_bytes(block, steps, kind, threads):
+def block_frame(block, steps):
     graining = block.graining
-    frame = histories._Frame(
+    return histories._Frame(
         graining.shape.qubits, graining.shape.dot, graining.left, graining.kept, steps,
         block.window,
     )
+
+
+def _projected_bytes(block, steps, kind, threads):
+    frame = block_frame(block, steps)
     return sum(size for _, size in histories._estimate_bytes(frame, kind, threads))
 
 
@@ -572,6 +576,13 @@ def test_default_budget_admits_the_left_10_sweep_point():
         assert _projected_bytes(block, 3, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
 
 
+def test_default_budget_admits_five_steps_of_a_six_bit_window():
+    # 32768 paths: the dense Gram matrix alone would be 16 GiB
+    block = make_block(16, 6, 4, 6, "110111")
+    for threads in (1, 2, 8):
+        assert _projected_bytes(block, 5, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
+
+
 def test_branch_reconstruction_gate():
     ens = propagate_branches(make_block(21, 10, 1, 9, "0" * 11), 1, prune_eps=0.0)
     label = "0" * 21
@@ -580,8 +591,8 @@ def test_branch_reconstruction_gate():
 
 
 @st.composite
-def _geometries(draw):
-    qubits = draw(st.integers(5, 10))
+def _geometries(draw, max_qubits=10):
+    qubits = draw(st.integers(5, max_qubits))
     dot = draw(st.integers(1, qubits - 3))
     left = draw(st.integers(0, dot - 1))
     right = draw(st.integers(2, qubits - dot - 1))
@@ -631,6 +642,65 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
             assert abs(coarse_dfunc(full, y, z) - coarse_dfunc(coarse, y, z)) <= 1e-10
 
 
+def dense_coarse_dfunc(ens, gram, y, z):
+    """coarse_dfunc of a kind-"full" ensemble, summed over the dense gram view."""
+    finals = np.array([p[-1] for p in ens.paths], dtype=str)
+    rows, cols = np.flatnonzero(finals == y), np.flatnonzero(finals == z)
+    if not rows.size or not cols.size:
+        return 0j
+    return complex(gram[np.ix_(rows, cols)].sum())
+
+
+def dense_offdiagonal_norm(ens, gram):
+    """offdiagonal_norm over the dense gram view, zeros included."""
+    n = len(ens.paths)
+    if n < 2:
+        return 0.0, 0.0
+    mags = np.abs(gram)[~np.eye(n, dtype=bool)]
+    return float(mags.max()), math.sqrt(math.fsum((mags * mags).tolist()) / (n * (n - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=_geometries(max_qubits=12),
+    kind=st.sampled_from(["full", "coarse"]),
+    prune_eps=st.sampled_from([0.0, 1e-3, 0.01]),
+    data=st.data(),
+)
+def test_block_functionals_equal_the_dense_view_exactly(geometry, kind, prune_eps, data):
+    # the functionals read the Gram blocks; each must give the bits that the
+    # same formula gives on the dense matrix the blocks assemble into
+    qubits, dot, left, right, steps, window = geometry
+    ens = propagate_branches(
+        make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
+    )
+    assume(len(ens.paths) <= 1024)
+    gram = ens.gram
+    np.testing.assert_array_equal(ens.probabilities, gram.diagonal().real)
+    assert offdiagonal_norm(ens) == dense_offdiagonal_norm(ens, gram)
+    # every path with itself, and pairs drawn from the paths plus absent keys
+    words = ["".join(b) for b in itertools.product("01", repeat=len(window))]
+    width = steps if kind == "full" else 1
+    index = {p: i for i, p in enumerate(ens.paths)}
+    keys = list(ens.paths) + [
+        tuple(data.draw(st.sampled_from(words)) for _ in range(width)) for _ in range(4)
+    ]
+    pairs = [(p, p) for p in ens.paths] + [
+        (data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))) for _ in range(64)
+    ]
+    for ykey, zkey in pairs:
+        i, j = index.get(ykey), index.get(zkey)
+        want = 0j if i is None or j is None else complex(gram[i, j])
+        if kind == "full":
+            assert full_dfunc(ens, ykey, zkey) == want
+        else:
+            assert coarse_dfunc(ens, ykey[0], zkey[0]) == want
+    if kind == "full":
+        finals = sorted({p[-1] for p in ens.paths})[:6] + [data.draw(st.sampled_from(words))]
+        for y, z in itertools.product(finals, finals):
+            assert coarse_dfunc(ens, y, z) == dense_coarse_dfunc(ens, gram, y, z)
+
+
 def test_functional_lookup_validation(medium_full, medium_coarse):
     with pytest.raises(ParameterError, match="kind='full'"):
         full_dfunc(medium_coarse, ("000", "000"), ("000", "000"))
@@ -676,7 +746,9 @@ def test_entropy_examples():
 def test_offdiagonal_norm_returns_max_and_rms(medium_full):
     mx, rms = offdiagonal_norm(medium_full)
     assert 0.0 < rms <= mx
-    single = dataclasses.replace(medium_full, paths=medium_full.paths[:1], gram=np.ones((1, 1)))
+    single = dataclasses.replace(
+        medium_full, paths=medium_full.paths[:1], blocks=((np.zeros((1, 1), int), np.ones((1, 1))),)
+    )
     assert offdiagonal_norm(single) == (0.0, 0.0)
 
 
@@ -685,7 +757,9 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
     rng = np.random.default_rng(n)
     gram = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     gram[rng.random((n, n)) < 0.5] = 0
-    ens = dataclasses.replace(medium_full, paths=medium_full.paths[:n], gram=gram.copy())
+    ens = dataclasses.replace(
+        medium_full, paths=medium_full.paths[:n], blocks=((np.arange(n)[None, :], gram.copy()),)
+    )
     mags = np.abs(gram)[~np.eye(n, dtype=bool)]
     assert offdiagonal_norm(ens) == (mags.max(), np.sqrt(math.fsum(mags**2) / (n * (n - 1))))
     np.testing.assert_array_equal(ens.gram, gram)
@@ -792,16 +866,43 @@ def test_fft_and_dense_contractions_agree(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("qubits,dot,left,right,window", [(8, 4, 2, 3, "010"), (13, 9, 8, 3, "01")])
-def test_pruned_run_conserves_mass_and_leaves_kernel_alone(qubits, dot, left, right, window):
-    # pruning used to write through step-1 views of the cached kernel
-    before = transfer_kernel(dot).copy()
+def test_pruned_run_conserves_mass_and_leaves_kernel_alone(
+    monkeypatch, qubits, dot, left, right, window
+):
+    # pruning used to write through step-1 views of the kernel; the kernel a
+    # dense run used, and the twiddles an FFT run cached, must be unchanged
+    used = []
+
+    def recording(d):
+        used.append(transfer_kernel(d))
+        return used[-1]
+
+    monkeypatch.setattr(histories, "transfer_kernel", recording)
     block = make_block(qubits, dot, left, right, window)
     ens = propagate_branches(block, 2, prune_eps=0.01)
     assert ens.discarded_total > 0.0
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
     for disc, kept in label_masses(ens).values():
         assert abs(disc + kept - 1.0) < 1e-9
-    np.testing.assert_array_equal(transfer_kernel(dot), before)
+    dense = histories._needs_kernel(ens._frame, "full")
+    assert len(used) == int(dense)
+    shared = used if dense else list(bakermap._step_twiddles(dot))
+    fresh = [transfer_kernel(dot)] if dense else bakermap._step_twiddles.__wrapped__(dot)
+    for arr, want in zip(shared, fresh, strict=True):
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, want)
+
+
+def test_the_twiddle_cache_holds_one_dot():
+    # coarse runs contract 2**dot columns, so dots 8 and 9 both reach the FFT
+    for qubits, dot in ((12, 8), (13, 9)):
+        block = make_block(qubits, dot, 2, 3, "0" * (qubits - 5))
+        propagate_branches(block, 2, kind="coarse")
+    assert bakermap._step_twiddles.cache_info().currsize == 1
+    frame = block_frame(block, 2)
+    sizes = dict(histories._estimate_bytes(frame, "coarse", 1))
+    assert sizes["step twiddles"] == sum(v.nbytes for v in bakermap._step_twiddles(9))
+    assert "step twiddles" not in dict(histories._estimate_bytes(frame, "full", 1))
 
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
