@@ -209,11 +209,12 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     width = words * frame.kept
     key = sys.getsizeof(("",) * words) + words * sys.getsizeof("0" * frame.kept)
     held += n_paths * (16 * width + 24 + sys.getsizeof("0" * width) + key)
+    built = []
     if dense:
-        built = [("transfer kernel", two_m * two_m * itemsize)]
-    else:
+        built.append(("transfer kernel", two_m * two_m * itemsize))
+    elif frame.steps > 1:
         # apply_columns' cached pre, mid and post: 2M + 2M + M entries
-        built = [("step twiddles", 5 * (two_m // 2) * itemsize)] if frame.steps > 1 else []
+        built.append(("step twiddles", 5 * (two_m // 2) * itemsize))
     return built + [
         ("step workspace", unit * in_flight),
         ("path gram blocks", blocks),

@@ -671,9 +671,9 @@ def test_block_functionals_equal_the_dense_view_exactly(geometry, kind, prune_ep
     # the functionals read the Gram blocks; each must give the bits that the
     # same formula gives on the dense matrix the blocks assemble into
     qubits, dot, left, right, steps, window = geometry
-    ens = propagate_branches(
-        make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
-    )
+    block = make_block(qubits, dot, left, right, window)
+    assume(_projected_bytes(block, steps, kind, 1) <= 64 << 20)
+    ens = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     assume(len(ens.paths) <= 1024)
     gram = ens.gram
     np.testing.assert_array_equal(ens.probabilities, gram.diagonal().real)
