@@ -49,8 +49,11 @@ def _half_shift(size: int) -> tuple[np.ndarray, np.ndarray]:
 
     exp(2j*pi*(j+1/2)(k+1/2)/size) = tail[j] * exp(2j*pi*j*k/size) * head[k].
     """
-    a = np.arange(size)
-    return np.exp(1j * np.pi * a / size), np.exp(1j * np.pi * (a + 0.5) / size)
+    head = np.arange(size, dtype=np.complex128)
+    tail = head + 0.5
+    for vec in (head, tail):  # in place: no temporary beside the results
+        np.exp(np.divide(np.multiply(vec, 1j * np.pi, out=vec), size, out=vec), out=vec)
+    return head, tail
 
 
 def _momentum_transform(block: np.ndarray, inverse: bool) -> np.ndarray:
@@ -79,10 +82,12 @@ def _step_twiddles(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     twiddle with both normalizations folded in.
     """
     m = 1 << dot
-    pre, tail2 = _half_shift(2 * m)
-    head1, tail1 = _half_shift(m)
-    mid = (tail2.reshape(2, m) * np.conj(head1)).reshape(2 * m)
-    post = np.conj(tail1) / (m * np.sqrt(2.0))
+    pre, mid = _half_shift(2 * m)
+    head, post = _half_shift(m)
+    # in place (no broadcast, which buffers): the build peaks at these 6M entries
+    mid[:m] *= np.conjugate(head, out=head)
+    mid[m:] *= head
+    np.divide(np.conjugate(post, out=post), m * np.sqrt(2.0), out=post)
     for vec in (pre, mid, post):
         vec.flags.writeable = False
     return pre, mid, post

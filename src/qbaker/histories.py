@@ -12,8 +12,8 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   w >= W (= _FFT_MIN_WIDTH, 256) that is one length-2M inverse FFT and two
   length-M FFTs per row (bakermap.apply_columns); narrower blocks multiply
   the dense transfer_kernel(dot), which is faster there.  w is
-  2**left on kind "full" and 2**dot on kind "coarse", and only a run with
-  w < W builds the dense kernel.
+  2**left on kind "full" and 2**dot on kind "coarse" (_Frame.width), and
+  only a run with w < W builds the dense kernel.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -29,12 +29,12 @@ sharing a last window value, and the thread's next unit overwrites the
 amplitudes in its reused step workspace: no branch vector is kept, so peak
 memory is one step workspace per thread plus the path Gram blocks.  The
 unit blocks are summed in unit order over integer path codes, into one
-accumulator per (group, last window value).  On kind "full" each
-accumulator is a block of the path Gram matrix: paths that differ in their
+accumulator per (group, last window value).  Paths that differ in their
 group, omega or last window value are orthogonal, so the n x n matrix is
-never formed, and a group's 2**nomega omegas share one block matrix.  On
-kind "coarse", whose path keys repeat across groups, the accumulators are
-added into one dense matrix over at most 2**kept paths.
+never formed; each accumulator is a block of it, shared by the group's
+2**nomega omegas.  Kind "coarse" records only the final window, which holds
+no group bit, so every group has the same path keys: its 1 x 1 accumulators
+are added, in group order, into one block per last window value.
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -100,7 +100,7 @@ def _rev_bits(value: int, width: int) -> str:
 
 @dataclass(frozen=True)
 class _Frame:
-    """Geometry of one reduced-register run."""
+    """Geometry of one reduced-register run; the engine reads its kind only here."""
 
     qubits: int
     dot: int
@@ -108,6 +108,27 @@ class _Frame:
     kept: int
     steps: int
     window: str
+    kind: str
+
+    @property
+    def recorded(self) -> range:
+        # steps whose window value splits the rows and enters the path key
+        return range(1 if self.kind == "full" else self.steps, self.steps + 1)
+
+    @property
+    def width(self) -> int:
+        # columns per row at steps >= 2: 2**left in a split row, else 2**dot
+        return 1 << (self.left if self.kind == "full" else self.dot)
+
+    @property
+    def rows_in(self) -> int:
+        # a unit's rows entering the last step
+        return (1 << self.qwidth) ** (len(self.recorded) - 1)
+
+    @property
+    def shared_keys(self) -> bool:
+        # a final window reads no group bit (its positions pass dot+steps)
+        return self.kind == "coarse"
 
     @property
     def qwidth(self) -> int:
@@ -135,10 +156,6 @@ class _Frame:
             return (group >> (pos - self.left - self.kept - 1)) & 1
         return (omega >> (pos - self.omega_start - 1)) & 1
 
-    def feed_bit(self, j: int, group: int) -> int:
-        """Label bit the kernel consumes at step j (never an omega bit)."""
-        return self.label_bit(self.dot + j, group, 0)
-
     def definite_word(self, j: int, group: int, omega: int) -> str:
         """Window bits at step j that come from definite label positions."""
         lo = self.dot + 1 + j
@@ -148,18 +165,12 @@ class _Frame:
         )
 
 
-def _needs_kernel(frame: _Frame, kind: str) -> bool:
-    """Whether a run has contractions narrower than _FFT_MIN_WIDTH.
-
-    Steps >= 2 contract 2**left columns per row on kind "full" (compact rows)
-    and 2**dot on kind "coarse"; only those narrow runs build the dense
-    transfer_kernel.
-    """
-    width = 1 << (frame.left if kind == "full" else frame.dot)
-    return frame.steps > 1 and width < _FFT_MIN_WIDTH
+def _needs_kernel(frame: _Frame) -> bool:
+    """Whether a run has contractions narrower than _FFT_MIN_WIDTH, so builds transfer_kernel."""
+    return frame.steps > 1 and frame.width < _FFT_MIN_WIDTH
 
 
-def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, int]]:
+def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
     Every thread in flight holds a _Workspace, two buffers the size of a
@@ -167,45 +178,41 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     transient: step 1's kernel columns, or a contraction's temporary for
     one run of rows (the FFT's copy of its in-place operand, or the
     np.tensordot result plus the copy it makes of its kernel column block).
-    The dense kernel or the FFT's cached twiddles, the path Gram blocks and
-    the arrays and path keys of the reduction come once.
+    The dense kernel or the build of the FFT's cached twiddles, the path Gram
+    blocks and the arrays and path keys of the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
     h = 1 << frame.qwidth
     a = min(_CHUNK, 1 << frame.left)
     # rows entering the last step, and live rows after it
-    rows = h ** (frame.steps - 1) if kind == "full" else 1
+    rows = frame.rows_in
     rows_final = h * rows
     out = rows * a * (1 << (frame.steps - 1)) * two_m * itemsize
-    # a run is out // h on kind "full", the one row of kind "coarse"
-    run = out // h if kind == "full" else out
-    dense = _needs_kernel(frame, kind)
+    # one run of rows sharing a last window value: h runs, or a single row
+    run = out // min(rows, h)
+    dense = _needs_kernel(frame)
     if dense:
-        run += (1 << (frame.left if kind == "full" else frame.dot)) * two_m * itemsize
+        run += frame.width * two_m * itemsize
     unit = 2 * out + max(a * two_m * itemsize, run)
     groups = 1 << frame.freeq
     n_units = groups * -(-(1 << frame.left) // _CHUNK)
     in_flight = min(threads, n_units)
-    # path keys, an upper bound on the paths (coarse-kind keys can repeat)
-    n_paths = groups * (1 << frame.nomega) * rows_final
+    # path keys: one table per group, or one that every group shares
+    n_paths = (1 if frame.shared_keys else groups) * (1 << frame.nomega) * rows_final
     # every unit's path codes, discarded masses and Gram blocks (h runs of
     # `rows` paths) until the reduction, the norms and S of the units in
     # flight, and a scatter's gather copy and sum with one group's index
     # arrays
     held = n_units * (rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES)
     held += in_flight * (2 * rows_final + 1) * a * 8 + 2 * rows**2 * itemsize + 4 * rows_final * 8
-    # kind "full" keeps h blocks of `rows` paths per group; kind "coarse" one
-    # dense matrix over its distinct paths.  Beside them: each path's
-    # position in its block and the functionals' two lookup arrays
-    if kind == "full":
-        blocks = groups * h * (rows**2 * itemsize + 2 * _BLOCK_OBJECT_BYTES)
-    else:
-        blocks = min(n_paths, 1 << frame.kept) ** 2 * itemsize
-    blocks += n_paths * 3 * 8
+    # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
+    # which add up across groups), each path's position in its block and the
+    # functionals' two lookup arrays
+    blocks = groups * h * (rows**2 * itemsize + 2 * _BLOCK_OBJECT_BYTES) + n_paths * 3 * 8
     # per key: the string and index arrays of its sort, its joined string,
     # and its tuple of word strings
-    words = frame.steps if kind == "full" else 1
+    words = len(frame.recorded)
     width = words * frame.kept
     key = sys.getsizeof(("",) * words) + words * sys.getsizeof("0" * frame.kept)
     held += n_paths * (16 * width + 24 + sys.getsizeof("0" * width) + key)
@@ -213,8 +220,8 @@ def _estimate_bytes(frame: _Frame, kind: str, threads: int) -> list[tuple[str, i
     if dense:
         built.append(("transfer kernel", two_m * two_m * itemsize))
     elif frame.steps > 1:
-        # apply_columns' cached pre, mid and post: 2M + 2M + M entries
-        built.append(("step twiddles", 5 * (two_m // 2) * itemsize))
+        # building apply_columns' cached pre, mid, post holds 6M entries in a few arrays
+        built.append(("step twiddles", 3 * two_m * itemsize + 6 * _BLOCK_OBJECT_BYTES))
     return built + [
         ("step workspace", unit * in_flight),
         ("path gram blocks", blocks),
@@ -238,6 +245,12 @@ class _Workspace:
         return self._bufs[i][:n].reshape(shape)
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    # sorted distinct codes; np.unique would import numpy.ma, which no budget counts
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
 def _runs(h_last: np.ndarray):
     """(value, lo, hi) for each run of equal values in the sorted h_last."""
     values, starts = np.unique(h_last, return_index=True)
@@ -248,24 +261,22 @@ def _runs(h_last: np.ndarray):
 def _grow_unit(
     kernel: np.ndarray | None,
     frame: _Frame,
-    kind: str,
     prune_eps: float,
-    group: int,
-    a_lo: int,
-    a_hi: int,
-    ws: _Workspace | None = None,
+    unit: tuple[int, int, int],
+    ws: _Workspace,
 ):
-    """Propagate one (group, a-chunk) block of initial labels for `steps` steps.
+    """Propagate one (group, a_lo, a_hi) unit of initial labels for `steps` steps.
 
     Amplitudes are held as (row, a, fresh, momentum) in the two buffers of
-    ws (a new _Workspace if None), each step writing the buffer its input
-    does not use; the returned amplitudes last until ws runs another unit.
+    ws, each step writing the buffer its input does not use; the returned
+    amplitudes last until ws runs another unit.
     Returns per-label discarded mass (norm units), the sum over labels of
     2S + S**2 (S the sum of a label's pruned norms' roots), each row's path
     code (its window values as base-2**qwidth digits, the first step's most
     significant, so the last digit is the last window value) and the final
     amplitudes.
     """
+    group, a_lo, a_hi = unit
     m = 1 << frame.dot
     h_count = 1 << frame.qwidth
     low = 1 << frame.left
@@ -274,18 +285,17 @@ def _grow_unit(
     disc = np.zeros(a_width)
     root = np.zeros(a_width)
     codes = np.zeros(1, dtype=np.int64)
-    ws = ws or _Workspace()
 
     for j in range(1, frame.steps + 1):
-        feed = frame.feed_bit(j, group)
+        feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
         if j == 1:
             start = feed * m + base0
             amp = ws.take((1, a_width, 1, 2 * m))
             amp[0, :, 0] = kernel_columns(frame.dot, start, start + a_width).T
         else:
             # rows share the momentum block of their last window value (the
-            # code's last digit); on the coarse path one row holds the whole
-            # momentum register
+            # code's last digit); a row not yet split by a recorded window
+            # holds the whole momentum register
             runs = _runs(codes % h_count)
             rows_n, _, f_width, _ = amp.shape
             out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
@@ -295,7 +305,7 @@ def _grow_unit(
         # bit joins the fresh register as its newest (lowest) digit
         rows_n, _, f_width, _ = amp.shape
         f_width *= 2
-        if kind != "full" and j < frame.steps:
+        if j not in frame.recorded:
             amp = amp.reshape(rows_n, a_width, f_width, m)
             continue
         # momentum composite = child * 2**left + low digits; split children
@@ -350,12 +360,9 @@ def _contract_rows(
 def _run_unit(
     kernel: np.ndarray | None,
     frame: _Frame,
-    kind: str,
     prune_eps: float,
-    group: int,
-    a_lo: int,
-    a_hi: int,
-    ws: _Workspace | None = None,
+    unit: tuple[int, int, int],
+    ws: _Workspace,
 ):
     """Grow one unit, then reduce its amplitudes to Gram blocks.
 
@@ -365,8 +372,7 @@ def _run_unit(
     All in norm units: ensemble weights are applied by the caller.  The
     amplitudes stay in ws until its next unit overwrites them.
     """
-    ws = ws or _Workspace()
-    disc, cross, codes, amp = _grow_unit(kernel, frame, kind, prune_eps, group, a_lo, a_hi, ws)
+    disc, cross, codes, amp = _grow_unit(kernel, frame, prune_eps, unit, ws)
     blocks = []
     for _, lo, hi in _runs(codes % (1 << frame.qwidth)):
         sub = amp[lo:hi]
@@ -400,9 +406,9 @@ class BranchEnsemble:
     (ket side) and paths[j] (bra side), is kept as its nonzero blocks: each
     of `blocks` is (positions, matrix), and for every row p of the 2-D
     positions array G[p[a], p[b]] = matrix[a, b].  Entries between paths in
-    different rows or blocks are zero.  On kind "full" a block holds one
-    (group, last window value) and its rows are the group's omegas, which
-    share the matrix; kind "coarse" has one dense block over every path.
+    different rows or blocks are zero.  A block's rows are omegas sharing the
+    matrix of one (group, last window value) on kind "full", and of one last
+    window value, summed over the groups and so 1 x 1, on kind "coarse".
     `cross_bound` sums weight * (2S + S**2) over labels, S the sum of a
     label's pruned branch norms (see history_distribution).
     """
@@ -423,8 +429,7 @@ class BranchEnsemble:
         n = len(self.paths)
         out = np.zeros((n, n), dtype=np.complex128)
         for positions, matrix in self.blocks:
-            for row in positions:
-                out[np.ix_(row, row)] = matrix
+            out[positions[:, :, None], positions[:, None, :]] = matrix
         return out
 
     @property
@@ -454,19 +459,8 @@ class BranchEnsemble:
         # final window word of every path
         return np.array([p[-1] for p in self.paths], dtype=str)
 
-    def _entry(self, ykey: FullPath, zkey: FullPath) -> complex:
-        """gram entry between two path keys; 0 where either path is absent."""
-        yi = bisect.bisect_left(self.paths, ykey)
-        zi = bisect.bisect_left(self.paths, zkey)
-        if self.paths[yi : yi + 1] != (ykey,) or self.paths[zi : zi + 1] != (zkey,):
-            return 0j
-        slot, local, matrices = self._lookup
-        if slot[yi] != slot[zi]:
-            return 0j
-        return complex(matrices[slot[yi]][local[yi], local[zi]])
-
     def _check_path(self, path: Sequence[str]) -> FullPath:
-        want = self.steps if self.kind == "full" else 1
+        want = len(self._frame.recorded)
         key = tuple(path)
         if len(key) != want:
             raise ParameterError(
@@ -477,17 +471,17 @@ class BranchEnsemble:
         return key
 
 
-def _path_keys(frame: _Frame, kind: str, group_codes: list[np.ndarray]):
+def _path_keys(frame: _Frame, tables: list[np.ndarray]):
     """Sorted path keys, and the position of each (group, omega, code) key.
 
     A key's word at a recorded step is that step's window value (a digit of
     the path code) in reversed significance, then the step's definite word.
-    Coarse-kind keys can repeat across (group, omega) and share a position.
+    The keys of the code tables are unique; a shared table is read as group 0.
     """
     h_count = 1 << frame.qwidth
-    step_js = list(range(1, frame.steps + 1)) if kind == "full" else [frame.steps]
+    step_js = frame.recorded
     keys = []
-    for group, codes in enumerate(group_codes):
+    for group, codes in enumerate(tables):
         digits = [codes // h_count**i % h_count for i in reversed(range(len(step_js)))]
         for omega in range(1 << frame.nomega):
             key = np.zeros(len(codes), dtype="U1")
@@ -532,8 +526,8 @@ def propagate_branches(
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     shape = graining.shape
-    frame = _Frame(shape.qubits, shape.dot, graining.left, graining.kept, steps, block.window)
-    items = _estimate_bytes(frame, kind, threads)
+    frame = _Frame(shape.qubits, shape.dot, graining.left, graining.kept, steps, block.window, kind)
+    items = _estimate_bytes(frame, threads)
     total = sum(size for _, size in items)
     if total > budget_bytes:
         what, size = max(items, key=lambda item: item[1])
@@ -542,7 +536,7 @@ def propagate_branches(
             f"(largest item: {what}, {size} bytes)"
         )
 
-    kernel = transfer_kernel(shape.dot) if _needs_kernel(frame, kind) else None
+    kernel = transfer_kernel(shape.dot) if _needs_kernel(frame) else None
     low_total = 1 << frame.left
     units = [
         (group, a_lo, min(a_lo + _CHUNK, low_total))
@@ -554,7 +548,7 @@ def propagate_branches(
 
     def run(unit: tuple[int, int, int]):
         local.ws = getattr(local, "ws", None) or _Workspace()
-        return _run_unit(kernel, frame, kind, prune_eps, *unit, ws=local.ws)
+        return _run_unit(kernel, frame, prune_eps, unit, local.ws)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run, units))
@@ -569,22 +563,20 @@ def propagate_branches(
         cross += unit_cross
         group_units[group].append((codes, blocks))
     # each group's path codes, sorted and deduplicated: the rows of its
-    # accumulator (np.unique would import numpy.ma, which no budget counts)
-    group_codes = []
-    for us in group_units:
-        codes = np.sort(np.concatenate([c for c, _ in us]))
-        group_codes.append(codes[np.diff(codes, prepend=-1) != 0])
-    paths, where = _path_keys(frame, kind, group_codes)
+    # accumulator, and the codes of its key table
+    group_codes = [_distinct(np.concatenate([c for c, _ in us])) for us in group_units]
+    tables = [_distinct(np.concatenate(group_codes))] if frame.shared_keys else group_codes
+    paths, where = _path_keys(frame, tables)
+    # each table's path positions, one row per omega
+    copies = 1 << frame.nomega
+    positions = np.split(where, np.cumsum([copies * len(codes) for codes in tables])[:-1])
 
     # each element sums its units in unit order from 0, and the weight is a
-    # power of two, so scaling is exact; coarse-kind keys that repeat across
-    # groups accumulate in group order
+    # power of two, so scaling is exact; groups that share keys add theirs,
+    # in group order from 0, into one matrix per last window value
     h_count = 1 << frame.qwidth
-    copies = 1 << frame.nomega
-    dense = np.zeros((len(paths),) * 2, dtype=np.complex128) if kind == "coarse" else None
-    blocks = []
-    at = 0
-    for codes_g, us in zip(group_codes, group_units):
+    matrices = {}
+    for group, (codes_g, us) in enumerate(zip(group_codes, group_units)):
         # the group's rows with each last window value, and each row's index
         # in its value's accumulator
         members = [np.flatnonzero(codes_g % h_count == v) for v in range(h_count)]
@@ -597,20 +589,16 @@ def propagate_branches(
             for lo, g in unit_blocks:
                 sel = sel_all[lo : lo + len(g)]
                 accs[int(codes[lo]) % h_count][np.ix_(sel, sel)] += g
-        # the group's paths of each omega sit at where[at + row]
-        positions = where[at : at + copies * len(codes_g)].reshape(copies, len(codes_g))
-        at += copies * len(codes_g)
-        for rows, acc in zip(members, accs):
-            if not len(rows):
-                continue
-            acc *= weight
-            if dense is None:
-                blocks.append((positions[:, rows], acc))
-            else:
-                for sel in positions[:, rows]:
-                    dense[np.ix_(sel, sel)] += acc
-    if dense is not None:
-        blocks = [(np.arange(len(paths))[None, :], dense)]
+        table = 0 if frame.shared_keys else group
+        for value, acc in enumerate(accs):
+            if acc.size:
+                acc *= weight
+                key = (table, value)
+                matrices[key] = matrices.get(key, 0) + acc if frame.shared_keys else acc
+    blocks = [
+        (positions[table].reshape(copies, -1)[:, tables[table] % h_count == value], matrix)
+        for (table, value), matrix in matrices.items()
+    ]
 
     return BranchEnsemble(
         block=block,
@@ -626,27 +614,32 @@ def propagate_branches(
 
 
 def full_dfunc(ensemble: BranchEnsemble, ys: Sequence[str], zs: Sequence[str]) -> complex:
-    """Decoherence functional entry between two per-step window histories."""
+    """Decoherence functional entry between two per-step window histories.
+
+    A gram entry: 0 where either path is absent or the two share no block.
+    """
     if ensemble.kind != "full":
         raise ParameterError("full_dfunc needs a kind='full' ensemble")
-    return ensemble._entry(ensemble._check_path(ys), ensemble._check_path(zs))
+    ykey, zkey = ensemble._check_path(ys), ensemble._check_path(zs)
+    paths = ensemble.paths
+    yi, zi = bisect.bisect_left(paths, ykey), bisect.bisect_left(paths, zkey)
+    slot, local, matrices = ensemble._lookup
+    if paths[yi : yi + 1] != (ykey,) or paths[zi : zi + 1] != (zkey,) or slot[yi] != slot[zi]:
+        return 0j
+    return complex(matrices[slot[yi]][local[yi], local[zi]])
 
 
 def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     """Functional entry between two final-step-only window histories.
 
-    On a kind='coarse' ensemble this is a direct lookup.  On a kind='full'
-    ensemble it sums the Gram submatrix over all intermediate window values,
-    each side independently.
+    Sums the Gram submatrix over the paths ending in y and in z, each side
+    independently: on a kind='full' ensemble over all intermediate window
+    values, on a kind='coarse' one the single entry of one path each.
     """
-    if ensemble.kind == "coarse":
-        return ensemble._entry(ensemble._check_path([y]), ensemble._check_path([z]))
     for word in (y, z):
         check_word(word, ensemble._frame.kept, "window value")
     rows = np.flatnonzero(ensemble._finals == y)
     cols = np.flatnonzero(ensemble._finals == z)
-    if not rows.size or not cols.size:
-        return 0j
     # gram[np.ix_(rows, cols)], zeros included, so the sum adds what the
     # dense submatrix would
     slot, local, matrices = ensemble._lookup

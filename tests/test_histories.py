@@ -73,7 +73,7 @@ def decode_label(ens, label):
 
 def _unit_kernel(ens):
     frame = ens._frame
-    return transfer_kernel(frame.dot) if histories._needs_kernel(frame, ens.kind) else None
+    return transfer_kernel(frame.dot) if histories._needs_kernel(frame) else None
 
 
 def label_masses(ens):
@@ -91,7 +91,7 @@ def label_masses(ens):
         for a_lo in range(0, low_total, histories._CHUNK):
             a_hi = min(a_lo + histories._CHUNK, low_total)
             d, _, _, amp = histories._grow_unit(
-                _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
+                _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
             )
             flat = amp.view(np.float64)
             disc[group, a_lo:a_hi] = d
@@ -131,7 +131,7 @@ def branch_vector(ens, label, path):
     a_lo = low - low % histories._CHUNK
     a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
     _, _, codes, amp = histories._grow_unit(
-        _unit_kernel(ens), frame, ens.kind, ens.prune_eps, group, a_lo, a_hi
+        _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
     )
     rows = np.flatnonzero(codes == code)
     if not rows.size:
@@ -248,6 +248,12 @@ def test_single_step_decoheres_exactly():
 
 def test_coarse_kind_decoheres_exactly(medium_coarse):
     assert offdiagonal_norm(medium_coarse) == (0.0, 0.0)
+    # one-time histories: every block is one path, and the groups' blocks of
+    # a path are summed into one, so no position appears twice
+    assert medium_coarse._frame.freeq > 0
+    assert all(matrix.shape == (1, 1) for _, matrix in medium_coarse.blocks)
+    positions = np.concatenate([p.ravel() for p, _ in medium_coarse.blocks]).tolist()
+    assert sorted(positions) == list(range(len(medium_coarse.paths)))
 
 
 def test_coarse_equals_summed_full(medium_full):
@@ -325,12 +331,15 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     frame = ens._frame
     chunk = histories._CHUNK
     assert frame.freeq > 0 and (1 << frame.left) > chunk
-    assert not histories._needs_kernel(frame, kind)
-    # branch_vector regrows a whole unit per call; grow each unit once
-    monkeypatch.setattr(histories, "_grow_unit", functools.lru_cache(histories._grow_unit))
-    grow = functools.partial(histories._grow_unit, None, frame, kind, ens.prune_eps)
+    assert not histories._needs_kernel(frame)
+    # branch_vector regrows a whole unit per call; grow each unit once, in a
+    # workspace of its own
+    grow_unit = histories._grow_unit
+    cached = functools.lru_cache(lambda *args: grow_unit(*args, histories._Workspace()))
+    monkeypatch.setattr(histories, "_grow_unit", lambda *args: cached(*args[:-1]))
+    grow = functools.partial(cached, None, frame, ens.prune_eps)
     path_lists = [
-        {tuple(grow(group, a_lo, a_lo + chunk)[2]) for a_lo in range(0, 1 << frame.left, chunk)}
+        {tuple(grow((group, a_lo, a_lo + chunk))[2]) for a_lo in range(0, 1 << frame.left, chunk)}
         for group in range(1 << frame.freeq)
     ]
     assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
@@ -358,7 +367,7 @@ def pair_dict_gram(ens):
         for a_lo in range(0, low, histories._CHUNK):
             a_hi = min(a_lo + histories._CHUNK, low)
             _, _, codes, blocks = histories._run_unit(
-                _unit_kernel(ens), frame, kind, ens.prune_eps, group, a_lo, a_hi
+                _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
             )
             for lo, g in blocks:
                 for i, j in itertools.product(range(len(g)), repeat=2):
@@ -433,11 +442,11 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
         for a_lo in range(0, low, histories._CHUNK)
     ]
     assert len(units) > 1
-    run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, kind, prune_eps)
+    run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, prune_eps)
     ws = histories._Workspace()
     for unit in reversed(units):
-        disc, cross, codes, blocks = run(*unit, ws=ws)
-        want_disc, want_cross, want_codes, want_blocks = run(*unit)
+        disc, cross, codes, blocks = run(unit, ws)
+        want_disc, want_cross, want_codes, want_blocks = run(unit, histories._Workspace())
         np.testing.assert_array_equal(disc, want_disc)
         assert cross == want_cross
         np.testing.assert_array_equal(codes, want_codes)
@@ -511,17 +520,17 @@ def test_budget_gate():
         propagate_branches(big, 8)
 
 
-def block_frame(block, steps):
+def block_frame(block, steps, kind):
     graining = block.graining
     return histories._Frame(
         graining.shape.qubits, graining.shape.dot, graining.left, graining.kept, steps,
-        block.window,
+        block.window, kind,
     )
 
 
 def _projected_bytes(block, steps, kind, threads):
-    frame = block_frame(block, steps)
-    return sum(size for _, size in histories._estimate_bytes(frame, kind, threads))
+    frame = block_frame(block, steps, kind)
+    return sum(size for _, size in histories._estimate_bytes(frame, threads))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -537,6 +546,8 @@ def _projected_bytes(block, steps, kind, threads):
         # widths at or above it: the FFT
         (13, 9, 8, 3, 2, "01"),
         (15, 9, 8, 4, 3, "011"),
+        # a wide window: 2**7 final window values
+        (16, 8, 1, 3, 2, "011010011010"),
     ],
 )
 def test_budget_bounds_the_traced_peak(
@@ -567,6 +578,14 @@ def test_budget_holds_for_the_first_propagation_of_a_process():
         env=env,
     )
     assert proc.returncode == 0, proc.stdout[-2000:]
+
+
+def test_coarse_kind_needs_no_dense_gram():
+    # 4096 paths: a dense n x n Gram matrix alone would take 256 MiB
+    block = make_block(22, 11, 1, 3, "01" * 9)
+    ens = propagate_branches(block, 2, kind="coarse", budget_bytes=16 << 20)
+    assert len(ens.paths) == 4096
+    assert abs(history_distribution(ens).total() - 1.0) < 1e-10
 
 
 def test_default_budget_admits_the_left_10_sweep_point():
@@ -633,7 +652,7 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
             assert set(e.paths) <= set(keys)
             for ya, yb in itertools.product(keys, keys):
                 ia, ib = index.get(ya), index.get(yb)
-                got = 0j if ia is None or ib is None else e.gram[ia, ib]
+                got = 0j if ia is None or ib is None else g[ia, ib]
                 assert abs(got - gmat[(ya, yb)]) <= 1e-10
     if prune_eps == 0:
         full, coarse = ens["full"], ens["coarse"]
@@ -884,7 +903,7 @@ def test_pruned_run_conserves_mass_and_leaves_kernel_alone(
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
     for disc, kept in label_masses(ens).values():
         assert abs(disc + kept - 1.0) < 1e-9
-    dense = histories._needs_kernel(ens._frame, "full")
+    dense = histories._needs_kernel(ens._frame)
     assert len(used) == int(dense)
     shared = used if dense else list(bakermap._step_twiddles(dot))
     fresh = [transfer_kernel(dot)] if dense else bakermap._step_twiddles.__wrapped__(dot)
@@ -899,10 +918,17 @@ def test_the_twiddle_cache_holds_one_dot():
         block = make_block(qubits, dot, 2, 3, "0" * (qubits - 5))
         propagate_branches(block, 2, kind="coarse")
     assert bakermap._step_twiddles.cache_info().currsize == 1
-    frame = block_frame(block, 2)
-    sizes = dict(histories._estimate_bytes(frame, "coarse", 1))
-    assert sizes["step twiddles"] == sum(v.nbytes for v in bakermap._step_twiddles(9))
-    assert "step twiddles" not in dict(histories._estimate_bytes(frame, "full", 1))
+    sizes = dict(histories._estimate_bytes(block_frame(block, 2, "coarse"), 1))
+    # the item bounds the build, which holds more than the cache keeps
+    tracemalloc.start()
+    try:
+        bakermap._step_twiddles.__wrapped__(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(v.nbytes for v in bakermap._step_twiddles(9)) < peak <= sizes["step twiddles"]
+    full = block_frame(block, 2, "full")
+    assert "step twiddles" not in dict(histories._estimate_bytes(full, 1))
 
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
