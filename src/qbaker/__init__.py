@@ -22,7 +22,6 @@ from .core import (
     SystemShape,
     binary_fraction,
     bits_to_index,
-    index_to_bits,
 )
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .histories import (
@@ -62,7 +61,6 @@ __all__ = [
     "history_distribution",
     "ideal_coarse_value",
     "ideal_full_value",
-    "index_to_bits",
     "offdiagonal_norm",
     "project",
     "propagate_branches",

@@ -70,15 +70,6 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2) if bits else 0
 
 
-def index_to_bits(index: int, length: int) -> str:
-    """MSB-first bit string of `index`, zero-padded to `length` bits."""
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
-    if not 0 <= index < (1 << length):
-        raise ParameterError(f"index {index} out of range for {length} bits")
-    return format(index, f"0{length}b") if length else ""
-
-
 def binary_fraction(bits: str, append_one: bool = False) -> float:
     """Value of the binary fraction 0.b1 b2 ... bm, optionally with a trailing 1 bit.
 

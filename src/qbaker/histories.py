@@ -27,14 +27,15 @@ Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
 final amplitudes where it runs, to one Gram block array per run of rows
 sharing a last window value, and the thread's next unit overwrites the
 amplitudes in its reused step workspace: no branch vector is kept, so peak
-memory is one step workspace per thread plus the path Gram blocks.  The
-unit blocks are summed in unit order over integer path codes, into one
-accumulator per (group, last window value).  Paths that differ in their
-group, omega or last window value are orthogonal, so the n x n matrix is
-never formed; each accumulator is a block of it, shared by the group's
-2**nomega omegas.  Kind "coarse" records only the final window, which holds
-no group bit, so every group has the same path keys: its 1 x 1 accumulators
-are added, in group order, into one block per last window value.
+memory is one step workspace per thread plus the path Gram blocks.  A
+path code's digits are its window values, the newest most significant, so
+a unit's rows are in code order.  A row's key is a key table (its group, or
+0 for every group on kind "coarse", whose final window reads no group bit)
+above its code, and the sorted keys list each (table, last window value)
+as one run.  Paths that differ in their group, omega or last window value
+are orthogonal, so the n x n matrix is never formed; each run is a block
+of it, shared by 2**nomega omegas, summed in unit order and then, for a
+shared table, in group order.
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -121,9 +122,10 @@ class _Frame:
         return 1 << (self.left if self.kind == "full" else self.dot)
 
     @property
-    def rows_in(self) -> int:
-        # a unit's rows entering the last step
-        return (1 << self.qwidth) ** (len(self.recorded) - 1)
+    def last_place(self) -> int:
+        # place value of a path code's leading digit, the last window value;
+        # also the count of earlier-step codes, a unit's rows entering the last step
+        return 1 << self.qwidth * (len(self.recorded) - 1)
 
     @property
     def shared_keys(self) -> bool:
@@ -186,7 +188,7 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     h = 1 << frame.qwidth
     a = min(_CHUNK, 1 << frame.left)
     # rows entering the last step, and live rows after it
-    rows = frame.rows_in
+    rows = frame.last_place
     rows_final = h * rows
     out = rows * a * (1 << (frame.steps - 1)) * two_m * itemsize
     # one run of rows sharing a last window value: h runs, or a single row
@@ -200,12 +202,13 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     in_flight = min(threads, n_units)
     # path keys: one table per group, or one that every group shares
     n_paths = (1 if frame.shared_keys else groups) * (1 << frame.nomega) * rows_final
-    # every unit's path codes, discarded masses and Gram blocks (h runs of
-    # `rows` paths) until the reduction, the norms and S of the units in
-    # flight, and a scatter's gather copy and sum with one group's index
-    # arrays
-    held = n_units * (rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES)
-    held += in_flight * (2 * rows_final + 1) * a * 8 + 2 * rows**2 * itemsize + 4 * rows_final * 8
+    # every unit's path codes and keys, discarded masses and Gram blocks (h
+    # runs of `rows` paths) until the reduction, the norms and S of the units
+    # in flight, the concatenated keys with _distinct's sorted copy and
+    # np.diff's two arrays, and one block's sel with its gather copy and sum
+    held = n_units * (rows_final * (rows * itemsize + 16) + a * 8 + h * _BLOCK_OBJECT_BYTES)
+    held += in_flight * (2 * rows_final + 1) * a * 8 + 4 * n_units * rows_final * 8
+    held += rows * 8 + 2 * rows**2 * itemsize
     # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
     # which add up across groups), each path's position in its block and the
     # functionals' two lookup arrays
@@ -272,9 +275,9 @@ def _grow_unit(
     amplitudes last until ws runs another unit.
     Returns per-label discarded mass (norm units), the sum over labels of
     2S + S**2 (S the sum of a label's pruned norms' roots), each row's path
-    code (its window values as base-2**qwidth digits, the first step's most
-    significant, so the last digit is the last window value) and the final
-    amplitudes.
+    code (its window values as base-2**qwidth digits, the newest most
+    significant, so the codes strictly increase down the rows and the
+    leading digit is the last window value) and the final amplitudes.
     """
     group, a_lo, a_hi = unit
     m = 1 << frame.dot
@@ -285,6 +288,7 @@ def _grow_unit(
     disc = np.zeros(a_width)
     root = np.zeros(a_width)
     codes = np.zeros(1, dtype=np.int64)
+    place = 1  # place value of the next recorded window value
 
     for j in range(1, frame.steps + 1):
         feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
@@ -293,10 +297,10 @@ def _grow_unit(
             amp = ws.take((1, a_width, 1, 2 * m))
             amp[0, :, 0] = kernel_columns(frame.dot, start, start + a_width).T
         else:
-            # rows share the momentum block of their last window value (the
-            # code's last digit); a row not yet split by a recorded window
-            # holds the whole momentum register
-            runs = _runs(codes % h_count)
+            # rows share the momentum block of their newest window value (the
+            # code's leading digit); a row not yet split by a recorded window
+            # has code 0 and holds the whole momentum register
+            runs = _runs(codes * h_count // place)
             rows_n, _, f_width, _ = amp.shape
             out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
             amp = _contract_rows(amp, kernel, frame.dot, feed, runs, out)
@@ -325,7 +329,8 @@ def _grow_unit(
                 del dead
                 amp[kill] = 0
         amp = amp.reshape(h_count * rows_n, a_width, f_width, low)
-        codes = (codes * h_count + np.arange(h_count)[:, None]).reshape(-1)
+        codes = (np.arange(h_count)[:, None] * place + codes).reshape(-1)
+        place *= h_count
         if prune_eps > 0:
             keep = (norms >= prune_eps).any(axis=2).reshape(-1)
             if not keep.all():
@@ -367,14 +372,15 @@ def _run_unit(
     """Grow one unit, then reduce its amplitudes to Gram blocks.
 
     Returns _grow_unit's masses and path codes, and one (lo, block) per run
-    of equal last window value, where block[i, j] is the overlap of the
-    paths in rows lo + i and lo + j; paths in different runs are orthogonal.
+    of equal last window value (the codes' leading digit), where block[i, j]
+    is the overlap of the paths in rows lo + i and lo + j; paths in different
+    runs are orthogonal.
     All in norm units: ensemble weights are applied by the caller.  The
     amplitudes stay in ws until its next unit overwrites them.
     """
     disc, cross, codes, amp = _grow_unit(kernel, frame, prune_eps, unit, ws)
     blocks = []
-    for _, lo, hi in _runs(codes % (1 << frame.qwidth)):
+    for _, lo, hi in _runs(codes // frame.last_place):
         sub = amp[lo:hi]
         conj = np.conjugate(sub, out=ws.take(sub.shape, busy=amp))
         # sums over every axis but the row; large products go through one
@@ -409,6 +415,8 @@ class BranchEnsemble:
     different rows or blocks are zero.  A block's rows are omegas sharing the
     matrix of one (group, last window value) on kind "full", and of one last
     window value, summed over the groups and so 1 x 1, on kind "coarse".
+    Blocks are in (group, last window value) order, and a block's paths in
+    path-code order, the newest window value most significant.
     `cross_bound` sums weight * (2S + S**2) over labels, S the sum of a
     label's pruned branch norms (see history_distribution).
     """
@@ -471,25 +479,25 @@ class BranchEnsemble:
         return key
 
 
-def _path_keys(frame: _Frame, tables: list[np.ndarray]):
-    """Sorted path keys, and the position of each (group, omega, code) key.
+def _path_keys(frame: _Frame, tables: np.ndarray, codes: np.ndarray):
+    """Sorted path keys, and the position of each (omega, table, code) key.
 
     A key's word at a recorded step is that step's window value (a digit of
-    the path code) in reversed significance, then the step's definite word.
-    The keys of the code tables are unique; a shared table is read as group 0.
+    the path code, the first step's least significant) in reversed
+    significance, then the step's definite word, read with the table as the
+    group.  The (table, code) pairs are unique; their keys are listed once
+    per omega, omega-major.
     """
     h_count = 1 << frame.qwidth
-    step_js = frame.recorded
+    heads = [_rev_bits(h, frame.qwidth) for h in range(h_count)]
+    groups = range(int(tables.max(initial=0)) + 1)
     keys = []
-    for group, codes in enumerate(tables):
-        digits = [codes // h_count**i % h_count for i in reversed(range(len(step_js)))]
-        for omega in range(1 << frame.nomega):
-            key = np.zeros(len(codes), dtype="U1")
-            for j, digit in zip(step_js, digits):
-                tail = frame.definite_word(j, group, omega)
-                words = np.array([_rev_bits(h, frame.qwidth) + tail for h in range(h_count)])
-                key = key + words[digit]
-            keys.append(key)
+    for omega in range(1 << frame.nomega):
+        key = np.zeros(len(codes), dtype="U1")
+        for i, j in enumerate(frame.recorded):
+            words = [[h + frame.definite_word(j, g, omega) for h in heads] for g in groups]
+            key = key + np.array(words)[tables, codes // h_count**i % h_count]
+        keys.append(key)
     # the words have equal widths, so joined keys sort as the key tuples do
     joined, where = np.unique(np.concatenate(keys), return_inverse=True)
     k = frame.kept
@@ -554,51 +562,40 @@ def propagate_branches(
         results = list(pool.map(run, units))
 
     weight = 2.0 ** -(frame.left + steps)
-    groups = 1 << frame.freeq
-    group_disc = np.zeros((groups, low_total))
-    group_units: list[list] = [[] for _ in range(groups)]
+    span = frame.last_place << frame.qwidth  # path codes per key table
+    group_disc = np.zeros((1 << frame.freeq, low_total))
     cross = 0.0
-    for (group, a_lo, a_hi), (disc, unit_cross, codes, blocks) in zip(units, results):
+    unit_keys = []
+    for (group, a_lo, a_hi), (disc, unit_cross, codes, _) in zip(units, results):
         group_disc[group, a_lo:a_hi] = disc
         cross += unit_cross
-        group_units[group].append((codes, blocks))
-    # each group's path codes, sorted and deduplicated: the rows of its
-    # accumulator, and the codes of its key table
-    group_codes = [_distinct(np.concatenate([c for c, _ in us])) for us in group_units]
-    tables = [_distinct(np.concatenate(group_codes))] if frame.shared_keys else group_codes
-    paths, where = _path_keys(frame, tables)
-    # each table's path positions, one row per omega
-    copies = 1 << frame.nomega
-    positions = np.split(where, np.cumsum([copies * len(codes) for codes in tables])[:-1])
+        # a row's key: its key table (its group, or 0 when the groups share
+        # one) above its path code
+        unit_keys.append((0 if frame.shared_keys else group) * span + codes)
+    # sorted, the keys of one block, whose head (key // last_place) is its
+    # table and last window value, form one run
+    keys = _distinct(np.concatenate(unit_keys))
+    runs = {head: (lo, hi) for head, lo, hi in _runs(keys // frame.last_place)}
+    paths, where = _path_keys(frame, keys // span, keys % span)
+    where = where.reshape(1 << frame.nomega, -1)
 
     # each element sums its units in unit order from 0, and the weight is a
-    # power of two, so scaling is exact; groups that share keys add theirs,
-    # in group order from 0, into one matrix per last window value
-    h_count = 1 << frame.qwidth
+    # power of two, so scaling is exact; groups that share a table add
+    # theirs, in group order, into one matrix per block
+    accs = {}
+    for (group, _, _), ukeys, (*_, unit_blocks) in zip(units, unit_keys, results):
+        for lo, g in unit_blocks:
+            head = int(ukeys[lo]) // frame.last_place
+            start, stop = runs[head]
+            if (group, head) not in accs:
+                accs[group, head] = np.zeros((stop - start,) * 2, dtype=np.complex128)
+            sel = np.searchsorted(keys, ukeys[lo : lo + len(g)]) - start
+            accs[group, head][np.ix_(sel, sel)] += g
     matrices = {}
-    for group, (codes_g, us) in enumerate(zip(group_codes, group_units)):
-        # the group's rows with each last window value, and each row's index
-        # in its value's accumulator
-        members = [np.flatnonzero(codes_g % h_count == v) for v in range(h_count)]
-        local = np.zeros(len(codes_g), dtype=np.int64)
-        for rows in members:
-            local[rows] = np.arange(len(rows))
-        accs = [np.zeros((len(rows), len(rows)), dtype=np.complex128) for rows in members]
-        for codes, unit_blocks in us:
-            sel_all = local[np.searchsorted(codes_g, codes)]
-            for lo, g in unit_blocks:
-                sel = sel_all[lo : lo + len(g)]
-                accs[int(codes[lo]) % h_count][np.ix_(sel, sel)] += g
-        table = 0 if frame.shared_keys else group
-        for value, acc in enumerate(accs):
-            if acc.size:
-                acc *= weight
-                key = (table, value)
-                matrices[key] = matrices.get(key, 0) + acc if frame.shared_keys else acc
-    blocks = [
-        (positions[table].reshape(copies, -1)[:, tables[table] % h_count == value], matrix)
-        for (table, value), matrix in matrices.items()
-    ]
+    for (_, head), acc in accs.items():
+        acc *= weight
+        matrices[head] = matrices[head] + acc if head in matrices else acc
+    blocks = [(where[:, lo:hi], matrices[head]) for head, (lo, hi) in runs.items()]
 
     return BranchEnsemble(
         block=block,

@@ -4,6 +4,7 @@ Lists every label of a block initial state (enumerate_block, block_labels)
 with its weight (block_weight), then propagates each label as a full
 coefficient vector, projecting after each step (or only the last one), so
 the fast reduced-register engine can be compared against it entry by entry.
+index_to_bits spells an index as an MSB-first label.
 """
 
 import itertools
@@ -11,8 +12,15 @@ import math
 
 import numpy as np
 
-from qbaker import analyze, apply_baker, basis_state, index_to_bits, project, synthesize
+from qbaker import analyze, apply_baker, basis_state, project, synthesize
 from qbaker.core import check_word
+
+
+def index_to_bits(index, length):
+    """MSB-first bit string of `index`, zero-padded to `length` bits."""
+    if not 0 <= index < (1 << length):
+        raise ValueError(f"index {index} out of range for {length} bits")
+    return format(index, f"0{length}b") if length else ""
 
 
 def enumerate_block(graining, window):

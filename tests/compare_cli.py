@@ -1,0 +1,112 @@
+"""Compare the command line of two source trees, invocation by invocation.
+
+    python tests/compare_cli.py PARENT_SRC CHANGE_SRC
+
+Runs a fixed list of qbaker command lines in fresh processes, once with
+PYTHONPATH=PARENT_SRC and once with PYTHONPATH=CHANGE_SRC (each a directory
+holding the qbaker package), one at a time.  For each it prints both exit
+codes, whether the output files are byte-identical and whether stderr is
+identical once timing lines are removed, then a summary.  It exits 1 when
+any invocation differs.  The list covers every perfbench invocation of
+seeds 0 and 7, pruned runs of the three data commands, --threads 1 against
+the default, both output formats and two budget refusals.
+
+Standard library only.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run as perfbench  # noqa: E402
+
+TIMEOUT_S = 900
+# "timings: ..." of full-histories and coarse-entropy, "sweep point ...: runtime" of sweep
+TIMING = re.compile(r"^(timings: |sweep point .*: runtime )")
+
+# (qubits, dot, left, right, steps, init-x of full-histories): the default
+# geometry, four groups of one a-chunk, and two groups of four a-chunks
+GEOMETRIES = [
+    (8, 4, 2, 3, 2, "010"),
+    (12, 7, 5, 4, 3, "001"),
+    (13, 9, 8, 3, 2, "01"),
+    (15, 9, 8, 4, 3, "011"),
+]
+
+
+def invocations() -> list[list[str]]:
+    out = []
+    for seed in (0, 7):
+        for name in perfbench.WORKLOADS:
+            out += [list(inv.args) for inv in perfbench.invocations(name, seed)]
+    for prune in ("0.01", "1e-3", "5"):
+        for fmt in ("csv", "json"):
+            for q, d, left, right, steps, window in GEOMETRIES:
+                geometry = ["--qubits", str(q), "--dot", str(d), "--left", str(left),
+                            "--right", str(right), "--steps", str(steps)]
+                common = ["--prune", prune, "--format", fmt]
+                out.append(["full-histories", *geometry, "--init-x", window, *common])
+                # coarse-entropy takes the window core left after `steps` shifts
+                core = window[steps:]
+                out.append(["coarse-entropy", *geometry, *(["--init-x", core] if core else []),
+                            *common])
+            out.append(["sweep", "--sweep-left", "4,6,8", "--sweep-steps", "1,2,3",
+                        "--prune", prune, "--format", fmt])
+    threaded = [args for args in out if "--prune" in args and "1e-3" in args]
+    out += [args + ["--threads", "1"] for args in threaded]
+    out += [
+        ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
+         "--steps", "8", "--init-x", "01"],
+        ["sweep", "--sweep-left", "11", "--sweep-steps", "9"],
+    ]
+    return out
+
+
+def run_once(src: str, args: list[str], out: Path) -> tuple[int, bytes | None, list[str]]:
+    out.unlink(missing_ok=True)
+    env = {k: v for k, v in os.environ.items() if k not in perfbench.THREAD_VARS}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbaker", *args, "--out", str(out)],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S,
+    )
+    err = proc.stderr.decode("utf-8", "replace").splitlines()
+    text = out.read_bytes() if out.exists() else None
+    return proc.returncode, text, [line for line in err if not TIMING.match(line)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = (str(Path(src).resolve()) for src in argv)
+    same = {"exit": 0, "output": 0, "stderr": 0}
+    cases = invocations()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for args in cases:
+            code_a, text_a, err_a = run_once(parent, args, out)
+            code_b, text_b, err_b = run_once(change, args, out)
+            flags = {"exit": code_a == code_b, "output": text_a == text_b, "stderr": err_a == err_b}
+            for key, ok in flags.items():
+                same[key] += ok
+            marks = " ".join(f"{key} {'same' if ok else 'DIFF'}" for key, ok in flags.items())
+            print(f"exit {code_a}/{code_b}  {marks}  {' '.join(args)}", flush=True)
+            if not flags["stderr"]:
+                print(f"    parent stderr: {err_a}\n    change stderr: {err_b}", flush=True)
+    n = len(cases)
+    print(f"{n} invocations: identical exit code {same['exit']}/{n}, output bytes "
+          f"{same['output']}/{n}, non-timing stderr {same['stderr']}/{n}")
+    return 0 if min(same.values()) == n else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,12 +16,13 @@ from qbaker import (
     binary_fraction,
     bits_to_index,
     bvs_reference_matrix,
-    index_to_bits,
     synthesize,
     transfer,
     transfer_kernel,
 )
 from qbaker.bakermap import apply_columns, half_integer_fourier, kernel_columns
+
+from _dense_reference import index_to_bits
 
 
 class LocalizationWindow(NamedTuple):

@@ -100,6 +100,32 @@ def test_pruned_full_histories_exit_zero(tmp_path):
     assert abs(float(comments["total_mass"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["full-histories", "--qubits", "13", "--dot", "9", "--left", "8", "--right", "3",
+         "--steps", "2", "--init-x", "01"],
+        ["coarse-entropy", "--qubits", "13", "--dot", "9", "--left", "8", "--right", "3",
+         "--steps", "2"],
+        ["sweep", "--sweep-left", "4,5", "--sweep-steps", "1,2"],
+    ],
+)
+def test_a_fully_pruned_run_exits_zero_with_its_mass_discarded(tmp_path, argv):
+    # --prune 5 is above every branch's squared norm, so no path is retained
+    out = tmp_path / "pruned.csv"
+    assert main(argv + ["--prune", "5", "--out", str(out)]) == 0
+    comments, _, rows = read_csv(out)
+    assert rows
+    if argv[0] == "sweep":
+        points = rows
+    else:
+        assert all(float(r["p"]) == 0.0 for r in rows)
+        points = [comments]
+    for point in points:
+        assert float(point["entropy_bits"]) == 0.0
+        assert abs(float(point["discarded_mass"]) - 1.0) < 1e-12
+
+
 def test_full_histories_file_output(tmp_path):
     out = tmp_path / "hist.csv"
     code = main(

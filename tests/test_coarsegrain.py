@@ -10,13 +10,18 @@ from qbaker import (
     SystemShape,
     analyze,
     basis_state,
-    index_to_bits,
     project,
     synthesize,
     validate_run,
 )
 
-from _dense_reference import block_labels, block_weight, dense_block_matrix, enumerate_block
+from _dense_reference import (
+    block_labels,
+    block_weight,
+    dense_block_matrix,
+    enumerate_block,
+    index_to_bits,
+)
 
 
 def test_graining_fields():

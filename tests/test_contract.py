@@ -18,7 +18,6 @@ from qbaker import (
     history_distribution,
     ideal_coarse_value,
     ideal_full_value,
-    index_to_bits,
     project,
     propagate_branches,
     synthesize,
@@ -52,7 +51,6 @@ PUBLIC_NAMES = [
     "history_distribution",
     "ideal_coarse_value",
     "ideal_full_value",
-    "index_to_bits",
     "offdiagonal_norm",
     "project",
     "propagate_branches",
@@ -118,8 +116,6 @@ _BAD_CALLS = {
         "bit string must contain only '0'/'1', got '012'",
     ),
     "long word": (lambda: bits_to_index("0" * 25), "bit string longer than 24: 25"),
-    "negative length": (lambda: index_to_bits(0, -1), "length must be >= 0, got -1"),
-    "index range": (lambda: index_to_bits(8, 3), "index 8 out of range for 3 bits"),
     "propagation kind": (
         lambda: propagate_branches(_block(), 2, kind="both"),
         "kind must be 'full' or 'coarse', got 'both'",

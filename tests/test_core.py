@@ -8,8 +8,9 @@ from qbaker import (
     SystemShape,
     binary_fraction,
     bits_to_index,
-    index_to_bits,
 )
+
+from _dense_reference import index_to_bits
 
 
 @pytest.mark.parametrize(

@@ -125,8 +125,9 @@ def branch_vector(ens, label, path):
     for word, j in zip(key, step_js):
         if word[frame.qwidth :] != frame.definite_word(j, group, omega):
             return out
+    # the path code's digits are the window values, the newest most significant
     code = 0
-    for word in key:
+    for word in reversed(key):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % histories._CHUNK
     a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
@@ -138,7 +139,7 @@ def branch_vector(ens, label, path):
         return out
     row = int(rows[0])
     coeffs = amp[row, low - a_lo].T
-    head_base = int(codes[row] % (1 << frame.qwidth)) << frame.left
+    head_base = (code >> frame.qwidth * (len(key) - 1)) << frame.left
     mid = "".join(
         str(frame.label_bit(p + ens.steps, group, omega))
         for p in range(frame.dot + 1, frame.left + frame.kept + 1)
@@ -376,7 +377,8 @@ def pair_dict_gram(ens):
         for omega in range(1 << frame.nomega):
 
             def key(code):
-                digits = [code // h_count**i % h_count for i in reversed(range(len(step_js)))]
+                # the first step's window value is the least significant digit
+                digits = [code // h_count**i % h_count for i in range(len(step_js))]
                 return tuple(
                     histories._rev_bits(d, frame.qwidth) + frame.definite_word(j, group, omega)
                     for d, j in zip(digits, step_js)
@@ -450,9 +452,20 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
         np.testing.assert_array_equal(disc, want_disc)
         assert cross == want_cross
         np.testing.assert_array_equal(codes, want_codes)
+        # the rows are in path-code order
+        assert (np.diff(codes) > 0).all()
         assert [lo for lo, _ in blocks] == [lo for lo, _ in want_blocks]
         for (_, g), (_, want) in zip(blocks, want_blocks):
             np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_a_fully_pruned_run_keeps_only_discarded_mass(kind):
+    # prune_eps above 1 drops every branch of two groups of four a-chunks
+    ens = propagate_branches(make_block(13, 9, 8, 3, "01"), 2, prune_eps=5.0, kind=kind)
+    assert ens.paths == () and ens.blocks == ()
+    assert abs(history_distribution(ens).total() - 1.0) < 1e-12
+    assert offdiagonal_norm(ens) == (0.0, 0.0)
 
 
 def test_threads_bit_identical(medium_full):
