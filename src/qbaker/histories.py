@@ -23,19 +23,25 @@ every probability and functional value computed here is exact, not
 approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
-Labels are propagated in (group, a-chunk) units.  Each unit reduces its own
-final amplitudes where it runs, to one Gram block array per run of rows
-sharing a last window value, and the thread's next unit overwrites the
-amplitudes in its reused step workspace: no branch vector is kept, so peak
-memory is one step workspace per thread plus the path Gram blocks.  A
-path code's digits are its window values, the newest most significant, so
-a unit's rows are in code order.  A row's key is a key table (its group, or
-0 for every group on kind "coarse", whose final window reads no group bit)
-above its code, and the sorted keys list each (table, last window value)
-as one run.  Paths that differ in their group, omega or last window value
-are orthogonal, so the n x n matrix is never formed; each run is a block
-of it, shared by 2**nomega omegas, summed in unit order and then, for a
-shared table, in group order.
+Labels are propagated in (group, a-chunk) units.  A chunk is 64 labels, or
+all 2**left when fewer, halved while a unit's last contraction output
+(rows x labels x 2**(steps-1) fresh values x 2M, _Frame.unit_output) is
+over 16 MiB; that output doubles with every step, and labels evolve and
+are pruned independently, so the split changes nothing but the order of
+the label sums.  Each unit reduces its own final amplitudes where it runs,
+to one Gram block array per run of rows sharing a last window value, and
+the thread's next unit overwrites the amplitudes in its reused step
+workspace: no branch vector is kept, so peak memory is one step workspace
+per thread (two buffers of at most 16 MiB each unless one label alone is
+larger) plus the path Gram blocks.  A path code's digits are its window
+values, the newest most significant, so a unit's rows are in code order.
+A row's key is a key table (its group, or 0 for every group on kind
+"coarse", whose final window reads no group bit) above its code, and the
+sorted keys list each (table, last window value) as one run.  Paths that
+differ in their group, omega or last window value are orthogonal, so the
+n x n matrix is never formed; each run is a block of it, shared by
+2**nomega omegas, summed in unit order and then, for a shared table, in
+group order.
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -69,9 +75,10 @@ from .errors import InvariantError, ParameterError, ResourceLimitError
 
 FullPath = tuple[str, ...]
 
-# a-axis batch width; fixed so floating-point reductions group identically
-# at any thread count.
+# most initial labels (a-axis entries) in one unit
 _CHUNK = 64
+# a unit's last contraction output may exceed this many bytes only at one label
+_OUT_CAP = 16 << 20
 # contractions at least this many columns wide go through the FFT, narrower
 # ones through the dense kernel (W in the module docstring)
 _FFT_MIN_WIDTH = 256
@@ -83,6 +90,9 @@ _GEMM_MIN_MACS = 1 << 22
 DEFAULT_BUDGET_BYTES = 2 << 30
 # Python objects per thread of a small run: the executor, frames and unit lists
 _RUN_BYTES = 32 << 10
+# Python objects per unit until the reduction: its future, result tuple and
+# array headers (about 1.2 KiB measured with tracemalloc)
+_UNIT_BYTES = 1536
 # a Gram block's array header and its (lo, block) tuple
 _BLOCK_OBJECT_BYTES = sys.getsizeof(np.empty((0, 0))) + sys.getsizeof((0, None))
 _ENTROPY_FLOOR = 1e-15
@@ -126,6 +136,21 @@ class _Frame:
         # place value of a path code's leading digit, the last window value;
         # also the count of earlier-step codes, a unit's rows entering the last step
         return 1 << self.qwidth * (len(self.recorded) - 1)
+
+    @property
+    def chunk(self) -> int:
+        # initial labels per unit: _CHUNK, halved while the unit's last output
+        # is over _OUT_CAP; the geometry alone picks it, so reductions group
+        # identically at any thread count
+        chunk = min(_CHUNK, 1 << self.left)
+        while chunk > 1 and 16 * self.unit_output(chunk) > _OUT_CAP:
+            chunk //= 2
+        return chunk
+
+    def unit_output(self, chunk: int) -> int:
+        """Complex entries of the last contraction output of a unit of chunk labels."""
+        # rows entering the last step x labels x fresh register x 2M momentum
+        return self.last_place * chunk << self.steps + self.dot
 
     @property
     def shared_keys(self) -> bool:
@@ -176,7 +201,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
     Every thread in flight holds a _Workspace, two buffers the size of a
-    unit's last contraction output, and beside it a step's largest
+    unit's last contraction output, which _Frame.chunk keeps within _OUT_CAP
+    unless a unit is down to one label, and beside it a step's largest
     transient: step 1's kernel columns, or a contraction's temporary for
     one run of rows (the FFT's copy of its in-place operand, or the
     np.tensordot result plus the copy it makes of its kernel column block).
@@ -186,11 +212,11 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     itemsize = 16
     two_m = 2 << frame.dot
     h = 1 << frame.qwidth
-    a = min(_CHUNK, 1 << frame.left)
+    a = frame.chunk
     # rows entering the last step, and live rows after it
     rows = frame.last_place
     rows_final = h * rows
-    out = rows * a * (1 << (frame.steps - 1)) * two_m * itemsize
+    out = frame.unit_output(a) * itemsize
     # one run of rows sharing a last window value: h runs, or a single row
     run = out // min(rows, h)
     dense = _needs_kernel(frame)
@@ -198,7 +224,7 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
         run += frame.width * two_m * itemsize
     unit = 2 * out + max(a * two_m * itemsize, run)
     groups = 1 << frame.freeq
-    n_units = groups * -(-(1 << frame.left) // _CHUNK)
+    n_units = groups * ((1 << frame.left) // a)
     in_flight = min(threads, n_units)
     # path keys: one table per group, or one that every group shares
     n_paths = (1 if frame.shared_keys else groups) * (1 << frame.nomega) * rows_final
@@ -206,7 +232,9 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # runs of `rows` paths) until the reduction, the norms and S of the units
     # in flight, the concatenated keys with _distinct's sorted copy and
     # np.diff's two arrays, and one block's sel with its gather copy and sum
-    held = n_units * (rows_final * (rows * itemsize + 16) + a * 8 + h * _BLOCK_OBJECT_BYTES)
+    held = n_units * (
+        rows_final * (rows * itemsize + 16) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
+    )
     held += in_flight * (2 * rows_final + 1) * a * 8 + 4 * n_units * rows_final * 8
     held += rows * 8 + 2 * rows**2 * itemsize
     # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
@@ -545,11 +573,11 @@ def propagate_branches(
         )
 
     kernel = transfer_kernel(shape.dot) if _needs_kernel(frame) else None
-    low_total = 1 << frame.left
+    low_total, chunk = 1 << frame.left, frame.chunk
     units = [
-        (group, a_lo, min(a_lo + _CHUNK, low_total))
+        (group, a_lo, a_lo + chunk)
         for group in range(1 << frame.freeq)
-        for a_lo in range(0, low_total, _CHUNK)
+        for a_lo in range(0, low_total, chunk)
     ]
 
     local = threading.local()  # one _Workspace per pool thread

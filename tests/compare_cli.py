@@ -6,16 +6,22 @@ Runs a fixed list of qbaker command lines in fresh processes, once with
 PYTHONPATH=PARENT_SRC and once with PYTHONPATH=CHANGE_SRC (each a directory
 holding the qbaker package), one at a time.  For each it prints both exit
 codes, whether the output files are byte-identical and whether stderr is
-identical once timing lines are removed, then a summary.  It exits 1 when
-any invocation differs.  The list covers every perfbench invocation of
-seeds 0 and 7, pruned runs of the three data commands, --threads 1 against
-the default, both output formats and two budget refusals.
+identical once timing lines are removed, then a summary.  Where the output
+bytes differ it also prints whether the text fields match and the largest
+absolute difference between numeric fields, and the summary says whether
+every such difference is within TOLERANCE, so one run checks a declared
+last-digit change.  It exits 1 when any invocation differs.  The list
+covers every perfbench invocation of seeds 0 and 7, pruned runs of the
+three data commands, --threads 1 against the default, both output formats
+and two budget refusals.
 
 Standard library only.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import re
 import subprocess
@@ -29,6 +35,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench  # noqa: E402
 
 TIMEOUT_S = 900
+# largest numeric difference a declared last-digit change may make
+TOLERANCE = 1e-12
 # "timings: ..." of full-histories and coarse-entropy, "sweep point ...: runtime" of sweep
 TIMING = re.compile(r"^(timings: |sweep point .*: runtime )")
 
@@ -83,12 +91,62 @@ def run_once(src: str, args: list[str], out: Path) -> tuple[int, bytes | None, l
     return proc.returncode, text, [line for line in err if not TIMING.match(line)]
 
 
+def fields(text: bytes) -> list[str]:
+    """An output file's fields in order: JSON keys and leaves, or CSV cells."""
+    doc = text.decode("utf-8")
+    try:
+        data = json.loads(doc)
+    except ValueError:
+        # CSV rows, and "# key = value" lines
+        return [cell for line in doc.splitlines() for cell in re.split(r",| = ", line)]
+    out = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                out.append(key)
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+        else:
+            out.append(str(node))
+
+    walk(data)
+    return out
+
+
+def field_diff(a: bytes, b: bytes) -> tuple[bool, float]:
+    """Whether two outputs agree in every text field, and their largest
+    numeric difference (nan when they hold different numbers of fields).
+
+    A pair of unequal fields is numeric when float() reads both and they are
+    not both digit strings, such as windows or counts.
+    """
+    fa, fb = fields(a), fields(b)
+    if len(fa) != len(fb):
+        return False, math.nan
+    text_same, largest = True, 0.0
+    for x, y in zip(fa, fb):
+        if x == y:
+            continue
+        if x.isdigit() and y.isdigit():
+            text_same = False
+            continue
+        try:
+            largest = max(largest, abs(float(x) - float(y)))
+        except ValueError:
+            text_same = False
+    return text_same, largest
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     parent, change = (str(Path(src).resolve()) for src in argv)
     same = {"exit": 0, "output": 0, "stderr": 0}
+    text_same, largest = True, 0.0
     cases = invocations()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -100,11 +158,20 @@ def main(argv: list[str]) -> int:
                 same[key] += ok
             marks = " ".join(f"{key} {'same' if ok else 'DIFF'}" for key, ok in flags.items())
             print(f"exit {code_a}/{code_b}  {marks}  {' '.join(args)}", flush=True)
+            if not flags["output"] and text_a is not None and text_b is not None:
+                texts, diff = field_diff(text_a, text_b)
+                text_same, largest = text_same and texts, max(largest, diff)
+                print(f"    text fields {'same' if texts else 'DIFF'}, "
+                      f"largest numeric difference {diff:.3g}", flush=True)
             if not flags["stderr"]:
                 print(f"    parent stderr: {err_a}\n    change stderr: {err_b}", flush=True)
     n = len(cases)
     print(f"{n} invocations: identical exit code {same['exit']}/{n}, output bytes "
           f"{same['output']}/{n}, non-timing stderr {same['stderr']}/{n}")
+    if same["output"] < n:
+        within = text_same and largest <= TOLERANCE
+        print(f"outputs that differ: text fields {'same' if text_same else 'DIFF'}, largest "
+              f"numeric difference {largest:.3g} ({'within' if within else 'OVER'} {TOLERANCE:g})")
     return 0 if min(same.values()) == n else 1
 
 

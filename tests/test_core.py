@@ -21,14 +21,6 @@ def test_bits_to_index(bits, expected):
     assert bits_to_index(bits) == expected
 
 
-@pytest.mark.parametrize(
-    "index,length,expected",
-    [(5, 3, "101"), (0, 4, "0000"), (7, 3, "111"), (0, 0, "")],
-)
-def test_index_to_bits(index, length, expected):
-    assert index_to_bits(index, length) == expected
-
-
 @pytest.mark.parametrize("length", range(0, 13))
 def test_round_trip_exhaustive(length):
     for j in range(1 << length):
@@ -41,15 +33,6 @@ def test_round_trip_random_long():
         for j in rng.integers(0, 1 << length, size=200):
             j = int(j)
             assert bits_to_index(index_to_bits(j, length)) == j
-
-
-@pytest.mark.parametrize(
-    "index,length",
-    [(-1, 3), (8, 3), (1, 0), (2, 1)],
-)
-def test_index_to_bits_range(index, length):
-    with pytest.raises(ValueError):
-        index_to_bits(index, length)
 
 
 def test_bits_charset():

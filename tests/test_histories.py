@@ -88,8 +88,8 @@ def label_masses(ens):
     disc = np.zeros((1 << frame.freeq, low_total))
     kept = np.zeros_like(disc)
     for group in range(1 << frame.freeq):
-        for a_lo in range(0, low_total, histories._CHUNK):
-            a_hi = min(a_lo + histories._CHUNK, low_total)
+        for a_lo in range(0, low_total, frame.chunk):
+            a_hi = a_lo + frame.chunk
             d, _, _, amp = histories._grow_unit(
                 _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
             )
@@ -129,8 +129,8 @@ def branch_vector(ens, label, path):
     code = 0
     for word in reversed(key):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
-    a_lo = low - low % histories._CHUNK
-    a_hi = min(a_lo + histories._CHUNK, 1 << frame.left)
+    a_lo = low - low % frame.chunk
+    a_hi = a_lo + frame.chunk
     _, _, codes, amp = histories._grow_unit(
         _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
     )
@@ -330,7 +330,7 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     block = make_block(13, 9, 8, 3, "01")
     ens = propagate_branches(block, 2, prune_eps=0.01, kind=kind)
     frame = ens._frame
-    chunk = histories._CHUNK
+    chunk = frame.chunk
     assert frame.freeq > 0 and (1 << frame.left) > chunk
     assert not histories._needs_kernel(frame)
     # branch_vector regrows a whole unit per call; grow each unit once, in a
@@ -365,8 +365,8 @@ def pair_dict_gram(ens):
     pairs = {}
     for group in range(1 << frame.freeq):
         per_group = {}
-        for a_lo in range(0, low, histories._CHUNK):
-            a_hi = min(a_lo + histories._CHUNK, low)
+        for a_lo in range(0, low, frame.chunk):
+            a_hi = a_lo + frame.chunk
             _, _, codes, blocks = histories._run_unit(
                 _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
             )
@@ -437,11 +437,10 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
     frame = ens._frame
-    low = 1 << frame.left
     units = [
-        (group, a_lo, min(a_lo + histories._CHUNK, low))
+        (group, a_lo, a_lo + frame.chunk)
         for group in range(1 << frame.freeq)
-        for a_lo in range(0, low, histories._CHUNK)
+        for a_lo in range(0, 1 << frame.left, frame.chunk)
     ]
     assert len(units) > 1
     run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, prune_eps)
@@ -472,6 +471,40 @@ def test_threads_bit_identical(medium_full):
     ens4 = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, prune_eps=0.0, threads=4)
     assert ens4.paths == medium_full.paths
     assert np.array_equal(ens4.gram, medium_full.gram)
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
+@pytest.mark.parametrize("cap", [1 << 20, 0])
+def test_a_shrunk_chunk_moves_only_last_digits(monkeypatch, cap, prune_eps, kind):
+    # a lower cap on a unit's last output cuts the 64-label chunks of
+    # (15,9,8,4,3) into 4 or 16 labels (1 MiB) or single labels (0); only the
+    # order of the label sums may change
+    block = make_block(15, 9, 8, 4, "011")
+    whole = propagate_branches(block, 3, prune_eps=prune_eps, kind=kind)
+    assert whole._frame.chunk == histories._CHUNK
+    monkeypatch.setattr(histories, "_OUT_CAP", cap)
+    cut = [
+        propagate_branches(block, 3, prune_eps=prune_eps, kind=kind, threads=threads)
+        for threads in (1, 2)
+    ]
+    assert cut[0]._frame.chunk < histories._CHUNK
+    if prune_eps:
+        assert whole.discarded_total > 0.0
+    # the chunk follows the geometry, not the thread count
+    assert cut[0].paths == cut[1].paths
+    assert (cut[0].discarded_total, cut[0].cross_bound) == (cut[1].discarded_total, cut[1].cross_bound)
+    for (pos, matrix), (pos1, matrix1) in zip(cut[0].blocks, cut[1].blocks, strict=True):
+        np.testing.assert_array_equal(pos, pos1)
+        assert matrix.tobytes() == matrix1.tobytes()
+    ens = cut[0]
+    assert ens.paths == whole.paths
+    for (pos, matrix), (want_pos, want) in zip(ens.blocks, whole.blocks, strict=True):
+        np.testing.assert_array_equal(pos, want_pos)
+        np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ens.probabilities, whole.probabilities, rtol=0, atol=1e-12)
+    assert abs(ens.discarded_total - whole.discarded_total) <= 1e-12
+    assert abs(ens.cross_bound - whole.cross_bound) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -546,27 +579,37 @@ def _projected_bytes(block, steps, kind, threads):
     return sum(size for _, size in histories._estimate_bytes(frame, threads))
 
 
+_BUDGET_CASES = [
+    # contraction widths below _FFT_MIN_WIDTH: the dense kernel
+    (8, 4, 2, 3, 2, "010", None),
+    (12, 7, 5, 4, 3, "001", None),
+    (12, 5, 1, 5, 2, "011010", None),
+    # widths at or above it: the FFT
+    (13, 9, 8, 3, 2, "01", None),
+    (15, 9, 8, 4, 3, "011", None),
+    # a wide window: 2**7 final window values
+    (16, 8, 1, 3, 2, "011010011010", None),
+    # a lower _OUT_CAP: chunks of 4 (full) or 16 (coarse) labels, and of one
+    (15, 9, 8, 4, 3, "011", 1 << 20),
+    (15, 9, 8, 4, 3, "011", 0),
+]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("prune_eps", [0.0, 0.01])
 @pytest.mark.parametrize("kind", ["full", "coarse"])
 @pytest.mark.parametrize(
-    "qubits,dot,left,right,steps,window",
-    [
-        # contraction widths below _FFT_MIN_WIDTH: the dense kernel
-        (8, 4, 2, 3, 2, "010"),
-        (12, 7, 5, 4, 3, "001"),
-        (12, 5, 1, 5, 2, "011010"),
-        # widths at or above it: the FFT
-        (13, 9, 8, 3, 2, "01"),
-        (15, 9, 8, 4, 3, "011"),
-        # a wide window: 2**7 final window values
-        (16, 8, 1, 3, 2, "011010011010"),
-    ],
+    "qubits,dot,left,right,steps,window,cap",
+    _BUDGET_CASES,
+    ids=["-".join(map(str, case[:6] if case[6] is None else case)) for case in _BUDGET_CASES],
 )
 def test_budget_bounds_the_traced_peak(
-    qubits, dot, left, right, steps, window, kind, prune_eps, threads
+    monkeypatch, qubits, dot, left, right, steps, window, cap, kind, prune_eps, threads
 ):
     block = make_block(qubits, dot, left, right, window)
+    if cap is not None:
+        monkeypatch.setattr(histories, "_OUT_CAP", cap)
+        assert block_frame(block, steps, kind).chunk < min(histories._CHUNK, 1 << left)
     tracemalloc.start()
     try:
         propagate_branches(block, steps, prune_eps=prune_eps, kind=kind, threads=threads)
@@ -606,6 +649,15 @@ def test_default_budget_admits_the_left_10_sweep_point():
     block = make_block(22, 11, 10, 10, "01")
     for threads in (1, 2, 8):
         assert _projected_bytes(block, 3, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
+
+
+def test_default_budget_admits_six_steps_of_the_left_8_sweep_point():
+    # sweep geometry at left 8: qubits 18, dot 9, right 8; at 64 labels a
+    # unit's last output would be 1 GiB, and the run was refused at 5.4 GB
+    block = make_block(18, 9, 8, 8, "01")
+    assert block_frame(block, 6, "full").chunk == 1
+    for threads in (1, 2, 8):
+        assert _projected_bytes(block, 6, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
 
 
 def test_default_budget_admits_five_steps_of_a_six_bit_window():
