@@ -15,6 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+# numpy 2 imports numpy.fft on its first use; importing it with the package
+# keeps that import out of the first propagation's memory peak
+import numpy.fft  # noqa: F401
 
 from .core import SystemShape, binary_fraction, bits_to_index
 from .errors import ParameterError, ResourceLimitError
@@ -179,8 +182,8 @@ def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
         K[f*M + r, c] = g(c - 2r) * exp(1j*pi*f*(c + 1/2)),
         g(d) = 1j * (1 + 1j*(-1)**d) / (2*sin(pi*(d - 1/2)/(2M)) * sqrt(M*2M)),
 
-    so the fresh-bit-1 half is the fresh-bit-0 half times 1j*(-1)**c.
-    O(2M * (stop - start)).
+    so the fresh-bit-1 half is the fresh-bit-0 half times 1j*(-1)**c
+    (fresh_phase).  O(2M * (stop - start)).
     """
     m = 1 << dot
     if not 0 <= start < stop <= 2 * m:
@@ -200,8 +203,14 @@ def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
     out[:m] = np.ndarray(
         (m, width), g.dtype, g, offset=2 * (m - 1) * size, strides=(-2 * size, size)
     )
-    np.multiply(out[:m], np.where(np.arange(start, stop) % 2 == 0, 1j, -1j), out=out[m:])
+    np.multiply(out[:m], fresh_phase(start, stop), out=out[m:])
     return out
+
+
+def fresh_phase(start: int, stop: int) -> np.ndarray:
+    """1j*(-1)**c for columns c = start..stop-1 of transfer_kernel: the unit
+    phase that takes column c's fresh-bit-0 half to its fresh-bit-1 half."""
+    return np.where(np.arange(start, stop) % 2 == 0, 1j, -1j)
 
 
 def apply_columns(
@@ -212,8 +221,8 @@ def apply_columns(
     x has shape (..., w); the result has shape (..., 2M), M = 2**dot.  The
     input is embedded at `start` in a length-2M vector, then one length-2M
     inverse FFT and one length-M FFT over each half do the work, with the
-    twiddles applied in place.  O(M log M) per vector; `out` (C-contiguous,
-    shape (..., 2M)) may be given to receive the result.
+    twiddles applied in place.  O(M log M) per vector; `out` (shape
+    (..., 2M), its last axis contiguous) may be given to receive the result.
     """
     m = 1 << dot
     width = x.shape[-1]

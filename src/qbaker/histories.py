@@ -13,7 +13,12 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   length-M FFTs per row (bakermap.apply_columns); narrower blocks multiply
   the dense transfer_kernel(dot), which is faster there.  w is
   2**left on kind "full" and 2**dot on kind "coarse" (_Frame.width), and
-  only a run with w < W builds the dense kernel.
+  only a run with w < W builds the dense kernel.  Step 1's kernel column c
+  has K[M + r, c] = K[r, c] * 1j*(-1)**c, and every later step applies one
+  linear map to the whole fresh register, so each label's half with step
+  1's fresh bit 1 stays its bit-0 half times that unit phase.  The FFT arm
+  contracts the bit-0 half only and fills the other with one multiply; the
+  dense arm contracts both.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -68,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import apply_columns, kernel_columns, transfer_kernel
+from .bakermap import apply_columns, fresh_phase, kernel_columns, transfer_kernel
 from .coarsegrain import BlockInitialState, validate_run
 from .core import check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -324,6 +329,9 @@ def _grow_unit(
             start = feed * m + base0
             amp = ws.take((1, a_width, 1, 2 * m))
             amp[0, :, 0] = kernel_columns(frame.dot, start, start + a_width).T
+            # each label's fresh-bit-1 half is its bit-0 half times its
+            # phase, now and after every later step
+            phase = fresh_phase(start, start + a_width)
         else:
             # rows share the momentum block of their newest window value (the
             # code's leading digit); a row not yet split by a recorded window
@@ -331,7 +339,7 @@ def _grow_unit(
             runs = _runs(codes * h_count // place)
             rows_n, _, f_width, _ = amp.shape
             out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
-            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, out)
+            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, phase, out)
 
         # output composite index = fresh_bit * m + momentum', and the fresh
         # bit joins the fresh register as its newest (lowest) digit
@@ -370,20 +378,34 @@ def _grow_unit(
 
 
 def _contract_rows(
-    amp: np.ndarray, kernel: np.ndarray | None, dot: int, feed: int, runs, out: np.ndarray
+    amp: np.ndarray,
+    kernel: np.ndarray | None,
+    dot: int,
+    feed: int,
+    runs,
+    phase: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Apply one step's kernel columns along amp's last axis into out, run by run.
 
     Rows in a run of equal last window value take the same column block.
     kernel is the dense transfer_kernel(dot) on narrow runs, else None and
-    the columns are applied by FFT.
+    the columns are applied by FFT.  The fresh axis' leading digit is step
+    1's fresh bit, and each label's bit-1 half is its bit-0 half times
+    phase[label], the 1j*(-1)**c of its step-1 column c, since every step
+    after the first maps both halves alike.  Only the FFT arm uses that: it
+    contracts the bit-0 half and fills the bit-1 half with one multiply,
+    where the dense arm contracts both.
     """
     m = 1 << dot
     width = amp.shape[-1]
+    half = amp.shape[2] // 2
     for h, lo, hi in runs:
         start = feed * m + h * width
         if kernel is None:
-            apply_columns(amp[lo:hi], dot, start, out=out[lo:hi])
+            bit0 = out[lo:hi, :, :half]
+            apply_columns(amp[lo:hi, :, :half], dot, start, out=bit0)
+            np.multiply(bit0, phase[:, None, None], out=out[lo:hi, :, half:])
         else:
             cols = kernel[:, start : start + width]
             out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))

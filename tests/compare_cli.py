@@ -10,7 +10,9 @@ identical once timing lines are removed, then a summary.  Where the output
 bytes differ it also prints whether the text fields match and the largest
 absolute difference between numeric fields, and the summary says whether
 every such difference is within TOLERANCE, so one run checks a declared
-last-digit change.  It exits 1 when any invocation differs.  The list
+last-digit change.  Each --threads 1 invocation whose default-threads twin
+is listed is also compared with that twin, CHANGE_SRC against CHANGE_SRC,
+byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
 three data commands, --threads 1 against the default, both output formats
 and two budget refusals.
@@ -55,6 +57,11 @@ def invocations() -> list[list[str]]:
     for seed in (0, 7):
         for name in perfbench.WORKLOADS:
             out += [list(inv.args) for inv in perfbench.invocations(name, seed)]
+    # the perfbench runs with the most FFT runs of rows: step-entropy's sweep
+    # to 4 steps and coarse-exact's coarse-entropy at 4 steps
+    deep = [list(args) for args in dict.fromkeys(
+        tuple(args) for args in out if "1,2,3,4" in args
+        or args[0] == "coarse-entropy" and args[args.index("--steps") + 1] == "4")]
     for prune in ("0.01", "1e-3", "5"):
         for fmt in ("csv", "json"):
             for q, d, left, right, steps, window in GEOMETRIES:
@@ -68,7 +75,7 @@ def invocations() -> list[list[str]]:
                             *common])
             out.append(["sweep", "--sweep-left", "4,6,8", "--sweep-steps", "1,2,3",
                         "--prune", prune, "--format", fmt])
-    threaded = [args for args in out if "--prune" in args and "1e-3" in args]
+    threaded = deep + [args for args in out if "--prune" in args and "1e-3" in args]
     out += [args + ["--threads", "1"] for args in threaded]
     out += [
         ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
@@ -148,6 +155,9 @@ def main(argv: list[str]) -> int:
     same = {"exit": 0, "output": 0, "stderr": 0}
     text_same, largest = True, 0.0
     cases = invocations()
+    # the change's output of each invocation, and how many --threads 1 ones
+    # matched their default-threads twin
+    outputs, twins, twins_same = {}, 0, 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for args in cases:
@@ -165,6 +175,13 @@ def main(argv: list[str]) -> int:
                       f"largest numeric difference {diff:.3g}", flush=True)
             if not flags["stderr"]:
                 print(f"    parent stderr: {err_a}\n    change stderr: {err_b}", flush=True)
+            outputs[tuple(args)] = text_b
+            twin = tuple(args[:-2])
+            if args[-2:] == ["--threads", "1"] and twin in outputs:
+                twins += 1
+                twins_same += outputs[twin] == text_b
+                if outputs[twin] != text_b:
+                    print("    change output DIFF from the default-threads run", flush=True)
     n = len(cases)
     print(f"{n} invocations: identical exit code {same['exit']}/{n}, output bytes "
           f"{same['output']}/{n}, non-timing stderr {same['stderr']}/{n}")
@@ -172,7 +189,8 @@ def main(argv: list[str]) -> int:
         within = text_same and largest <= TOLERANCE
         print(f"outputs that differ: text fields {'same' if text_same else 'DIFF'}, largest "
               f"numeric difference {largest:.3g} ({'within' if within else 'OVER'} {TOLERANCE:g})")
-    return 0 if min(same.values()) == n else 1
+    print(f"--threads 1 against the default, change: output bytes {twins_same}/{twins}")
+    return 0 if min(same.values()) == n and twins_same == twins else 1
 
 
 if __name__ == "__main__":

@@ -619,21 +619,49 @@ def test_budget_bounds_the_traced_peak(
     assert peak <= _projected_bytes(block, steps, kind, threads)
 
 
+def _package_env():
+    # a child process's environment, with this package first on its path
+    src = str(Path(histories.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_budget_holds_for_the_first_propagation_of_a_process():
     # the budget counts what a run allocates, so the first propagation in a
     # fresh interpreter must not pull in a numpy submodule (np.unique imports
     # numpy.ma, np.strings imports numpy.strings); run the smallest budget
     # case as the only test of a new process
     case = "test_budget_bounds_the_traced_peak[8-4-2-3-2-010-full-0.0-1]"
-    src = str(Path(histories.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::{case}"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert proc.returncode == 0, proc.stdout[-2000:]
+
+
+_FIRST_FFT_RUN = """
+import tracemalloc
+from qbaker import BlockInitialState, CoarseGraining, SystemShape, histories, propagate_branches
+histories._OUT_CAP = 0
+block = BlockInitialState(CoarseGraining(SystemShape(15, 9), 8, 4), "011")
+frame = histories._Frame(15, 9, 8, 3, 3, "011", "coarse")
+tracemalloc.start()
+propagate_branches(block, 3, prune_eps=0.0, kind="coarse", threads=1)
+print(tracemalloc.get_traced_memory()[1])
+print(sum(size for _, size in histories._estimate_bytes(frame, 1)))
+"""
+
+
+def test_budget_holds_for_the_first_fft_propagation_of_a_process():
+    # numpy 2 imports numpy.fft on its first use, and pytest has already
+    # loaded it, so the FFT case runs in a plain fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_FFT_RUN], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peak, estimate = map(int, proc.stdout.split())
+    assert peak <= estimate
 
 
 def test_coarse_kind_needs_no_dense_gram():
@@ -924,10 +952,29 @@ def test_distribution_total_includes_discarded():
     assert dist.total() == 1.0
 
 
-@pytest.mark.parametrize("kind", ["full", "coarse"])
-def test_fft_and_dense_contractions_agree(monkeypatch, kind):
+_AGREE_CASES = [
+    # (kind, qubits, dot, left, right, steps, window, prune_eps)
+    ("full", 13, 9, 8, 3, 2, "01", 0.0),
+    ("coarse", 13, 9, 8, 3, 2, "01", 0.0),
+    # three steps: the bit-1 half is filled at steps 2 and 3, over several
+    # runs of rows on kind "full"; pruning zeroes and drops rows between them
+    ("full", 15, 9, 8, 4, 3, "011", 0.0),
+    ("coarse", 15, 9, 8, 4, 3, "011", 0.0),
+    ("full", 15, 9, 8, 4, 3, "011", 1e-3),
+    ("coarse", 15, 9, 8, 4, 3, "011", 1e-3),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,qubits,dot,left,right,steps,window,prune_eps",
+    _AGREE_CASES,
+    ids=[case[0] if case[1] == 13 else "-".join(map(str, case)) for case in _AGREE_CASES],
+)
+def test_fft_and_dense_contractions_agree(
+    monkeypatch, kind, qubits, dot, left, right, steps, window, prune_eps
+):
     # contraction widths 2**8 (full) and 2**9 (coarse) both reach the FFT
-    block = make_block(13, 9, 8, 3, "01")
+    block = make_block(qubits, dot, left, right, window)
     fft_calls = []
     apply_columns = histories.apply_columns
 
@@ -938,15 +985,54 @@ def test_fft_and_dense_contractions_agree(monkeypatch, kind):
     monkeypatch.setattr(histories, "apply_columns", counting)
     # the FFT run also sends every Gram product to BLAS, the dense run none
     monkeypatch.setattr(histories, "_GEMM_MIN_MACS", 0)
-    via_fft = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
+    via_fft = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     assert fft_calls
     fft_calls.clear()
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
     monkeypatch.setattr(histories, "_GEMM_MIN_MACS", 1 << 62)
-    via_dense = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
+    via_dense = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     assert not fft_calls
     assert via_fft.paths == via_dense.paths
     np.testing.assert_allclose(via_fft.gram, via_dense.gram, rtol=0, atol=1e-12)
+    assert (via_fft.discarded_total > 0) == (prune_eps > 0)
+    assert via_fft.discarded_total == pytest.approx(via_dense.discarded_total, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_the_fft_arm_contracts_half_the_fresh_register(monkeypatch, kind, prune_eps):
+    # step 1's fresh bit leads the fresh axis, and each label's bit-1 half is
+    # its bit-0 half times 1j*(-1)**c, c the label's step-1 column
+    block = make_block(15, 9, 8, 4, "011")
+    frame = block_frame(block, 3, kind)
+    sent, fresh_rows = [], []
+    apply_columns, contract_rows = histories.apply_columns, histories._contract_rows
+
+    def counting_apply(x, *args, **kwargs):
+        sent.append(x.size // x.shape[-1])
+        return apply_columns(x, *args, **kwargs)
+
+    def counting_contract(amp, *args):
+        fresh_rows.append(amp.size // amp.shape[-1])
+        return contract_rows(amp, *args)
+
+    monkeypatch.setattr(histories, "apply_columns", counting_apply)
+    monkeypatch.setattr(histories, "_contract_rows", counting_contract)
+    for group in range(1 << frame.freeq):
+        for a_lo in range(0, 1 << frame.left, frame.chunk):
+            a_hi = a_lo + frame.chunk
+            *_, amp = histories._grow_unit(
+                None, frame, prune_eps, (group, a_lo, a_hi), histories._Workspace()
+            )
+            feed = frame.label_bit(frame.dot + 1, group, 0)
+            window = histories._rev_int(block.window[: frame.qwidth])
+            base = (feed << frame.dot) + (window << frame.left)
+            phase = 1j * (-1.0) ** np.arange(base + a_lo, base + a_hi)
+            half = amp.shape[2] // 2
+            np.testing.assert_array_equal(
+                amp[:, :, half:], phase[:, None, None] * amp[:, :, :half]
+            )
+    assert sent and 2 * sum(sent) == sum(fresh_rows)
 
 
 @pytest.mark.parametrize("qubits,dot,left,right,window", [(8, 4, 2, 3, "010"), (13, 9, 8, 3, "01")])
