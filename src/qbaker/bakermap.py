@@ -182,29 +182,32 @@ def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
         K[f*M + r, c] = g(c - 2r) * exp(1j*pi*f*(c + 1/2)),
         g(d) = 1j * (1 + 1j*(-1)**d) / (2*sin(pi*(d - 1/2)/(2M)) * sqrt(M*2M)),
 
-    so the fresh-bit-1 half is the fresh-bit-0 half times 1j*(-1)**c
-    (fresh_phase).  O(2M * (stop - start)).
+    so the fresh-bit-1 half is the fresh-bit-0 half (_bit0_columns) times
+    1j*(-1)**c (fresh_phase).  O(2M * (stop - start)).
     """
+    bit0 = _bit0_columns(dot, start, stop)
+    out = np.empty((2, *bit0.shape), dtype=np.complex128)
+    out[0] = bit0
+    np.multiply(out[0], fresh_phase(start, stop), out=out[1])
+    return out.reshape(2 * len(bit0), -1)
+
+
+def _bit0_columns(dot: int, start: int, stop: int) -> np.ndarray:
+    """Rows 0..M-1 of kernel_columns(dot, start, stop), as a strided view of g."""
     m = 1 << dot
     if not 0 <= start < stop <= 2 * m:
         raise ParameterError(f"need 0 <= start < stop <= {2 * m}, got start={start}, stop={stop}")
-    width = stop - start
     # g over every d = c - 2r the block touches, lowest first
     d = np.arange(start - 2 * (m - 1), stop)
     g = np.where(d % 2 == 0, -1 + 1j, 1 + 1j) / (
         2.0 * np.sin(np.pi * (d - 0.5) / (2 * m)) * (m * np.sqrt(2.0))
     )
-    out = np.empty((2 * m, width), dtype=np.complex128)
     # row r reads g from d = start - 2r, its 2(M-1-r)-th entry: a plain strided
     # view, since sliding_window_view makes Python objects on every call (via
     # as_strided), and over a run's many units they grew an interpreter table
     # by 1.9 MB inside the traced peak
     size = g.itemsize
-    out[:m] = np.ndarray(
-        (m, width), g.dtype, g, offset=2 * (m - 1) * size, strides=(-2 * size, size)
-    )
-    np.multiply(out[:m], fresh_phase(start, stop), out=out[m:])
-    return out
+    return np.ndarray((m, stop - start), g.dtype, g, 2 * (m - 1) * size, (-2 * size, size))
 
 
 def fresh_phase(start: int, stop: int) -> np.ndarray:

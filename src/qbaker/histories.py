@@ -12,13 +12,13 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   w >= W (= _FFT_MIN_WIDTH, 256) that is one length-2M inverse FFT and two
   length-M FFTs per row (bakermap.apply_columns); narrower blocks multiply
   the dense transfer_kernel(dot), which is faster there.  w is
-  2**left on kind "full" and 2**dot on kind "coarse" (_Frame.width), and
-  only a run with w < W builds the dense kernel.  Step 1's kernel column c
-  has K[M + r, c] = K[r, c] * 1j*(-1)**c, and every later step applies one
-  linear map to the whole fresh register, so each label's half with step
-  1's fresh bit 1 stays its bit-0 half times that unit phase.  The FFT arm
-  contracts the bit-0 half only and fills the other with one multiply; the
-  dense arm contracts both.
+  2**left on kind "full" and 2**dot on kind "coarse" (_Frame.width).  Step
+  1's kernel column c has K[M + r, c] = K[r, c] * 1j*(-1)**c, and every
+  later step maps both halves of the fresh register alike, so a label's
+  step-1 fresh-bit-1 half stays its bit-0 half times that unit phase, with
+  equal |amplitude|**2 and overlap terms.  A run that builds no dense
+  kernel (_needs_kernel) is halved: its units carry the bit-0 half only,
+  and double their norms and Gram blocks' weight, which is exact.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -30,8 +30,8 @@ evaluation at small sizes.
 
 Labels are propagated in (group, a-chunk) units.  A chunk is 64 labels, or
 all 2**left when fewer, halved while a unit's last contraction output
-(rows x labels x 2**(steps-1) fresh values x 2M, _Frame.unit_output) is
-over 16 MiB; that output doubles with every step, and labels evolve and
+(rows x labels x stored fresh values x 2M, _Frame.unit_output) is over
+16 MiB; that output doubles with every step, and labels evolve and
 are pruned independently, so the split changes nothing but the order of
 the label sums.  Each unit reduces its own final amplitudes where it runs,
 to one Gram block array per run of rows sharing a last window value, and
@@ -73,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import apply_columns, fresh_phase, kernel_columns, transfer_kernel
+from .bakermap import _bit0_columns, apply_columns, kernel_columns, transfer_kernel
 from .coarsegrain import BlockInitialState, validate_run
 from .core import check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -154,8 +154,8 @@ class _Frame:
 
     def unit_output(self, chunk: int) -> int:
         """Complex entries of the last contraction output of a unit of chunk labels."""
-        # rows entering the last step x labels x fresh register x 2M momentum
-        return self.last_place * chunk << self.steps + self.dot
+        # rows entering the last step x labels x stored fresh register x 2M
+        return self.last_place * chunk << self.steps + self.dot - (not _needs_kernel(self))
 
     @property
     def shared_keys(self) -> bool:
@@ -206,13 +206,14 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
     Every thread in flight holds a _Workspace, two buffers the size of a
-    unit's last contraction output, which _Frame.chunk keeps within _OUT_CAP
-    unless a unit is down to one label, and beside it a step's largest
-    transient: step 1's kernel columns, or a contraction's temporary for
-    one run of rows (the FFT's copy of its in-place operand, or the
-    np.tensordot result plus the copy it makes of its kernel column block).
-    The dense kernel or the build of the FFT's cached twiddles, the path Gram
-    blocks and the arrays and path keys of the reduction come once.
+    unit's last contraction output as stored, which _Frame.chunk keeps within
+    _OUT_CAP unless a unit is down to one label, beside a step's largest
+    transient: step 1's kernel columns, or a contraction's temporary for one
+    run of rows (the FFT's copy of its in-place operand, or the np.tensordot
+    result plus the copy it makes of its kernel column block), and on the
+    FFT arm its twiddle loop buffers.  The dense kernel or the build of the
+    FFT's cached twiddles, the path Gram blocks and the arrays and path keys
+    of the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -227,7 +228,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     dense = _needs_kernel(frame)
     if dense:
         run += frame.width * two_m * itemsize
-    unit = 2 * out + max(a * two_m * itemsize, run)
+    # step 1's transient: g (its build holds about 4 copies), plus all 2M rows when dense
+    unit = 2 * out + max((5 * (a + two_m) + dense * a * two_m) * itemsize, run)
     groups = 1 << frame.freeq
     n_units = groups * ((1 << frame.left) // a)
     in_flight = min(threads, n_units)
@@ -258,6 +260,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     elif frame.steps > 1:
         # building apply_columns' cached pre, mid, post holds 6M entries in a few arrays
         built.append(("step twiddles", 3 * two_m * itemsize + 6 * _BLOCK_OBJECT_BYTES))
+        # a twiddle multiply's buffered loop (at most 263600 bytes, measured)
+        built.append(("twiddle loop buffers", (2 * np.getbufsize() + 128) * itemsize * in_flight))
     return built + [
         ("step workspace", unit * in_flight),
         ("path gram blocks", blocks),
@@ -305,7 +309,8 @@ def _grow_unit(
 
     Amplitudes are held as (row, a, fresh, momentum) in the two buffers of
     ws, each step writing the buffer its input does not use; the returned
-    amplitudes last until ws runs another unit.
+    amplitudes last until ws runs another unit.  A halved unit (module
+    docstring) doubles its norms, so pruning judges a label by its whole norm.
     Returns per-label discarded mass (norm units), the sum over labels of
     2S + S**2 (S the sum of a label's pruned norms' roots), each row's path
     code (its window values as base-2**qwidth digits, the newest most
@@ -313,6 +318,7 @@ def _grow_unit(
     leading digit is the last window value) and the final amplitudes.
     """
     group, a_lo, a_hi = unit
+    halved = kernel is None
     m = 1 << frame.dot
     h_count = 1 << frame.qwidth
     low = 1 << frame.left
@@ -327,11 +333,9 @@ def _grow_unit(
         feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
         if j == 1:
             start = feed * m + base0
-            amp = ws.take((1, a_width, 1, 2 * m))
-            amp[0, :, 0] = kernel_columns(frame.dot, start, start + a_width).T
-            # each label's fresh-bit-1 half is its bit-0 half times its
-            # phase, now and after every later step
-            phase = fresh_phase(start, start + a_width)
+            columns = _bit0_columns if halved else kernel_columns
+            amp = ws.take((1, a_width, 1, m if halved else 2 * m))
+            amp[0, :, 0] = columns(frame.dot, start, start + a_width).T
         else:
             # rows share the momentum block of their newest window value (the
             # code's leading digit); a row not yet split by a recorded window
@@ -339,12 +343,12 @@ def _grow_unit(
             runs = _runs(codes * h_count // place)
             rows_n, _, f_width, _ = amp.shape
             out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
-            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, phase, out)
+            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, out)
 
-        # output composite index = fresh_bit * m + momentum', and the fresh
-        # bit joins the fresh register as its newest (lowest) digit
-        rows_n, _, f_width, _ = amp.shape
-        f_width *= 2
+        # output composite index = fresh_bit * m + momentum' (bit 0 only at a
+        # halved step 1), and the fresh bit joins the register as its lowest digit
+        rows_n, _, f_width, width = amp.shape
+        f_width = f_width * width // m
         if j not in frame.recorded:
             amp = amp.reshape(rows_n, a_width, f_width, m)
             continue
@@ -353,6 +357,7 @@ def _grow_unit(
         split = amp.reshape(rows_n, a_width, f_width, h_count, low)
         flat = split.view(np.float64)
         norms = np.einsum("rafhl,rafhl->hra", flat, flat)
+        norms *= 2.0 if halved else 1.0  # exact: a bit-1 term equals a bit-0 one
         amp = ws.take((h_count, rows_n, a_width, f_width, low), busy=split)
         np.copyto(amp, np.moveaxis(split, 3, 0))
         del split, flat
@@ -383,29 +388,20 @@ def _contract_rows(
     dot: int,
     feed: int,
     runs,
-    phase: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Apply one step's kernel columns along amp's last axis into out, run by run.
 
-    Rows in a run of equal last window value take the same column block.
-    kernel is the dense transfer_kernel(dot) on narrow runs, else None and
-    the columns are applied by FFT.  The fresh axis' leading digit is step
-    1's fresh bit, and each label's bit-1 half is its bit-0 half times
-    phase[label], the 1j*(-1)**c of its step-1 column c, since every step
-    after the first maps both halves alike.  Only the FFT arm uses that: it
-    contracts the bit-0 half and fills the bit-1 half with one multiply,
-    where the dense arm contracts both.
+    Rows in a run of equal last window value take the same column block, a
+    contiguous slice of amp and of out.  kernel is the dense transfer_kernel(dot)
+    on narrow runs, else None and the columns go by FFT to the halved unit.
     """
     m = 1 << dot
     width = amp.shape[-1]
-    half = amp.shape[2] // 2
     for h, lo, hi in runs:
         start = feed * m + h * width
         if kernel is None:
-            bit0 = out[lo:hi, :, :half]
-            apply_columns(amp[lo:hi, :, :half], dot, start, out=bit0)
-            np.multiply(bit0, phase[:, None, None], out=out[lo:hi, :, half:])
+            apply_columns(amp[lo:hi], dot, start, out=out[lo:hi])
         else:
             cols = kernel[:, start : start + width]
             out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))
@@ -423,8 +419,8 @@ def _run_unit(
 
     Returns _grow_unit's masses and path codes, and one (lo, block) per run
     of equal last window value (the codes' leading digit), where block[i, j]
-    is the overlap of the paths in rows lo + i and lo + j; paths in different
-    runs are orthogonal.
+    is the overlap of the paths in rows lo + i and lo + j (half of it on a
+    halved unit); paths in different runs are orthogonal.
     All in norm units: ensemble weights are applied by the caller.  The
     amplitudes stay in ws until its next unit overwrites them.
     """
@@ -612,6 +608,7 @@ def propagate_branches(
         results = list(pool.map(run, units))
 
     weight = 2.0 ** -(frame.left + steps)
+    block_weight = weight * 2 if kernel is None else weight  # halved blocks are in half units
     span = frame.last_place << frame.qwidth  # path codes per key table
     group_disc = np.zeros((1 << frame.freeq, low_total))
     cross = 0.0
@@ -629,8 +626,8 @@ def propagate_branches(
     paths, where = _path_keys(frame, keys // span, keys % span)
     where = where.reshape(1 << frame.nomega, -1)
 
-    # each element sums its units in unit order from 0, and the weight is a
-    # power of two, so scaling is exact; groups that share a table add
+    # each element sums its units in unit order from 0, and the weights are
+    # powers of two, so scaling is exact; groups that share a table add
     # theirs, in group order, into one matrix per block
     accs = {}
     for (group, _, _), ukeys, (*_, unit_blocks) in zip(units, unit_keys, results):
@@ -643,7 +640,7 @@ def propagate_branches(
             accs[group, head][np.ix_(sel, sel)] += g
     matrices = {}
     for (_, head), acc in accs.items():
-        acc *= weight
+        acc *= block_weight
         matrices[head] = matrices[head] + acc if head in matrices else acc
     blocks = [(where[:, lo:hi], matrices[head]) for head, (lo, hi) in runs.items()]
 

@@ -14,8 +14,9 @@ last-digit change.  Each --threads 1 invocation whose default-threads twin
 is listed is also compared with that twin, CHANGE_SRC against CHANGE_SRC,
 byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
-three data commands, --threads 1 against the default, both output formats
-and two budget refusals.
+three data commands, the sweep points left 10 / steps 3 and left 11 /
+steps 2, --threads 1 against the default, both output formats and two
+budget refusals.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -77,6 +78,11 @@ def invocations() -> list[list[str]]:
                         "--prune", prune, "--format", fmt])
     threaded = deep + [args for args in out if "--prune" in args and "1e-3" in args]
     out += [args + ["--threads", "1"] for args in threaded]
+    # sweep points of several a-chunks each, sized by the 16 MiB output cap,
+    # so that regrouping the label sums shows against the --threads 1 twin
+    for left, steps in ((10, 3), (11, 2)):
+        point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
+        out += [point, point + ["--threads", "1"]]
     out += [
         ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
          "--steps", "8", "--init-x", "01"],

@@ -76,12 +76,35 @@ def _unit_kernel(ens):
     return transfer_kernel(frame.dot) if histories._needs_kernel(frame) else None
 
 
+def step1_phase(frame, unit):
+    """bakermap.fresh_phase of each label of a unit: its step-1 column's
+    fresh-bit-1 rows over its fresh-bit-0 rows."""
+    group, a_lo, a_hi = unit
+    feed = frame.label_bit(frame.dot + 1, group, 0)
+    window = histories._rev_int(frame.window[: frame.qwidth])
+    start = (feed << frame.dot) + (window << frame.left) + a_lo
+    return bakermap.fresh_phase(start, start + a_hi - a_lo)
+
+
+def whole_fresh_register(frame, unit, amp):
+    """A unit's final amplitudes with both halves of the fresh register.
+
+    A run without the dense kernel holds only the half where step 1's fresh
+    bit, the fresh axis' leading digit, is 0; the other half is that half
+    times each label's step1_phase.
+    """
+    if histories._needs_kernel(frame):
+        return amp
+    bit1 = step1_phase(frame, unit)[:, None, None] * amp
+    return np.concatenate([amp, bit1], axis=2)
+
+
 def label_masses(ens):
     """{label: (discarded, retained)} squared norms of every initial label.
 
     The engine books only the total discarded mass, so this regrows every
     (group, a-chunk) unit with histories._grow_unit and sums each label's
-    pruned and final branch norms (norm units).
+    pruned and final branch norms (norm units) over its whole fresh register.
     """
     frame = ens._frame
     low_total = 1 << frame.left
@@ -90,10 +113,11 @@ def label_masses(ens):
     for group in range(1 << frame.freeq):
         for a_lo in range(0, low_total, frame.chunk):
             a_hi = a_lo + frame.chunk
+            unit = (group, a_lo, a_hi)
             d, _, _, amp = histories._grow_unit(
-                _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
+                _unit_kernel(ens), frame, ens.prune_eps, unit, histories._Workspace()
             )
-            flat = amp.view(np.float64)
+            flat = whole_fresh_register(frame, unit, amp).view(np.float64)
             disc[group, a_lo:a_hi] = d
             kept[group, a_lo:a_hi] = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
     masses = {}
@@ -130,15 +154,15 @@ def branch_vector(ens, label, path):
     for word in reversed(key):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % frame.chunk
-    a_hi = a_lo + frame.chunk
+    unit = (group, a_lo, a_lo + frame.chunk)
     _, _, codes, amp = histories._grow_unit(
-        _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
+        _unit_kernel(ens), frame, ens.prune_eps, unit, histories._Workspace()
     )
     rows = np.flatnonzero(codes == code)
     if not rows.size:
         return out
     row = int(rows[0])
-    coeffs = amp[row, low - a_lo].T
+    coeffs = whole_fresh_register(frame, unit, amp[row : row + 1])[0, low - a_lo].T
     head_base = (code >> frame.qwidth * (len(key) - 1)) << frame.left
     mid = "".join(
         str(frame.label_bit(p + ens.steps, group, omega))
@@ -357,9 +381,13 @@ def pair_dict_gram(ens):
 
     Sums each group's per-unit overlaps pair by pair in unit order, scales
     them by the ensemble weight and adds them up per path-key pair in
-    (group, omega) order: the order the array scatter must reproduce.
+    (group, omega) order: the order the array scatter must reproduce.  A
+    unit of a run without the dense kernel sums its fresh-bit-0 half only;
+    each bit-1 overlap term equals a bit-0 one (whole_fresh_register), so
+    its weight is doubled.
     """
     frame, kind = ens._frame, ens.kind
+    weight = 2.0 ** -(frame.left + ens.steps - (not histories._needs_kernel(frame)))
     low, h_count = 1 << frame.left, 1 << frame.qwidth
     step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
     pairs = {}
@@ -386,7 +414,7 @@ def pair_dict_gram(ens):
 
             for (qa, qb), val in per_group.items():
                 pair = (key(qa), key(qb))
-                pairs[pair] = pairs.get(pair, 0j) + 2.0 ** -(frame.left + ens.steps) * val
+                pairs[pair] = pairs.get(pair, 0j) + weight * val
     paths = tuple(sorted({ka for ka, kb in pairs if ka == kb}))
     index = {p: i for i, p in enumerate(paths)}
     gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
@@ -681,9 +709,11 @@ def test_default_budget_admits_the_left_10_sweep_point():
 
 def test_default_budget_admits_six_steps_of_the_left_8_sweep_point():
     # sweep geometry at left 8: qubits 18, dot 9, right 8; at 64 labels a
-    # unit's last output would be 1 GiB, and the run was refused at 5.4 GB
+    # unit's last output (its fresh-bit-0 half) would be 512 MiB, and the run
+    # was refused at 5.4 GB.  At 2 threads it projects 243151216 bytes, and a
+    # run under tracemalloc peaked at 209207909
     block = make_block(18, 9, 8, 8, "01")
-    assert block_frame(block, 6, "full").chunk == 1
+    assert block_frame(block, 6, "full").chunk == 2
     for threads in (1, 2, 8):
         assert _projected_bytes(block, 6, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
 
@@ -956,8 +986,9 @@ _AGREE_CASES = [
     # (kind, qubits, dot, left, right, steps, window, prune_eps)
     ("full", 13, 9, 8, 3, 2, "01", 0.0),
     ("coarse", 13, 9, 8, 3, 2, "01", 0.0),
-    # three steps: the bit-1 half is filled at steps 2 and 3, over several
-    # runs of rows on kind "full"; pruning zeroes and drops rows between them
+    # three steps: the FFT run carries only the fresh-bit-0 half through
+    # steps 2 and 3, over several runs of rows on kind "full"; pruning zeroes
+    # and drops rows between them
     ("full", 15, 9, 8, 4, 3, "011", 0.0),
     ("coarse", 15, 9, 8, 4, 3, "011", 0.0),
     ("full", 15, 9, 8, 4, 3, "011", 1e-3),
@@ -994,45 +1025,59 @@ def test_fft_and_dense_contractions_agree(
     assert not fft_calls
     assert via_fft.paths == via_dense.paths
     np.testing.assert_allclose(via_fft.gram, via_dense.gram, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(via_fft.probabilities, via_dense.probabilities, rtol=0, atol=1e-12)
     assert (via_fft.discarded_total > 0) == (prune_eps > 0)
     assert via_fft.discarded_total == pytest.approx(via_dense.discarded_total, rel=0, abs=1e-12)
+    assert (via_fft.cross_bound > 0) == (prune_eps > 0)
+    assert via_fft.cross_bound == pytest.approx(via_dense.cross_bound, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
 @pytest.mark.parametrize("kind", ["full", "coarse"])
-def test_the_fft_arm_contracts_half_the_fresh_register(monkeypatch, kind, prune_eps):
-    # step 1's fresh bit leads the fresh axis, and each label's bit-1 half is
-    # its bit-0 half times 1j*(-1)**c, c the label's step-1 column
+def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps):
+    # a unit of a run without the dense kernel holds the half of the fresh
+    # register where step 1's fresh bit, the fresh axis' leading digit, is 0;
+    # the same unit on the dense arm holds both halves, and its bit-1 half is
+    # its bit-0 half times each label's step-1 phase
     block = make_block(15, 9, 8, 4, "011")
     frame = block_frame(block, 3, kind)
-    sent, fresh_rows = [], []
-    apply_columns, contract_rows = histories.apply_columns, histories._contract_rows
+    assert not histories._needs_kernel(frame)
+    sent = []
+    apply_columns = histories.apply_columns
 
-    def counting_apply(x, *args, **kwargs):
-        sent.append(x.size // x.shape[-1])
+    def recording(x, *args, **kwargs):
+        sent.append(x.flags.c_contiguous)
         return apply_columns(x, *args, **kwargs)
 
-    def counting_contract(amp, *args):
-        fresh_rows.append(amp.size // amp.shape[-1])
-        return contract_rows(amp, *args)
-
-    monkeypatch.setattr(histories, "apply_columns", counting_apply)
-    monkeypatch.setattr(histories, "_contract_rows", counting_contract)
-    for group in range(1 << frame.freeq):
-        for a_lo in range(0, 1 << frame.left, frame.chunk):
-            a_hi = a_lo + frame.chunk
-            *_, amp = histories._grow_unit(
-                None, frame, prune_eps, (group, a_lo, a_hi), histories._Workspace()
-            )
-            feed = frame.label_bit(frame.dot + 1, group, 0)
-            window = histories._rev_int(block.window[: frame.qwidth])
-            base = (feed << frame.dot) + (window << frame.left)
-            phase = 1j * (-1.0) ** np.arange(base + a_lo, base + a_hi)
-            half = amp.shape[2] // 2
-            np.testing.assert_array_equal(
-                amp[:, :, half:], phase[:, None, None] * amp[:, :, :half]
-            )
-    assert sent and 2 * sum(sent) == sum(fresh_rows)
+    monkeypatch.setattr(histories, "apply_columns", recording)
+    units = [
+        (group, a_lo, a_lo + frame.chunk)
+        for group in range(1 << frame.freeq)
+        for a_lo in range(0, 1 << frame.left, frame.chunk)
+    ]
+    halved = [
+        histories._grow_unit(None, frame, prune_eps, unit, histories._Workspace())
+        for unit in units
+    ]
+    # every run of rows goes to the FFT as one contiguous block
+    assert sent and all(sent)
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
+    assert histories._needs_kernel(frame)
+    kernel = transfer_kernel(frame.dot)
+    for unit, (disc, _, codes, amp) in zip(units, halved):
+        want_disc, _, want_codes, whole = histories._grow_unit(
+            kernel, frame, prune_eps, unit, histories._Workspace()
+        )
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_allclose(disc, want_disc, rtol=0, atol=1e-12)
+        half = whole.shape[2] // 2
+        # the fresh axis is half as wide
+        assert amp.shape == whole[:, :, :half].shape
+        np.testing.assert_allclose(amp, whole[:, :, :half], rtol=0, atol=1e-12)
+        # equal up to the rounding of the dense products
+        phase = step1_phase(frame, unit)[:, None, None]
+        np.testing.assert_allclose(whole[:, :, half:], phase * whole[:, :, :half], rtol=0, atol=1e-15)
+    assert any(disc.any() for disc, *_ in halved) == (prune_eps > 0)
 
 
 @pytest.mark.parametrize("qubits,dot,left,right,window", [(8, 4, 2, 3, "010"), (13, 9, 8, 3, "01")])
