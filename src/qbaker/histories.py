@@ -88,9 +88,13 @@ _OUT_CAP = 16 << 20
 # ones through the dense kernel (W in the module docstring)
 _FFT_MIN_WIDTH = 256
 # Gram products of at least this many complex multiply-adds run as one BLAS
-# ZGEMM; below it numpy's own einsum loop is faster.  Sending every product
-# to BLAS made coarse-exact (one-row products) 36% dearer in cpu_s on a
-# 2-vCPU VM, where a multithreaded BLAS call has a fixed cost of milliseconds
+# ZGEMM; below it numpy's own einsum loop is faster.  Tuned for the CLI's
+# callers, whose BLAS runs on one thread: kind "coarse" forms one-row
+# products, which cost twice as much as a ZGEMM call, and a four-step sweep's
+# 2**22-MAC products run four times faster as one.  Library callers at the
+# default BLAS thread count see the same split.  Which products take BLAS
+# sets the order of their sums, so moving the constant moves outputs in
+# their last digits
 _GEMM_MIN_MACS = 1 << 22
 DEFAULT_BUDGET_BYTES = 2 << 30
 # Python objects per thread of a small run: the executor, frames and unit lists
@@ -281,6 +285,7 @@ class _Workspace:
         n = math.prod(shape)
         i = int(busy is not None and np.may_share_memory(self._bufs[0], busy))
         if self._bufs[i].size < n:
+            self._bufs[i] = None  # free the old buffer before the new one exists
             self._bufs[i] = np.empty(n, dtype=np.complex128)
         return self._bufs[i][:n].reshape(shape)
 

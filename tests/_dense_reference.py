@@ -4,7 +4,8 @@ Lists every label of a block initial state (enumerate_block, block_labels)
 with its weight (block_weight), then propagates each label as a full
 coefficient vector, projecting after each step (or only the last one), so
 the fast reduced-register engine can be compared against it entry by entry.
-index_to_bits spells an index as an MSB-first label.
+index_to_bits spells an index as an MSB-first label, and kron_basis_state
+builds a basis state as a chain of np.kron products.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from qbaker import analyze, apply_baker, basis_state, project, synthesize
-from qbaker.core import check_word
+from qbaker.core import binary_fraction, bits_to_index, check_word
 
 
 def index_to_bits(index, length):
@@ -21,6 +22,20 @@ def index_to_bits(index, length):
     if not 0 <= index < (1 << length):
         raise ValueError(f"index {index} out of range for {length} bits")
     return format(index, f"0{length}b") if length else ""
+
+
+def kron_basis_state(shape, dot, bits):
+    """basis_state's product form, one np.kron per momentum factor."""
+    phase = np.exp(1j * np.pi * binary_fraction(bits[:dot][::-1], append_one=True))
+    state = np.zeros(1 << (shape.qubits - dot), dtype=np.complex128)
+    state[bits_to_index(bits[dot:])] = phase
+    for t in range(1, dot + 1):
+        factor = np.array(
+            [1.0, np.exp(2j * np.pi * binary_fraction(bits[:t][::-1], append_one=True))],
+            dtype=np.complex128,
+        ) / np.sqrt(2.0)
+        state = np.kron(state, factor)
+    return state
 
 
 def enumerate_block(graining, window):

@@ -22,7 +22,7 @@ from qbaker import (
 )
 from qbaker.bakermap import apply_columns, half_integer_fourier, kernel_columns
 
-from _dense_reference import index_to_bits
+from _dense_reference import index_to_bits, kron_basis_state
 
 
 class LocalizationWindow(NamedTuple):
@@ -232,6 +232,30 @@ def test_baker_matrix_matches_fast_path():
         mat = baker_matrix(shape)
         psi = rng.normal(size=shape.dim) + 1j * rng.normal(size=shape.dim)
         np.testing.assert_allclose(mat @ psi, apply_baker(psi, shape), atol=1e-11)
+
+
+@pytest.mark.parametrize("qubits", [3, 4, 5, 6])
+def test_basis_state_equals_the_kron_product_bit_for_bit(qubits):
+    for dot in range(qubits + 1):
+        shape = SystemShape(qubits, dot)
+        for j in range(shape.dim):
+            bits = index_to_bits(j, qubits)
+            assert np.array_equal(basis_state(shape, dot, bits), kron_basis_state(shape, dot, bits))
+
+
+# dims 32 and 64 sit below and at baker_matrix's 64-column block, 256 and
+# 1024 span several blocks
+@pytest.mark.parametrize("qubits", [5, 6, 8, 10])
+def test_baker_matrix_equals_the_stacked_images_bit_for_bit(qubits):
+    for dot in sorted({0, qubits // 2, qubits - 1}):
+        shape = SystemShape(qubits, dot)
+        stacked = np.column_stack([apply_baker(e, shape) for e in np.eye(shape.dim)])
+        assert np.array_equal(baker_matrix(shape), stacked)
+
+
+def test_baker_matrix_rejects_terminal_dot():
+    with pytest.raises(ParameterError, match="need dot <= qubits - 1"):
+        baker_matrix(SystemShape(4, 4))
 
 
 def test_dense_limits():

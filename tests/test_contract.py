@@ -1,6 +1,10 @@
 """The package's contract: its public names and one error type for a bad argument."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +152,64 @@ def test_every_argument_check_raises_parameter_error(case):
     call, message = _BAD_CALLS[case]
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh(code, **env):
+    """Run code in a new interpreter with this package first on its path and
+    the BLAS thread variables unset unless given; returns its stdout."""
+    src = str(Path(bakermap.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**base, **env}
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _fresh("import sys, qbaker; print('numpy' in sys.modules)") == ["False"]
+
+
+def test_the_command_defaults_blas_to_one_thread():
+    code = "import os, qbaker.__main__; print(*(os.environ[v] for v in %r))" % (_BLAS_VARS,)
+    assert _fresh(code) == ["1", "1", "1"]
+
+
+def test_the_command_sets_the_defaults_before_numpy_loads():
+    # a meta-path probe reads the variable when numpy's import begins
+    code = (
+        "import os, sys\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "            sys.meta_path.remove(self)\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import qbaker.__main__\n"
+    )
+    assert _fresh(code) == ["1"]
+
+
+def test_the_command_keeps_a_blas_thread_count_the_user_set():
+    code = "import os, qbaker.__main__; print(*(os.environ[v] for v in %r))" % (_BLAS_VARS,)
+    assert _fresh(code, OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
+
+
+def test_star_import_binds_exactly_all_in_a_fresh_process():
+    code = (
+        "import qbaker\nns = {}\nexec('from qbaker import *', ns)\n"
+        "print(sorted(set(ns) - {'__builtins__'}) == sorted(qbaker.__all__))"
+    )
+    assert _fresh(code) == ["True"]
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    code = (
+        "import qbaker\ntry:\n    qbaker.no_such_name\nexcept AttributeError as e:\n"
+        "    print(type(e).__name__, 'no_such_name' in str(e))"
+    )
+    assert _fresh(code) == ["AttributeError", "True"]

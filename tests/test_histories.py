@@ -486,6 +486,25 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
             np.testing.assert_array_equal(g, want)
 
 
+def test_a_growing_workspace_frees_the_old_buffer_first():
+    # after a unit whose pruning left buffer 0 at nearly the size the next
+    # unit needs, growing it must not hold the old and new buffers at once
+    old, new, other = (15 << 16, 1 << 20, 1 << 18)  # entries, 16 bytes each
+    tracemalloc.start()
+    try:
+        ws = histories._Workspace()
+        held = ws.take((old,))
+        ws.take((other,), busy=held)
+        del held
+        tracemalloc.reset_peak()
+        ws.take((new,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (new + other) + (64 << 10)
+    assert peak < 16 * (old + new + other)
+
+
 @pytest.mark.parametrize("kind", ["full", "coarse"])
 def test_a_fully_pruned_run_keeps_only_discarded_mass(kind):
     # prune_eps above 1 drops every branch of two groups of four a-chunks
