@@ -101,15 +101,11 @@ _OPTIONS = {
 _SWEEP_ONLY = ("sweep_left", "sweep_steps")
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.17g" % value
     return str(value)
 
 
@@ -393,12 +389,8 @@ def cmd_check(cfg: dict) -> int:
             failures.append(name)
 
     dim = shape.dim
-    basis = np.column_stack(
-        [
-            basis_state(shape, shape.dot, format(j, f"0{shape.qubits}b"))
-            for j in range(dim)
-        ]
-    )
+    labels = (format(j, f"0{shape.qubits}b") for j in range(dim))
+    basis = np.column_stack([basis_state(shape, shape.dot, bits) for bits in labels])
     record("basis orthonormality", float(np.abs(basis.conj().T @ basis - np.eye(dim)).max()))
     u = baker_matrix(shape)
     record("map unitarity", float(np.abs(u.conj().T @ u - np.eye(dim)).max()))

@@ -12,6 +12,12 @@ bits t..1.
 check_word is the package's one test of a bit word: CLI window flags,
 grainings, path entries and the functions here all call it.  Every
 malformed or out-of-range argument here raises ParameterError.
+
+Each size bound has one job.  MAX_QUBITS keeps 2**qubits an int64 numpy
+shape, so an absurd geometry is refused before anything of that size is built.
+DEFAULT_BUDGET_BYTES bounds memory: a propagation's projected peak, and the
+one state built from a shape alone (bakermap.basis_state).
+bakermap.DENSE_LIMIT bounds the dense test oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-MAX_QUBITS = 24
+# 2**qubits must be an int64 numpy shape
+MAX_QUBITS = 62
+DEFAULT_BUDGET_BYTES = 2 << 30
 
 
 def check_word(word: str, width: int | None = None, what: str = "bit string") -> str:
@@ -65,8 +73,6 @@ class SystemShape:
 def bits_to_index(bits: str) -> int:
     """Integer value of an MSB-first bit string; empty string maps to 0."""
     check_word(bits)
-    if len(bits) > MAX_QUBITS:
-        raise ParameterError(f"bit string longer than {MAX_QUBITS}: {len(bits)}")
     return int(bits, 2) if bits else 0
 
 

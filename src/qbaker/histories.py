@@ -75,7 +75,7 @@ import numpy as np
 
 from .bakermap import _bit0_columns, apply_columns, kernel_columns, transfer_kernel
 from .coarsegrain import BlockInitialState, validate_run
-from .core import check_word
+from .core import DEFAULT_BUDGET_BYTES, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
 
 FullPath = tuple[str, ...]
@@ -96,7 +96,6 @@ _FFT_MIN_WIDTH = 256
 # sets the order of their sums, so moving the constant moves outputs in
 # their last digits
 _GEMM_MIN_MACS = 1 << 22
-DEFAULT_BUDGET_BYTES = 2 << 30
 # Python objects per thread of a small run: the executor, frames and unit lists
 _RUN_BYTES = 32 << 10
 # Python objects per unit until the reduction: its future, result tuple and
@@ -298,9 +297,9 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 def _runs(h_last: np.ndarray):
     """(value, lo, hi) for each run of equal values in the sorted h_last."""
-    values, starts = np.unique(h_last, return_index=True)
+    starts = np.flatnonzero(np.diff(h_last, prepend=-1))
     ends = np.append(starts[1:], len(h_last))
-    return zip(values.tolist(), starts.tolist(), ends.tolist())
+    return zip(h_last[starts].tolist(), starts.tolist(), ends.tolist())
 
 
 def _grow_unit(
@@ -707,7 +706,7 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         raise ParameterError(f"kind must be 'full' or 'coarse', got {kind!r}")
     if kind == ensemble.kind:
         paths = ensemble.paths
-        probs = ensemble.probabilities
+        probs = ensemble.probabilities  # a fresh array, clipped in place below
         marginal = False
     elif ensemble.kind == "full" and kind == "coarse":
         finals = sorted({p[-1] for p in ensemble.paths})
@@ -716,7 +715,6 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         marginal = True
     else:
         raise ParameterError("cannot refine a kind='coarse' ensemble into full histories")
-    probs = np.asarray(probs, dtype=float).copy()
     low = probs.min(initial=0.0)
     if low < -_NEGATIVE_CLIP:
         raise InvariantError(f"history probability {low} below -{_NEGATIVE_CLIP}")

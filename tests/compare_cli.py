@@ -14,9 +14,9 @@ last-digit change.  Each --threads 1 invocation whose default-threads twin
 is listed is also compared with that twin, CHANGE_SRC against CHANGE_SRC,
 byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
-three data commands, the sweep points left 10 / steps 3 and left 11 /
-steps 2, --threads 1 against the default, both output formats and two
-budget refusals.
+three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
+and left 12 / steps 2 (26 qubits), --threads 1 against the default, both
+output formats and two budget refusals.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -80,7 +80,7 @@ def invocations() -> list[list[str]]:
     out += [args + ["--threads", "1"] for args in threaded]
     # sweep points of several a-chunks each, sized by the 16 MiB output cap,
     # so that regrouping the label sums shows against the --threads 1 twin
-    for left, steps in ((10, 3), (11, 2)):
+    for left, steps in ((10, 3), (11, 2), (12, 2)):
         point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
         out += [point, point + ["--threads", "1"]]
     out += [

@@ -504,7 +504,8 @@ _BUDGET_REFUSED = [
 ]
 _BAD_INPUTS = [
     (_GEOMETRY, ["--qubits", "0"], {}, 2),
-    (_GEOMETRY, ["--qubits", "25"], {}, 2),
+    (_GEOMETRY, ["--qubits", "63"], {}, 2),
+    (_GEOMETRY, ["--qubits", str(10**18)], {}, 2),
     (_GEOMETRY, ["--dot", "-1"], {}, 2),
     (_GEOMETRY, ["--dot", "9"], {}, 2),
     (_GEOMETRY, ["--left", "-1"], {}, 2),
@@ -514,7 +515,7 @@ _BAD_INPUTS = [
     (_GEOMETRY, ["--steps", "0"], {}, 2),
     (_GEOMETRY, ["--steps", "3"], {}, 2),
     (("sweep",), ["--sweep-left", "-1"], {}, 2),
-    (("sweep",), ["--sweep-left", "12"], {}, 2),
+    (("sweep",), ["--sweep-left", "31"], {}, 2),
     (("sweep",), ["--sweep-steps", "0"], {}, 2),
     (("sweep",), ["--sweep-left", "four"], {}, 2),
     (_EVERY, ["--init-x", "012"], {}, 2),
@@ -567,8 +568,43 @@ def test_bad_inputs_exit_with_a_code_and_an_error_line(
 
 
 _GEOMETRY_KEYS = ("qubits", "dot", "left", "right", "steps")
+
+
+def _geometry_args(values):
+    return [arg for key, value in zip(_GEOMETRY_KEYS, values) for arg in (f"--{key}", str(value))]
+
+
+@pytest.mark.parametrize("command", ["full-histories", "coarse-entropy"])
+def test_spectator_qubits_change_only_the_echo(tmp_path, command):
+    # the right - steps trailing label bits ride along untouched, so a wider
+    # right flank changes nothing but the echoed qubits and right
+    outputs = []
+    for values in [(12, 6, 5, 4, 2), (40, 6, 5, 32, 2), (62, 6, 5, 54, 2)]:
+        out = tmp_path / "out.csv"
+        assert main([command, *_geometry_args(values), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        outputs.append([line for line in lines if not line.startswith(("# qubits =", "# right ="))])
+        assert len(outputs[-1]) == len(lines) - 2
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["full-histories", "coarse-entropy"])
+def test_absurd_sizes_fail_fast_without_a_pool(monkeypatch, capsys, command):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused run started a thread pool")
+
+    monkeypatch.setattr(histories, "ThreadPoolExecutor", no_pool)
+    # 62 qubits: a valid shape whose projected peak the budget refuses
+    assert main([command, *_geometry_args((62, 31, 1, 30, 29))]) == 4
+    # a qubit count no int64 shape holds, refused before any of its size is built
+    assert main([command, "--qubits", str(10**18)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" ")[0] for line in err] == ["error:", "error:"]
+    assert "over budget" in err[0] and "need 1 <= qubits <= 62" in err[1]
+
+
 _FREE_GEOMETRY = {
-    "qubits": st.integers(-1, 10) | st.sampled_from([12, 25]),
+    "qubits": st.integers(-1, 10) | st.sampled_from([12, 63, 10**18]),
     "dot": st.integers(-1, 12),
     "left": st.integers(-1, 10),
     "right": st.integers(-1, 10),

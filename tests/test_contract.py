@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ from qbaker import (
     BranchEnsemble,
     CoarseGraining,
     ParameterError,
+    ResourceLimitError,
     SystemShape,
     apply_baker,
     basis_state,
-    bits_to_index,
     history_distribution,
     ideal_coarse_value,
     ideal_full_value,
@@ -119,7 +120,6 @@ _BAD_CALLS = {
         lambda: check_word("012"),
         "bit string must contain only '0'/'1', got '012'",
     ),
-    "long word": (lambda: bits_to_index("0" * 25), "bit string longer than 24: 25"),
     "propagation kind": (
         lambda: propagate_branches(_block(), 2, kind="both"),
         "kind must be 'full' or 'coarse', got 'both'",
@@ -152,6 +152,18 @@ def test_every_argument_check_raises_parameter_error(case):
     call, message = _BAD_CALLS[case]
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+def test_basis_state_over_budget_raises_before_it_allocates():
+    # 2**28 amplitudes take 4 GiB, twice the default budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="basis state needs 4294967296 bytes"):
+            basis_state(SystemShape(28, 14), 14, "0" * 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -35,6 +35,10 @@ def test_round_trip_random_long():
             assert bits_to_index(index_to_bits(j, length)) == j
 
 
+def test_bits_to_index_reads_words_of_any_length():
+    assert bits_to_index("1" * 70) == (1 << 70) - 1
+
+
 def test_bits_charset():
     with pytest.raises(ValueError):
         bits_to_index("10a")
@@ -76,7 +80,7 @@ def test_system_shape():
     with pytest.raises(ParameterError):
         SystemShape(0, 0)
     with pytest.raises(ParameterError):
-        SystemShape(25, 0)
+        SystemShape(63, 0)
     with pytest.raises(ParameterError):
         SystemShape(6, 7)
     with pytest.raises(ParameterError):
