@@ -108,16 +108,20 @@ def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
     (|0> + exp(2j*pi*f_t)|1>)/sqrt(2) per leading label bit, where f_t is the
     binary fraction over label bits t..1 with a trailing 1 appended.  The
     trailing 1 keeps every phase a half-integer multiple of the mesh, which
-    is what makes the family orthonormal.  A state over DEFAULT_BUDGET_BYTES
-    raises ResourceLimitError before anything is allocated.
+    is what makes the family orthonormal.  A state whose build would peak
+    over DEFAULT_BUDGET_BYTES raises ResourceLimitError before anything is
+    allocated.
     """
     n_qubits = shape.qubits
     SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     if len(bits) != n_qubits:
         raise ParameterError(f"label must have {n_qubits} bits, got {len(bits)}")
-    if 16 << n_qubits > DEFAULT_BUDGET_BYTES:
+    # the last momentum factor's outer product holds the half-size state
+    # beside the full one
+    peak = (24 if dot else 16) << n_qubits
+    if peak > DEFAULT_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"basis state needs {16 << n_qubits} bytes, over budget {DEFAULT_BUDGET_BYTES}"
+            f"basis state needs {peak} bytes, over budget {DEFAULT_BUDGET_BYTES}"
         )
     phase = np.exp(1j * np.pi * binary_fraction(bits[:dot][::-1], append_one=True))
     pos_dim = 1 << (n_qubits - dot)
@@ -232,7 +236,9 @@ def _bit0_columns(dot: int, start: int, stop: int) -> np.ndarray:
         2.0 * np.sin(np.pi * (d - 0.5) / (2 * m)) * (m * np.sqrt(2.0))
     )
     # row r reads g from d = start - 2r, its 2(M-1-r)-th entry: a plain strided
-    # view, as sliding_window_view makes Python objects on every call
+    # view, since sliding_window_view makes Python objects on every call (via
+    # as_strided), and over a run's many units they grew an interpreter table
+    # by 1.9 MB inside the traced peak
     size = g.itemsize
     return np.ndarray((m, stop - start), g.dtype, g, 2 * (m - 1) * size, (-2 * size, size))
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bakermap import DENSE_LIMIT, baker_matrix, basis_state, bvs_reference_matrix
 from .coarsegrain import BlockInitialState, CoarseGraining, project, run_graining
-from .core import SystemShape, check_word
+from .core import DEFAULT_BUDGET_BYTES, SystemShape, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
 from .histories import (
     coarse_dfunc,
@@ -99,13 +99,21 @@ _OPTIONS = {
                     "starts with '-' as --sweep-steps=-1,2)"),
 }
 _SWEEP_ONLY = ("sweep_left", "sweep_steps")
+# bytes per output-table row: its tuple, floats and rendered text, less its
+# path, counted as 40 + 4 * kept.  tracemalloc measured at most 316 (CSV) and
+# 1256 (JSON) per row in all, and about 3 bytes per path character
+_ROW_BYTES = {"csv": 320, "json": 1280}
+
+
+def _fmt(value: float) -> str:
+    return "%.17g" % value
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return "%.17g" % value
+        return _fmt(value)
     return str(value)
 
 
@@ -246,6 +254,21 @@ def _geometry(cfg: dict) -> CoarseGraining:
     return run_graining(shape, cfg["left"], cfg["right"], cfg["steps"])
 
 
+def _check_coarse_table(kept: int, fmt: str = "csv") -> None:
+    """Refuse, before propagating, a kind "coarse" table whose 2**kept rows,
+    one per final word whatever the run gives (_history_rows), would not fit
+    the budget.  Kind "full" lists 2**steps shift continuations, but its
+    propagation estimate counts a Gram block's 2 * 4**(steps - 1) complex
+    entries or more, which pass the budget by 15 steps; the rows of 14 steps
+    take under 100 MB."""
+    size = (_ROW_BYTES[fmt] + 40 + 4 * kept) << kept
+    if size > DEFAULT_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"output table of {1 << kept} rows needs {size} bytes, "
+            f"over budget {DEFAULT_BUDGET_BYTES}"
+        )
+
+
 def _history_rows(dist, kind: str, window: str, steps: int) -> list[tuple]:
     """(path, p, oracle_p, abs_residual) rows against the shift-chain oracle.
 
@@ -302,6 +325,8 @@ def cmd_histories(cfg: dict, kind: str) -> int:
         # the leading bits are consumed during the run; default them to zeros
         window = "0" * steps + core
         echo += [("init_x", core), ("window", window)]
+    if kind == "coarse":
+        _check_coarse_table(graining.kept, cfg["format"])
     block = BlockInitialState(graining, window)
     clock.mark("build")
     ens = propagate_branches(
@@ -336,6 +361,9 @@ def cmd_sweep(cfg: dict) -> int:
             # grow the system symmetrically, window width held fixed
             qubits, dot, right = 2 * left + kept, left + (kept + 1) // 2, left
             graining = run_graining(SystemShape(qubits, dot), left, right, steps)
+            if steps <= kept:
+                # a point's tables are never rendered, so the CSV figure covers them
+                _check_coarse_table(kept)
             block = BlockInitialState(graining, window)
             ens = propagate_branches(
                 block, steps, prune_eps=cfg["prune"], threads=cfg["threads"]
@@ -389,8 +417,12 @@ def cmd_check(cfg: dict) -> int:
             failures.append(name)
 
     dim = shape.dim
-    labels = (format(j, f"0{shape.qubits}b") for j in range(dim))
-    basis = np.column_stack([basis_state(shape, shape.dot, bits) for bits in labels])
+    basis = np.column_stack(
+        [
+            basis_state(shape, shape.dot, format(j, f"0{shape.qubits}b"))
+            for j in range(dim)
+        ]
+    )
     record("basis orthonormality", float(np.abs(basis.conj().T @ basis - np.eye(dim)).max()))
     u = baker_matrix(shape)
     record("map unitarity", float(np.abs(u.conj().T @ u - np.eye(dim)).max()))

@@ -15,8 +15,9 @@ malformed or out-of-range argument here raises ParameterError.
 
 Each size bound has one job.  MAX_QUBITS keeps 2**qubits an int64 numpy
 shape, so an absurd geometry is refused before anything of that size is built.
-DEFAULT_BUDGET_BYTES bounds memory: a propagation's projected peak, and the
-one state built from a shape alone (bakermap.basis_state).
+DEFAULT_BUDGET_BYTES bounds memory: a propagation's projected peak, the
+CLI's table of every final word of a coarse run, and the one state built
+from a shape alone (bakermap.basis_state).
 bakermap.DENSE_LIMIT bounds the dense test oracles.
 """
 

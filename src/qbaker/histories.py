@@ -272,6 +272,12 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     ]
 
 
+def _byte_count(n: int) -> str:
+    # exact below 2**64; an absurd geometry's sizes grow as 2**(qwidth * steps),
+    # hundreds of digits, so past that only their power of two is printed
+    return str(n) if n < 1 << 64 else f"at least 2**{n.bit_length() - 1}"
+
+
 class _Workspace:
     """Two flat complex buffers one thread reuses for every unit it runs, so a
     run touches the same pages however its threads interleave."""
@@ -590,8 +596,8 @@ def propagate_branches(
     if total > budget_bytes:
         what, size = max(items, key=lambda item: item[1])
         raise ResourceLimitError(
-            f"projected peak {total} bytes is over budget {budget_bytes} "
-            f"(largest item: {what}, {size} bytes)"
+            f"projected peak {_byte_count(total)} bytes is over budget {budget_bytes} "
+            f"(largest item: {what}, {_byte_count(size)} bytes)"
         )
 
     kernel = transfer_kernel(shape.dot) if _needs_kernel(frame) else None
@@ -706,7 +712,7 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         raise ParameterError(f"kind must be 'full' or 'coarse', got {kind!r}")
     if kind == ensemble.kind:
         paths = ensemble.paths
-        probs = ensemble.probabilities  # a fresh array, clipped in place below
+        probs = ensemble.probabilities
         marginal = False
     elif ensemble.kind == "full" and kind == "coarse":
         finals = sorted({p[-1] for p in ensemble.paths})
@@ -715,6 +721,7 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         marginal = True
     else:
         raise ParameterError("cannot refine a kind='coarse' ensemble into full histories")
+    probs = np.asarray(probs, dtype=float).copy()
     low = probs.min(initial=0.0)
     if low < -_NEGATIVE_CLIP:
         raise InvariantError(f"history probability {low} below -{_NEGATIVE_CLIP}")

@@ -154,12 +154,20 @@ def test_every_argument_check_raises_parameter_error(case):
         call()
 
 
-def test_basis_state_over_budget_raises_before_it_allocates():
-    # 2**28 amplitudes take 4 GiB, twice the default budget
+@pytest.mark.parametrize(
+    "qubits,dot,need",
+    [
+        # 2**28 amplitudes take 4 GiB, twice the default budget
+        (28, 14, "6442450944"),
+        # 2 GiB of amplitudes, beside the 1 GiB half-size state of the last factor
+        (27, 1, "3221225472"),
+    ],
+)
+def test_basis_state_over_budget_raises_before_it_allocates(qubits, dot, need):
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="basis state needs 4294967296 bytes"):
-            basis_state(SystemShape(28, 14), 14, "0" * 28)
+        with pytest.raises(ResourceLimitError, match=f"basis state needs {need} bytes"):
+            basis_state(SystemShape(qubits, dot), dot, "0" * qubits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
