@@ -41,12 +41,13 @@ per thread (two buffers of at most 16 MiB each unless one label alone is
 larger) plus the path Gram blocks.  A path code's digits are its window
 values, the newest most significant, so a unit's rows are in code order.
 A row's key is a key table (its group, or 0 for every group on kind
-"coarse", whose final window reads no group bit) above its code, and the
-sorted keys list each (table, last window value) as one run.  Paths that
-differ in their group, omega or last window value are orthogonal, so the
-n x n matrix is never formed; each run is a block of it, shared by
-2**nomega omegas, summed in unit order and then, for a shared table, in
-group order.
+"coarse", whose final window reads no group bit) above its code.  Paths
+that differ in their group, omega or last window value are orthogonal, so
+the n x n matrix is never formed; each (table, last window value) is a
+block of it, shared by 2**nomega omegas, in which a path's place is its
+code's lower digits.  Units are added in unit order as they finish, then
+freed, and for a shared table in group order; a block keeps the codes
+some unit kept.
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -237,15 +238,17 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     n_units = groups * ((1 << frame.left) // a)
     in_flight = min(threads, n_units)
     # path keys: one table per group, or one that every group shares
-    n_paths = (1 if frame.shared_keys else groups) * (1 << frame.nomega) * rows_final
-    # every unit's path codes and keys, discarded masses and Gram blocks (h
-    # runs of `rows` paths) until the reduction, the norms and S of the units
-    # in flight, the concatenated keys with _distinct's sorted copy and
-    # np.diff's two arrays, and one block's sel with its gather copy and sum
+    tables = 1 if frame.shared_keys else groups
+    n_paths = tables * (1 << frame.nomega) * rows_final
+    # every unit's path codes, discarded masses and Gram blocks (h runs of
+    # `rows` paths), as pool.map lets all finished units wait, the norms and S
+    # of the units in flight, the reduced unit's keys, the seen mask (a byte
+    # per table code) and its kept keys with three arrays derived at once, and
+    # one block's places with its gather copy and sum
     held = n_units * (
-        rows_final * (rows * itemsize + 16) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
+        rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
     )
-    held += in_flight * (2 * rows_final + 1) * a * 8 + 4 * n_units * rows_final * 8
+    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * (8 + tables * 33)
     held += rows * 8 + 2 * rows**2 * itemsize
     # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
     # which add up across groups), each path's position in its block and the
@@ -293,12 +296,6 @@ class _Workspace:
             self._bufs[i] = None  # free the old buffer before the new one exists
             self._bufs[i] = np.empty(n, dtype=np.complex128)
         return self._bufs[i][:n].reshape(shape)
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    # sorted distinct codes; np.unique would import numpy.ma, which no budget counts
-    codes = np.sort(codes)
-    return codes[np.diff(codes, prepend=-1) != 0]
 
 
 def _runs(h_last: np.ndarray):
@@ -614,45 +611,45 @@ def propagate_branches(
         local.ws = getattr(local, "ws", None) or _Workspace()
         return _run_unit(kernel, frame, prune_eps, unit, local.ws)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, units))
-
     weight = 2.0 ** -(frame.left + steps)
     block_weight = weight * 2 if kernel is None else weight  # halved blocks are in half units
-    span = frame.last_place << frame.qwidth  # path codes per key table
+    last_place = frame.last_place
+    span = last_place << frame.qwidth  # path codes per key table
     group_disc = np.zeros((1 << frame.freeq, low_total))
     cross = 0.0
-    unit_keys = []
-    for (group, a_lo, a_hi), (disc, unit_cross, codes, _) in zip(units, results):
-        group_disc[group, a_lo:a_hi] = disc
-        cross += unit_cross
-        # a row's key: its key table (its group, or 0 when the groups share
-        # one) above its path code
-        unit_keys.append((0 if frame.shared_keys else group) * span + codes)
-    # sorted, the keys of one block, whose head (key // last_place) is its
-    # table and last window value, form one run
-    keys = _distinct(np.concatenate(unit_keys))
-    runs = {head: (lo, hi) for head, lo, hi in _runs(keys // frame.last_place)}
+    # a key: its key table (its group, or 0 when the groups share one) above its
+    # path code; key // last_place heads its block, and the code's lower digits
+    # are its place in the block
+    seen = np.zeros((1 if frame.shared_keys else 1 << frame.freeq) * span, dtype=bool)
+    accs = {}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # each unit is added in as it finishes, in unit order, and then freed
+        for (group, a_lo, a_hi), result in zip(units, pool.map(run, units)):
+            disc, unit_cross, codes, unit_blocks = result
+            group_disc[group, a_lo:a_hi] = disc
+            cross += unit_cross
+            unit_keys = (0 if frame.shared_keys else group) * span + codes
+            seen[unit_keys] = True
+            for lo, g in unit_blocks:
+                head = int(unit_keys[lo]) // last_place
+                if (group, head) not in accs:
+                    accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
+                place = codes[lo : lo + len(g)] % last_place
+                accs[group, head][np.ix_(place, place)] += g
+
+    keys = np.flatnonzero(seen)
     paths, where = _path_keys(frame, keys // span, keys % span)
     where = where.reshape(1 << frame.nomega, -1)
-
     # each element sums its units in unit order from 0, and the weights are
-    # powers of two, so scaling is exact; groups that share a table add
-    # theirs, in group order, into one matrix per block
-    accs = {}
-    for (group, _, _), ukeys, (*_, unit_blocks) in zip(units, unit_keys, results):
-        for lo, g in unit_blocks:
-            head = int(ukeys[lo]) // frame.last_place
-            start, stop = runs[head]
-            if (group, head) not in accs:
-                accs[group, head] = np.zeros((stop - start,) * 2, dtype=np.complex128)
-            sel = np.searchsorted(keys, ukeys[lo : lo + len(g)]) - start
-            accs[group, head][np.ix_(sel, sel)] += g
+    # powers of two, so scaling is exact; a block keeps its seen codes, and
+    # groups that share a table add theirs, in group order, into one matrix
     matrices = {}
-    for (_, head), acc in accs.items():
+    for group, head in list(accs):
+        found = seen[head * last_place : (head + 1) * last_place]
+        acc = accs.pop((group, head))[np.ix_(found, found)]
         acc *= block_weight
         matrices[head] = matrices[head] + acc if head in matrices else acc
-    blocks = [(where[:, lo:hi], matrices[head]) for head, (lo, hi) in runs.items()]
+    blocks = [(where[:, lo:hi], matrices[head]) for head, lo, hi in _runs(keys // last_place)]
 
     return BranchEnsemble(
         block=block,

@@ -83,6 +83,9 @@ def invocations() -> list[list[str]]:
     for left, steps in ((10, 3), (11, 2), (12, 2)):
         point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
         out += [point, point + ["--threads", "1"]]
+    # two budget refusals, whose error lines carry the projected peak: at
+    # this tree 36088688736 and 1124936207456 bytes, so a change to
+    # _estimate_bytes shows here as a stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
          "--steps", "8", "--init-x", "01"],

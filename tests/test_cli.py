@@ -675,7 +675,8 @@ def _argvs(draw):
         width = draw(st.integers(0, 6))
     else:
         kept = values["qubits"] - values["left"] - values["right"]
-        width = max(kept - values["steps"] if command == "coarse-entropy" else kept, 0)
+        # a free geometry's kept may be near 10**18; past 64 bits no run is valid
+        width = min(max(kept - values["steps"] if command == "coarse-entropy" else kept, 0), 64)
     values["init-x"] = _knob(draw, st.text("01", min_size=width, max_size=width), _BAD_WORDS)
     knobs = dict(_KNOBS, **_SWEEP_KNOBS) if command == "sweep" else _KNOBS
     for key, (good, bad) in knobs.items():

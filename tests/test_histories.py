@@ -729,8 +729,8 @@ def test_default_budget_admits_the_left_10_sweep_point():
 def test_default_budget_admits_six_steps_of_the_left_8_sweep_point():
     # sweep geometry at left 8: qubits 18, dot 9, right 8; at 64 labels a
     # unit's last output (its fresh-bit-0 half) would be 512 MiB, and the run
-    # was refused at 5.4 GB.  At 2 threads it projects 243151216 bytes, and a
-    # run under tracemalloc peaked at 209207909
+    # was refused at 5.4 GB.  At 2 threads it projects 232733552 bytes, and a
+    # run under tracemalloc peaked at 75595781
     block = make_block(18, 9, 8, 8, "01")
     assert block_frame(block, 6, "full").chunk == 2
     for threads in (1, 2, 8):
@@ -1162,6 +1162,38 @@ def test_no_kernel_outlives_its_run(monkeypatch, kind):
     gc.collect()
     assert ens.paths and refs
     assert all(ref() is None for ref in refs)
+
+
+def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
+    # with units run one at a time and in order, each unit is reduced before
+    # the next starts, so at most the previous unit's arrays are still alive
+    class Serial:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    run_unit = histories._run_unit
+    live, alive_at_start = set(), []
+
+    def counting(kernel, frame, prune_eps, unit, ws):
+        alive_at_start.append(len(live))
+        result = run_unit(kernel, frame, prune_eps, unit, ws)
+        live.add(unit)
+        weakref.finalize(result[2], live.discard, unit)
+        return result
+
+    monkeypatch.setattr(histories, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(histories, "_run_unit", counting)
+    propagate_branches(make_block(15, 9, 8, 4, "011"), 3, threads=1)
+    assert len(alive_at_start) > 2
+    assert max(alive_at_start) <= 1
 
 
 def test_budget_counts_the_kernel_only_on_dense_runs(monkeypatch):
