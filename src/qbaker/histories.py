@@ -19,6 +19,20 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   equal |amplitude|**2 and overlap terms.  A run that builds no dense
   kernel (_needs_kernel) is halved: its units carry the bit-0 half only,
   and double their norms and Gram blocks' weight, which is exact.
+* column c + M of K is column c with the top bit of r flipped and a sign,
+  K[f*M + r, c + M] = K[f*M + r - M/2, c] for r >= M/2 and
+  -K[f*M + r + M/2, c] for r < M/2, since g(d + 2M) = -g(d) and the fresh
+  phase reads only c's parity (bakermap.kernel_columns).  When a halved run
+  has group bits (freeq >= 1), the last feed bit, label position
+  dot + steps, is the top group bit, so a group and its partner with that
+  bit set share every step but the last, where the partner takes columns M
+  later.  As left < dot, M/2 spans whole last-window-value blocks: the
+  partner's rows with last value h are the group's with h ^ 2**(qwidth-1),
+  one sign per block, so its norms, pruning, masses and Gram blocks are
+  the group's.  Such a run (_Frame.mirror) grows only the groups below the
+  top bit and adds each unit in twice, the second time as its partner with
+  that bit of its codes' last window value flipped.  The dense arm, the
+  narrow-geometry oracle, grows every group.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -177,6 +191,12 @@ class _Frame:
         return max(0, self.dot + self.steps - self.left - self.kept)
 
     @property
+    def mirror(self) -> int:
+        # the top group bit, whose groups a halved run takes from their
+        # partners below it (module docstring), or 0 when every group runs
+        return 0 if _needs_kernel(self) else (1 << self.freeq) >> 1
+
+    @property
     def nomega(self) -> int:
         return self.steps - self.freeq
 
@@ -235,20 +255,23 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # step 1's transient: g (its build holds about 4 copies), plus all 2M rows when dense
     unit = 2 * out + max((5 * (a + two_m) + dense * a * two_m) * itemsize, run)
     groups = 1 << frame.freeq
-    n_units = groups * ((1 << frame.left) // a)
+    # units that run: on a mirrored run only the groups below the top bit
+    n_units = (frame.mirror or groups) * ((1 << frame.left) // a)
     in_flight = min(threads, n_units)
     # path keys: one table per group, or one that every group shares
     tables = 1 if frame.shared_keys else groups
     n_paths = tables * (1 << frame.nomega) * rows_final
     # every unit's path codes, discarded masses and Gram blocks (h runs of
     # `rows` paths), as pool.map lets all finished units wait, the norms and S
-    # of the units in flight, the reduced unit's keys, the seen mask (a byte
+    # of the units in flight, the reduced unit's keys (with, on a mirrored
+    # run, its partner's codes and keys beside them), the seen mask (a byte
     # per table code) and its kept keys with three arrays derived at once, and
     # one block's places with its gather copy and sum
     held = n_units * (
         rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
     )
-    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * (8 + tables * 33)
+    key_arrays = 3 if frame.mirror else 1
+    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * (8 * key_arrays + tables * 33)
     held += rows * 8 + 2 * rows**2 * itemsize
     # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
     # which add up across groups), each path's position in its block and the
@@ -598,10 +621,10 @@ def propagate_branches(
         )
 
     kernel = transfer_kernel(shape.dot) if _needs_kernel(frame) else None
-    low_total, chunk = 1 << frame.left, frame.chunk
+    low_total, chunk, mirror = 1 << frame.left, frame.chunk, frame.mirror
     units = [
         (group, a_lo, a_lo + chunk)
-        for group in range(1 << frame.freeq)
+        for group in range(mirror or 1 << frame.freeq)
         for a_lo in range(0, low_total, chunk)
     ]
 
@@ -626,16 +649,22 @@ def propagate_branches(
         # each unit is added in as it finishes, in unit order, and then freed
         for (group, a_lo, a_hi), result in zip(units, pool.map(run, units)):
             disc, unit_cross, codes, unit_blocks = result
-            group_disc[group, a_lo:a_hi] = disc
-            cross += unit_cross
-            unit_keys = (0 if frame.shared_keys else group) * span + codes
-            seen[unit_keys] = True
-            for lo, g in unit_blocks:
-                head = int(unit_keys[lo]) // last_place
-                if (group, head) not in accs:
-                    accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
-                place = codes[lo : lo + len(g)] % last_place
-                accs[group, head][np.ix_(place, place)] += g
+            twins = [(group, codes)]
+            if mirror:
+                # its partner: the top group bit set and the top bit of each
+                # code's last window value flipped, with this unit's masses and blocks
+                twins.append((group | mirror, codes ^ span >> 1))
+            for group, codes in twins:
+                group_disc[group, a_lo:a_hi] = disc
+                cross += unit_cross
+                unit_keys = (0 if frame.shared_keys else group) * span + codes
+                seen[unit_keys] = True
+                for lo, g in unit_blocks:
+                    head = int(unit_keys[lo]) // last_place
+                    if (group, head) not in accs:
+                        accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
+                    place = codes[lo : lo + len(g)] % last_place
+                    accs[group, head][np.ix_(place, place)] += g
 
     keys = np.flatnonzero(seen)
     paths, where = _path_keys(frame, keys // span, keys % span)
@@ -644,7 +673,7 @@ def propagate_branches(
     # powers of two, so scaling is exact; a block keeps its seen codes, and
     # groups that share a table add theirs, in group order, into one matrix
     matrices = {}
-    for group, head in list(accs):
+    for group, head in sorted(accs):
         found = seen[head * last_place : (head + 1) * last_place]
         acc = accs.pop((group, head))[np.ix_(found, found)]
         acc *= block_weight

@@ -84,7 +84,7 @@ def invocations() -> list[list[str]]:
         point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
         out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 36088688736 and 1124936207456 bytes, so a change to
+    # this tree 18779062368 and 573605440608 bytes, so a change to
     # _estimate_bytes shows here as a stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",

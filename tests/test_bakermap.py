@@ -376,3 +376,28 @@ def test_apply_columns_matches_dense_contraction(dot):
         np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="outside"):
         apply_columns(np.ones((1, 2)), dot, 2 * m - 1)
+
+
+def _top_bit_mirror(y, dot):
+    """y along its last axis (fresh bit f, then r < M) moved to the rows of
+    columns M later: row f*M + r takes row f*M + r - M/2 for r >= M/2, and
+    minus row f*M + r + M/2 for r < M/2."""
+    m = 1 << dot
+    halves = y.reshape(y.shape[:-1] + (2, m))
+    return np.concatenate([-halves[..., m // 2 :], halves[..., : m // 2]], axis=-1).reshape(y.shape)
+
+
+@pytest.mark.parametrize("dot", range(1, 11))
+def test_columns_m_apart_differ_by_the_top_momentum_bit(dot):
+    # g(d + 2M) = -g(d) and the fresh phase depends on the column's parity,
+    # so column c + M is column c with r's top bit flipped and a sign: what
+    # lets propagation take a group's top-bit partner from the group itself
+    m = 1 << dot
+    kernel = transfer_kernel(dot)
+    want = _top_bit_mirror(kernel[:, :m].T, dot).T
+    np.testing.assert_allclose(kernel[:, m:], want, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(40 + dot)
+    for start, width in [(0, 1), (m - 1, 1), (0, m), (m // 2, max(1, m // 4))]:
+        x = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+        near, far = apply_columns(x, dot, start), apply_columns(x, dot, start + m)
+        np.testing.assert_allclose(far, _top_bit_mirror(near, dot), rtol=0, atol=1e-13)

@@ -384,7 +384,9 @@ def pair_dict_gram(ens):
     (group, omega) order: the order the array scatter must reproduce.  A
     unit of a run without the dense kernel sums its fresh-bit-0 half only;
     each bit-1 overlap term equals a bit-0 one (whole_fresh_register), so
-    its weight is doubled.
+    its weight is doubled.  On a mirrored run (_Frame.mirror) a group with the
+    top group bit set takes its partner's units, the top bit of each code's
+    last window value flipped, as the engine does.
     """
     frame, kind = ens._frame, ens.kind
     weight = 2.0 ** -(frame.left + ens.steps - (not histories._needs_kernel(frame)))
@@ -393,11 +395,15 @@ def pair_dict_gram(ens):
     pairs = {}
     for group in range(1 << frame.freeq):
         per_group = {}
+        top = group & frame.mirror  # the top group bit, if this group is mirrored
         for a_lo in range(0, low, frame.chunk):
             a_hi = a_lo + frame.chunk
             _, _, codes, blocks = histories._run_unit(
-                _unit_kernel(ens), frame, ens.prune_eps, (group, a_lo, a_hi), histories._Workspace()
+                _unit_kernel(ens), frame, ens.prune_eps, (group ^ top, a_lo, a_hi),
+                histories._Workspace(),
             )
+            if top:
+                codes = codes ^ (h_count >> 1) * frame.last_place
             for lo, g in blocks:
                 for i, j in itertools.product(range(len(g)), repeat=2):
                     pair = (int(codes[lo + i]), int(codes[lo + j]))
@@ -440,6 +446,20 @@ def test_gram_equals_the_pair_dict_reduction(
     ens = propagate_branches(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
+    paths, gram = pair_dict_gram(ens)
+    assert ens.paths == paths
+    np.testing.assert_array_equal(ens.gram, gram)
+
+
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
+def test_a_mirrored_coarse_gram_adds_its_groups_in_group_order(monkeypatch, prune_eps):
+    # through the FFT at freeq 3, groups 4..7 are 0..3 mirrored, so the
+    # reduction meets the groups in the order 0, 4, 1, 5, ...; the table all
+    # groups share on kind "coarse" must still add them in group order
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0)
+    block = make_block(11, 5, 2, 5, "0110")
+    ens = propagate_branches(block, 4, prune_eps=prune_eps, kind="coarse")
+    assert ens._frame.mirror == 4
     paths, gram = pair_dict_gram(ens)
     assert ens.paths == paths
     np.testing.assert_array_equal(ens.gram, gram)
@@ -1049,6 +1069,69 @@ def test_fft_and_dense_contractions_agree(
     assert via_fft.discarded_total == pytest.approx(via_dense.discarded_total, rel=0, abs=1e-12)
     assert (via_fft.cross_bound > 0) == (prune_eps > 0)
     assert via_fft.cross_bound == pytest.approx(via_dense.cross_bound, rel=0, abs=1e-12)
+
+
+@st.composite
+def _freeq_geometries(draw, freeq):
+    """A valid geometry whose freeq is 0, 1, or (freeq=2) at least 2, with 2-4 steps."""
+    steps = draw(st.integers(max(2, freeq + 1), 4))
+    if freeq == 2:
+        freeq = draw(st.integers(2, steps - 1))
+    qwidth = draw(st.integers(1, 2))
+    left = draw(st.integers(0, 3))
+    # freeq = dot + steps - left - kept, clipped at 0
+    kept = qwidth + steps - freeq + (draw(st.integers(0, 1)) if freeq == 0 else 0)
+    right = draw(st.integers(steps + 1, steps + 2))
+    window = draw(st.text("01", min_size=kept, max_size=kept))
+    return left + kept + right, left + qwidth, left, right, steps, window
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("freeq", [0, 1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), prune_eps=st.sampled_from([0.0, 1e-3]))
+def test_fft_runs_of_any_freeq_match_the_dense_arm(freeq, kind, data, prune_eps):
+    # every run goes through the FFT, mirrored when freeq >= 1, against the
+    # dense kernel, which grows every group
+    qubits, dot, left, right, steps, window = data.draw(_freeq_geometries(freeq))
+    block = make_block(qubits, dot, left, right, window)
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for arm, width in (("fft", 0), ("dense", 1 << 30)):
+            patch.setattr(histories, "_FFT_MIN_WIDTH", width)
+            runs[arm] = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
+    via_fft, via_dense = runs["fft"], runs["dense"]
+    assert min(via_fft._frame.freeq, 2) == freeq
+    assert via_fft.paths == via_dense.paths
+    for (at, got), (want_at, want) in zip(via_fft.blocks, via_dense.blocks, strict=True):
+        np.testing.assert_array_equal(at, want_at)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(via_fft.probabilities, via_dense.probabilities, rtol=0, atol=1e-12)
+    assert via_fft.discarded_total == pytest.approx(via_dense.discarded_total, rel=0, abs=1e-12)
+    assert via_fft.cross_bound == pytest.approx(via_dense.cross_bound, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+def test_a_mirrored_run_grows_only_the_groups_below_the_top_bit(monkeypatch, kind):
+    # freeq 2: through the FFT, groups 2 and 3 are groups 0 and 1 with the
+    # last feed bit set, so only 0 and 1 are grown; the dense arm grows all four
+    block = make_block(9, 4, 2, 4, "011")
+    run_unit = histories._run_unit
+    grown = []
+
+    def recording(kernel, frame, prune_eps, unit, ws):
+        grown.append(unit[0])
+        return run_unit(kernel, frame, prune_eps, unit, ws)
+
+    monkeypatch.setattr(histories, "_run_unit", recording)
+    for width, groups in ((0, {0, 1}), (1 << 30, {0, 1, 2, 3})):
+        monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", width)
+        frame = block_frame(block, 3, kind)
+        assert frame.freeq == 2 and histories._needs_kernel(frame) == bool(width)
+        grown.clear()
+        ens = propagate_branches(block, 3, prune_eps=1e-3, kind=kind)
+        assert set(grown) == groups
+        assert abs(history_distribution(ens).total() - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
