@@ -43,16 +43,22 @@ approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
 Labels are propagated in (group, a-chunk) units.  A chunk is 64 labels, or
-all 2**left when fewer, halved while a unit's last contraction output
-(rows x labels x stored fresh values x 2M, _Frame.unit_output) is over
-16 MiB; that output doubles with every step, and labels evolve and
-are pruned independently, so the split changes nothing but the order of
-the label sums.  Each unit reduces its own final amplitudes where it runs,
-to one Gram block array per run of rows sharing a last window value, and
-the thread's next unit overwrites the amplitudes in its reused step
-workspace: no branch vector is kept, so peak memory is one step workspace
-per thread (two buffers of at most 16 MiB each unless one label alone is
-larger) plus the path Gram blocks.  A path code's digits are its window
+all 2**left when fewer, halved while a unit's last step output (rows x
+labels x stored fresh values x 2M, _Frame.step_output) would be over
+16 MiB; that output doubles with every step, and labels evolve and are
+pruned independently, so the split changes nothing but the order of the
+label sums.  A unit stores steps 1..steps-1 whole, in the two buffers of
+its thread's reused step workspace.  Its last step is never stored whole:
+it runs _Frame.block labels at a time, a block's output at most 2 MiB
+unless one label alone is larger, and each block is folded at once into
+the per-label masses, the rows' keep mask and one Gram accumulator per
+last window value; on the FFT arm a unit that enters the step with one row
+takes its 1 x 1 blocks from the norms.  No branch vector is kept, so a
+thread holds two buffers, each the larger of the penultimate output
+(1/(2h) of the last one on kind "full", h = 2**qwidth, and 1/2 on kind
+"coarse") and one block, beside a block's two Gram operands; then come the
+path Gram blocks.  Moving the block bound moves outputs only in the order
+of each Gram entry's label sum.  A path code's digits are its window
 values, the newest most significant, so a unit's rows are in code order.
 A row's key is a key table (its group, or 0 for every group on kind
 "coarse", whose final window reads no group bit) above its code.  Paths
@@ -97,20 +103,28 @@ FullPath = tuple[str, ...]
 
 # most initial labels (a-axis entries) in one unit
 _CHUNK = 64
-# a unit's last contraction output may exceed this many bytes only at one label
+# a unit's last step output, which is never stored whole, may exceed this
+# many bytes only at one label; so it also bounds the stored steps before it
 _OUT_CAP = 16 << 20
+# a block of a unit's streamed last step may output more bytes than this
+# only at one label.  Six interleaved perfbench runs each (2-vCPU VM, numpy
+# 2.4): at 2 MiB step-entropy read cpu_s 2.28 s against 2.35 s at 1 MiB and
+# 2.44 s unstreamed, at 55 MiB peak RSS either way, and flank-sweep was
+# level; single runs at 512 KiB took 2.41 s, and at 4 MiB peaked at 58 MiB
+_BLOCK_BYTES = 1 << 21
 # contractions at least this many columns wide go through the FFT, narrower
 # ones through the dense kernel (W in the module docstring)
 _FFT_MIN_WIDTH = 256
 # Gram products of at least this many complex multiply-adds run as one BLAS
-# ZGEMM; below it numpy's own einsum loop is faster.  Tuned for the CLI's
-# callers, whose BLAS runs on one thread: kind "coarse" forms one-row
-# products, which cost twice as much as a ZGEMM call, and a four-step sweep's
-# 2**22-MAC products run four times faster as one.  Library callers at the
-# default BLAS thread count see the same split.  Which products take BLAS
-# sets the order of their sums, so moving the constant moves outputs in
-# their last digits
-_GEMM_MIN_MACS = 1 << 22
+# ZGEMM; below it numpy's own einsum loop is faster.  Timed on one BLAS
+# thread, the CLI's, at the last step's block shapes (2-vCPU x86_64, numpy
+# 2.4 with OpenBLAS): from 4 rows on ZGEMM wins from 2**16 MACs (4.3 times
+# faster at 8 rows and 2**19), 2 or 3 rows tie within 5% up to 2**18, and a
+# one-row product, which the dense arm forms on kind "coarse", runs 10 times
+# slower as a ZGEMM.  Library callers at the default BLAS thread count see
+# the same split.  Which products take BLAS sets the order of their sums, so
+# moving the constant moves outputs in their last digits
+_GEMM_MIN_MACS = 1 << 17
 # Python objects per thread of a small run: the executor, frames and unit lists
 _RUN_BYTES = 32 << 10
 # Python objects per unit until the reduction: its future, result tuple and
@@ -154,26 +168,41 @@ class _Frame:
         # columns per row at steps >= 2: 2**left in a split row, else 2**dot
         return 1 << (self.left if self.kind == "full" else self.dot)
 
+    def place(self, j: int) -> int:
+        """Place value of step j's window value in a path code: the count of
+        codes of the recorded steps before j, so the most rows entering step j."""
+        return 1 << self.qwidth * sum(i < j for i in self.recorded)
+
     @property
     def last_place(self) -> int:
-        # place value of a path code's leading digit, the last window value;
-        # also the count of earlier-step codes, a unit's rows entering the last step
-        return 1 << self.qwidth * (len(self.recorded) - 1)
+        # place value of a path code's leading digit, the last window value
+        return self.place(self.steps)
+
+    def step_output(self, j: int, labels: int) -> int:
+        """Complex entries of step j's contraction output over `labels` initial labels."""
+        # rows entering step j x labels x stored fresh register x 2M
+        return self.place(j) * labels << j + self.dot - (not _needs_kernel(self))
 
     @property
     def chunk(self) -> int:
-        # initial labels per unit: _CHUNK, halved while the unit's last output
-        # is over _OUT_CAP; the geometry alone picks it, so reductions group
-        # identically at any thread count
+        # initial labels per unit: _CHUNK, halved while the unit's last step
+        # output, which is streamed, would be over _OUT_CAP, so the stored
+        # penultimate output is at most half of that.  The geometry alone
+        # picks it, so reductions group identically at any thread count
         chunk = min(_CHUNK, 1 << self.left)
-        while chunk > 1 and 16 * self.unit_output(chunk) > _OUT_CAP:
+        while chunk > 1 and 16 * self.step_output(self.steps, chunk) > _OUT_CAP:
             chunk //= 2
         return chunk
 
-    def unit_output(self, chunk: int) -> int:
-        """Complex entries of the last contraction output of a unit of chunk labels."""
-        # rows entering the last step x labels x stored fresh register x 2M
-        return self.last_place * chunk << self.steps + self.dot - (not _needs_kernel(self))
+    @property
+    def block(self) -> int:
+        # labels per block of a unit's streamed last step: the chunk, halved
+        # while a block's output, at the most rows that can enter the step,
+        # is over _BLOCK_BYTES; the geometry alone picks it, as the chunk
+        block = self.chunk
+        while block > 1 and 16 * self.step_output(self.steps, block) > _BLOCK_BYTES:
+            block //= 2
+        return block
 
     @property
     def shared_keys(self) -> bool:
@@ -229,15 +258,18 @@ def _needs_kernel(frame: _Frame) -> bool:
 def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
-    Every thread in flight holds a _Workspace, two buffers the size of a
-    unit's last contraction output as stored, which _Frame.chunk keeps within
-    _OUT_CAP unless a unit is down to one label, beside a step's largest
-    transient: step 1's kernel columns, or a contraction's temporary for one
-    run of rows (the FFT's copy of its in-place operand, or the np.tensordot
-    result plus the copy it makes of its kernel column block), and on the
-    FFT arm its twiddle loop buffers.  The dense kernel or the build of the
-    FFT's cached twiddles, the path Gram blocks and the arrays and path keys
-    of the reduction come once.
+    Every thread in flight holds a _Workspace: two buffers, each the larger
+    of the penultimate step's output as stored (its window-major copy is as
+    large), which _Frame.chunk bounds, and one block of the streamed last
+    step's output, which _Frame.block bounds.  Beside them it holds the last
+    step's two Gram operands (a window value's rows of one block and their
+    conjugate) and Gram accumulator, and a step's largest transient: step
+    1's kernel columns, or on the dense arm the np.tensordot result, the
+    copy it makes of a block's strided input, and the copy of its kernel
+    column block.  On the FFT arm the twiddle loop buffers come per thread;
+    np.fft's in-place transforms copy nothing (numpy 2.4, traced).  The dense
+    kernel or the build of the FFT's cached twiddles, the path Gram blocks
+    and the arrays and path keys of the reduction come once.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -246,14 +278,14 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # rows entering the last step, and live rows after it
     rows = frame.last_place
     rows_final = h * rows
-    out = frame.unit_output(a) * itemsize
-    # one run of rows sharing a last window value: h runs, or a single row
-    run = out // min(rows, h)
+    penultimate = frame.step_output(frame.steps - 1, a) if frame.steps > 1 else 0
+    block = frame.step_output(frame.steps, frame.block)
     dense = _needs_kernel(frame)
-    if dense:
-        run += frame.width * two_m * itemsize
     # step 1's transient: g (its build holds about 4 copies), plus all 2M rows when dense
-    unit = 2 * out + max((5 * (a + two_m) + dense * a * two_m) * itemsize, run)
+    transient = 5 * (a + two_m) + dense * a * two_m
+    if dense:
+        transient = max(transient, penultimate, 2 * block) + frame.width * two_m
+    unit = 2 * max(penultimate, block) + 2 * block // h + h * rows**2 + transient
     groups = 1 << frame.freeq
     # units that run: on a mirrored run only the groups below the top bit
     n_units = (frame.mirror or groups) * ((1 << frame.left) // a)
@@ -292,7 +324,7 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
         # a twiddle multiply's buffered loop (at most 263600 bytes, measured)
         built.append(("twiddle loop buffers", (2 * np.getbufsize() + 128) * itemsize * in_flight))
     return built + [
-        ("step workspace", unit * in_flight),
+        ("step workspace", unit * itemsize * in_flight),
         ("path gram blocks", blocks),
         ("path bookkeeping", held + _RUN_BYTES * in_flight),
     ]
@@ -328,80 +360,121 @@ def _runs(h_last: np.ndarray):
     return zip(h_last[starts].tolist(), starts.tolist(), ends.tolist())
 
 
+def _split(out: np.ndarray, frame: _Frame, halved: bool):
+    """A step output's children by window value, and their norms.
+
+    The output composite index is fresh_bit * M + momentum' (bit 0 only at a
+    halved step 1), the fresh bit joining the register as its lowest digit,
+    and momentum' = child * 2**left + low digits.  Returns out as (row, a,
+    fresh, child, low) and the (child, row, a) norms, doubled on a halved
+    unit (module docstring) so that pruning judges a label by its whole norm.
+    """
+    rows_n, a_width, f_width, width = out.shape
+    children = (1 << frame.qwidth, 1 << frame.left)
+    split = out.reshape((rows_n, a_width, f_width * width >> frame.dot) + children)
+    flat = split.view(np.float64)
+    norms = np.einsum("rafhl,rafhl->hra", flat, flat)
+    norms *= 2.0 if halved else 1.0  # exact: a bit-1 term equals a bit-0 one
+    return split, norms
+
+
+def _prune(norms: np.ndarray, prune_eps: float, disc: np.ndarray, root: np.ndarray):
+    """Book the (child, row, a) branches whose norm is under prune_eps.
+
+    Adds each label's pruned norms to disc and their roots to root, in
+    place; returns the mask of pruned branches, or None when there are none.
+    """
+    if prune_eps > 0:
+        kill = norms < prune_eps
+        if kill.any():
+            dead = np.where(kill, norms, 0.0)
+            disc += dead.sum(axis=(0, 1))
+            root += np.sqrt(dead, out=dead).sum(axis=(0, 1))
+            return kill
+    return None
+
+
+def _step(
+    kernel: np.ndarray | None,
+    frame: _Frame,
+    j: int,
+    group: int,
+    labels: range,
+    amp: np.ndarray | None,
+    runs,
+    ws: _Workspace,
+) -> np.ndarray:
+    """Step j's output for a range of initial labels, (row, a, fresh, 2M or M).
+
+    Step 1 takes the labels' kernel columns (their fresh-bit-0 half on a
+    halved run); a later step contracts amp, the step j-1 amplitudes of the
+    same labels, one run of rows (_step_runs) at a time.  The output goes
+    into the ws buffer that does not hold amp.
+    """
+    m = 1 << frame.dot
+    halved = kernel is None
+    feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
+    if j == 1:
+        start = feed * m + (_rev_int(frame.window[: frame.qwidth]) << frame.left)
+        columns = _bit0_columns if halved else kernel_columns
+        out = ws.take((1, len(labels), 1, m if halved else 2 * m))
+        out[0, :, 0] = columns(frame.dot, start + labels.start, start + labels.stop).T
+        return out
+    rows_n, _, f_width, _ = amp.shape
+    out = ws.take((rows_n, len(labels), f_width, 2 * m), busy=amp)
+    return _contract_rows(amp, kernel, frame.dot, feed, runs, out)
+
+
+def _step_runs(frame: _Frame, j: int, codes: np.ndarray) -> list[tuple[int, int, int]]:
+    """(value, lo, hi) for each run of rows entering step j that shares a column block.
+
+    Rows share the momentum block of their newest window value (the code's
+    leading digit); a row not yet split by a recorded window has code 0 and
+    holds the whole momentum register.
+    """
+    return list(_runs(codes * (1 << frame.qwidth) // frame.place(j)))
+
+
 def _grow_unit(
     kernel: np.ndarray | None,
     frame: _Frame,
     prune_eps: float,
     unit: tuple[int, int, int],
     ws: _Workspace,
+    steps: int,
 ):
-    """Propagate one (group, a_lo, a_hi) unit of initial labels for `steps` steps.
+    """Propagate one (group, a_lo, a_hi) unit of initial labels for its first `steps` steps.
 
     Amplitudes are held as (row, a, fresh, momentum) in the two buffers of
     ws, each step writing the buffer its input does not use; the returned
-    amplitudes last until ws runs another unit.  A halved unit (module
-    docstring) doubles its norms, so pruning judges a label by its whole norm.
-    Returns per-label discarded mass (norm units), the sum over labels of
-    2S + S**2 (S the sum of a label's pruned norms' roots), each row's path
-    code (its window values as base-2**qwidth digits, the newest most
-    significant, so the codes strictly increase down the rows and the
-    leading digit is the last window value) and the final amplitudes.
+    amplitudes (None after 0 steps) last until ws runs another unit.
+    Returns per-label discarded mass (norm units), per-label S (the sum of
+    a label's pruned norms' roots), each row's path code (its recorded window
+    values as base-2**qwidth digits, the newest most significant, so the
+    codes strictly increase down the rows) and the amplitudes.
     """
     group, a_lo, a_hi = unit
-    halved = kernel is None
-    m = 1 << frame.dot
-    h_count = 1 << frame.qwidth
-    low = 1 << frame.left
-    a_width = a_hi - a_lo
-    base0 = _rev_int(frame.window[: frame.qwidth]) * low + a_lo
-    disc = np.zeros(a_width)
-    root = np.zeros(a_width)
+    labels = range(a_lo, a_hi)
+    disc = np.zeros(len(labels))
+    root = np.zeros(len(labels))
     codes = np.zeros(1, dtype=np.int64)
-    place = 1  # place value of the next recorded window value
-
-    for j in range(1, frame.steps + 1):
-        feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
-        if j == 1:
-            start = feed * m + base0
-            columns = _bit0_columns if halved else kernel_columns
-            amp = ws.take((1, a_width, 1, m if halved else 2 * m))
-            amp[0, :, 0] = columns(frame.dot, start, start + a_width).T
-        else:
-            # rows share the momentum block of their newest window value (the
-            # code's leading digit); a row not yet split by a recorded window
-            # has code 0 and holds the whole momentum register
-            runs = _runs(codes * h_count // place)
-            rows_n, _, f_width, _ = amp.shape
-            out = ws.take((rows_n, a_width, f_width, 2 * m), busy=amp)
-            amp = _contract_rows(amp, kernel, frame.dot, feed, runs, out)
-
-        # output composite index = fresh_bit * m + momentum' (bit 0 only at a
-        # halved step 1), and the fresh bit joins the register as its lowest digit
-        rows_n, _, f_width, width = amp.shape
-        f_width = f_width * width // m
+    amp = None
+    for j in range(1, steps + 1):
+        amp = _step(kernel, frame, j, group, labels, amp, _step_runs(frame, j, codes), ws)
         if j not in frame.recorded:
-            amp = amp.reshape(rows_n, a_width, f_width, m)
+            amp = amp.reshape(amp.shape[:2] + (-1, 1 << frame.dot))
             continue
-        # momentum composite = child * 2**left + low digits; split children
-        # into window-value-major rows, so equal last values stay adjacent
-        split = amp.reshape(rows_n, a_width, f_width, h_count, low)
-        flat = split.view(np.float64)
-        norms = np.einsum("rafhl,rafhl->hra", flat, flat)
-        norms *= 2.0 if halved else 1.0  # exact: a bit-1 term equals a bit-0 one
-        amp = ws.take((h_count, rows_n, a_width, f_width, low), busy=split)
+        # split children into window-value-major rows, so equal last values stay adjacent
+        split, norms = _split(amp, frame, kernel is None)
+        kill = _prune(norms, prune_eps, disc, root)
+        h_count, rows_n = norms.shape[:2]
+        amp = ws.take((h_count,) + split.shape[:3] + split.shape[4:], busy=split)
         np.copyto(amp, np.moveaxis(split, 3, 0))
-        del split, flat
-        if prune_eps > 0:
-            kill = norms < prune_eps
-            if kill.any():
-                dead = np.where(kill, norms, 0.0)
-                disc += dead.sum(axis=(0, 1))
-                root += np.sqrt(dead, out=dead).sum(axis=(0, 1))
-                del dead
-                amp[kill] = 0
-        amp = amp.reshape(h_count * rows_n, a_width, f_width, low)
-        codes = (np.arange(h_count)[:, None] * place + codes).reshape(-1)
-        place *= h_count
+        del split
+        if kill is not None:
+            amp[kill] = 0
+        amp = amp.reshape((h_count * rows_n,) + amp.shape[2:])
+        codes = (np.arange(h_count)[:, None] * frame.place(j) + codes).reshape(-1)
         if prune_eps > 0:
             keep = (norms >= prune_eps).any(axis=2).reshape(-1)
             if not keep.all():
@@ -409,7 +482,7 @@ def _grow_unit(
                 kept = ws.take((int(keep.sum()),) + amp.shape[1:], busy=amp)
                 amp = np.take(amp, np.flatnonzero(keep), axis=0, out=kept, mode="clip")
                 codes = codes[keep]
-    return disc, float((root * (2.0 + root)).sum()), codes, amp
+    return disc, root, codes, amp
 
 
 def _contract_rows(
@@ -438,6 +511,21 @@ def _contract_rows(
     return out
 
 
+def _overlaps(sub: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """sub @ conj.T for (rows, k) arrays, k a power of two: one Gram block's sums.
+
+    The sums go through np.einsum's "ialf,jalf->ij", the spec perfbench's
+    dense_equiv_gflop counter matches, with the rows' entries as three axes.
+    Products of at least _GEMM_MIN_MACS complex multiply-adds run as one
+    BLAS ZGEMM, which einsum reaches without copying an operand only when no
+    axis has length 1: hence the shape (rows, 2, 2, k/4).
+    """
+    rows, k = sub.shape
+    shape = (rows, 2, 2, k // 4) if k >= 8 else (rows, 1, 1, k)
+    blas = rows * sub.size >= _GEMM_MIN_MACS
+    return np.einsum("ialf,jalf->ij", sub.reshape(shape), conj.reshape(shape), optimize=blas)
+
+
 def _run_unit(
     kernel: np.ndarray | None,
     frame: _Frame,
@@ -445,26 +533,62 @@ def _run_unit(
     unit: tuple[int, int, int],
     ws: _Workspace,
 ):
-    """Grow one unit, then reduce its amplitudes to Gram blocks.
+    """Grow one unit, streaming its last step into norms and Gram blocks.
 
-    Returns _grow_unit's masses and path codes, and one (lo, block) per run
-    of equal last window value (the codes' leading digit), where block[i, j]
-    is the overlap of the paths in rows lo + i and lo + j (half of it on a
-    halved unit); paths in different runs are orthogonal.
-    All in norm units: ensemble weights are applied by the caller.  The
-    amplitudes stay in ws until its next unit overwrites them.
+    Steps 1..steps-1 run as _grow_unit.  The last step runs _Frame.block
+    labels at a time, and each block is folded at once into the per-label
+    masses, the per-row keep mask and one Gram accumulator per last window
+    value; rows nobody keeps are dropped at the end.  Returns the per-label
+    discarded mass, the sum over labels of 2S + S**2 (S the sum of a label's
+    pruned norms' roots), the path codes (_grow_unit's, one more digit), and
+    one (lo, block) per run of equal last window value (the codes' leading
+    digit), where block[i, j] is the overlap of the paths in rows lo + i and
+    lo + j (half of it on a halved unit); paths in different runs are
+    orthogonal.  All in norm units: ensemble weights are applied by the caller.
     """
-    disc, cross, codes, amp = _grow_unit(kernel, frame, prune_eps, unit, ws)
-    blocks = []
-    for _, lo, hi in _runs(codes // frame.last_place):
-        sub = amp[lo:hi]
-        conj = np.conjugate(sub, out=ws.take(sub.shape, busy=amp))
-        # sums over every axis but the row; large products go through one
-        # BLAS ZGEMM.  The spec string is kept verbatim because perfbench's
-        # dense_equiv_gflop counter matches it
-        blas = sub.shape[0] * sub.size >= _GEMM_MIN_MACS
-        blocks.append((lo, np.einsum("ialf,jalf->ij", sub, conj, optimize=blas)))
-    return disc, cross, codes, blocks
+    halved = kernel is None
+    j = frame.steps
+    disc, root, codes, amp = _grow_unit(kernel, frame, prune_eps, unit, ws, j - 1)
+    group, a_lo, a_hi = unit
+    h_count, rows_n = 1 << frame.qwidth, len(codes)
+    runs = _step_runs(frame, j, codes)
+    gram = np.zeros((h_count, rows_n, rows_n), dtype=np.complex128)
+    keep = np.full((h_count, rows_n), prune_eps == 0)
+    # a one-row block is the sum of its labels' halved norms; the dense arm,
+    # the narrow-geometry oracle, forms every block as a product, whose MACs
+    # perfbench's dense_equiv_gflop counter counts
+    from_norms = rows_n == 1 and halved
+    if not from_norms:
+        # the product operands: one window value's rows of a block, and their conjugate
+        width = frame.step_output(j, frame.block) // (frame.place(j) << frame.qwidth)
+        sub, conj = (np.empty((rows_n, width), dtype=np.complex128) for _ in range(2))
+    for lo in range(0, a_hi - a_lo, frame.block):
+        hi = lo + frame.block
+        part = None if amp is None else amp[:, lo:hi]
+        out = _step(kernel, frame, j, group, range(a_lo + lo, a_lo + hi), part, runs, ws)
+        split, norms = _split(out, frame, halved)
+        kill = _prune(norms, prune_eps, disc[lo:hi], root[lo:hi])
+        if prune_eps > 0:
+            keep |= (norms >= prune_eps).any(axis=2)
+        if from_norms:
+            if kill is not None:
+                norms[kill] = 0.0
+            gram[:, 0, 0] += norms[:, 0].sum(axis=1) * 0.5
+            continue
+        for h in range(h_count):
+            gathered = sub.reshape(split[:, :, :, h].shape)
+            np.copyto(gathered, split[:, :, :, h])
+            if kill is not None:
+                gathered[kill[h]] = 0
+            gram[h] += _overlaps(sub, np.conjugate(sub, out=conj))
+    blocks, lo = [], 0
+    for h in range(h_count):
+        rows = np.flatnonzero(keep[h])
+        if rows.size:
+            blocks.append((lo, gram[h] if rows.size == rows_n else gram[h][np.ix_(rows, rows)]))
+            lo += rows.size
+    codes = (np.arange(h_count)[:, None] * frame.last_place + codes)[keep]
+    return disc, float((root * (2.0 + root)).sum()), codes, blocks
 
 
 @dataclass

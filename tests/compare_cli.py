@@ -15,8 +15,9 @@ is listed is also compared with that twin, CHANGE_SRC against CHANGE_SRC,
 byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
 three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
-and left 12 / steps 2 (26 qubits), --threads 1 against the default, both
-output formats and two budget refusals.
+and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
+steps 4, --threads 1 against the default, both output formats and two
+budget refusals.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -83,8 +84,14 @@ def invocations() -> list[list[str]]:
     for left, steps in ((10, 3), (11, 2), (12, 2)):
         point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
         out += [point, point + ["--threads", "1"]]
+    # a unit's last step over 8 blocks of labels (one label each at five
+    # steps), unpruned and pruned, so that the order of the blocks' Gram sums
+    # shows against the parent and against the --threads 1 twin
+    for point in (["sweep", "--sweep-left", "8", "--sweep-steps", "5"],
+                  ["sweep", "--sweep-left", "8", "--sweep-steps", "4", "--prune", "1e-3"]):
+        out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 18779062368 and 573605440608 bytes, so a change to
+    # this tree 19048874240 and 577905913088 bytes, so a change to
     # _estimate_bytes shows here as a stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",

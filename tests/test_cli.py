@@ -386,6 +386,25 @@ def test_byte_identical_runs_and_threads(tmp_path, fmt):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "--sweep-left", "8", "--sweep-steps", "3", "--init-x", "01", "--format", "json"],
+        ["full-histories", "--qubits", "15", "--dot", "9", "--left", "8", "--right", "4",
+         "--steps", "3", "--init-x", "011", "--prune", "1e-3"],
+        ["coarse-entropy", "--qubits", "22", "--dot", "10", "--left", "9", "--right", "9",
+         "--steps", "4", "--prune", "0.01"],
+    ],
+)
+def test_a_streamed_last_step_writes_the_same_bytes_at_threads_1_and_2(tmp_path, argv):
+    # each unit's last step runs in 4 blocks of labels, and the order of the
+    # blocks' sums does not depend on the thread count
+    paths = [tmp_path / f"{threads}.out" for threads in (1, 2)]
+    for threads, path in zip((1, 2), paths):
+        assert main(argv + ["--threads", str(threads), "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["full-histories", "--init-x", "011"],
         ["full-histories", "--qubits", "12", "--dot", "6", "--left", "3", "--right", "5",
          "--steps", "3", "--init-x", "0110", "--prune", "0.01", "--format", "json"],

@@ -76,6 +76,19 @@ def _unit_kernel(ens):
     return transfer_kernel(frame.dot) if histories._needs_kernel(frame) else None
 
 
+def materialized_unit(kernel, frame, prune_eps, unit):
+    """A unit grown through its last step at once: the oracle of the streamed last step.
+
+    Returns per-label discarded mass, the sum over labels of 2S + S**2, the
+    path codes and the final (row, a, fresh, low) amplitudes, in a workspace
+    of their own.
+    """
+    disc, root, codes, amp = histories._grow_unit(
+        kernel, frame, prune_eps, unit, histories._Workspace(), frame.steps
+    )
+    return disc, float((root * (2.0 + root)).sum()), codes, amp
+
+
 def step1_phase(frame, unit):
     """bakermap.fresh_phase of each label of a unit: its step-1 column's
     fresh-bit-1 rows over its fresh-bit-0 rows."""
@@ -103,7 +116,7 @@ def label_masses(ens):
     """{label: (discarded, retained)} squared norms of every initial label.
 
     The engine books only the total discarded mass, so this regrows every
-    (group, a-chunk) unit with histories._grow_unit and sums each label's
+    (group, a-chunk) unit with materialized_unit and sums each label's
     pruned and final branch norms (norm units) over its whole fresh register.
     """
     frame = ens._frame
@@ -114,9 +127,7 @@ def label_masses(ens):
         for a_lo in range(0, low_total, frame.chunk):
             a_hi = a_lo + frame.chunk
             unit = (group, a_lo, a_hi)
-            d, _, _, amp = histories._grow_unit(
-                _unit_kernel(ens), frame, ens.prune_eps, unit, histories._Workspace()
-            )
+            d, _, _, amp = materialized_unit(_unit_kernel(ens), frame, ens.prune_eps, unit)
             flat = whole_fresh_register(frame, unit, amp).view(np.float64)
             disc[group, a_lo:a_hi] = d
             kept[group, a_lo:a_hi] = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
@@ -127,12 +138,12 @@ def label_masses(ens):
     return masses
 
 
-def branch_vector(ens, label, path):
+def branch_vector(ens, label, path, grow=materialized_unit):
     """Dot-basis coefficients of the branch grown from one initial label.
 
     The engine keeps no amplitudes, so this regrows the label's
-    (group, a-chunk) unit with histories._grow_unit and rebuilds the full
-    2**qubits coefficient vector from its compact register.
+    (group, a-chunk) unit with grow, materialized_unit or a cache of it, and
+    rebuilds the full 2**qubits coefficient vector from its compact register.
     """
     frame = ens._frame
     if frame.qubits > RECONSTRUCT_LIMIT:
@@ -155,9 +166,7 @@ def branch_vector(ens, label, path):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % frame.chunk
     unit = (group, a_lo, a_lo + frame.chunk)
-    _, _, codes, amp = histories._grow_unit(
-        _unit_kernel(ens), frame, ens.prune_eps, unit, histories._Workspace()
-    )
+    _, _, codes, amp = grow(_unit_kernel(ens), frame, ens.prune_eps, unit)
     rows = np.flatnonzero(codes == code)
     if not rows.size:
         return out
@@ -347,7 +356,7 @@ def test_pruned_run_stays_consistent():
 
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
-def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kind):
+def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(kind):
     # left 8 puts four a-chunks in each of two groups, so each group's
     # accumulator sums the blocks of several units; on kind "full" pruning
     # also keeps different path lists in different units of one group
@@ -357,11 +366,8 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     chunk = frame.chunk
     assert frame.freeq > 0 and (1 << frame.left) > chunk
     assert not histories._needs_kernel(frame)
-    # branch_vector regrows a whole unit per call; grow each unit once, in a
-    # workspace of its own
-    grow_unit = histories._grow_unit
-    cached = functools.lru_cache(lambda *args: grow_unit(*args, histories._Workspace()))
-    monkeypatch.setattr(histories, "_grow_unit", lambda *args: cached(*args[:-1]))
+    # branch_vector regrows a whole unit per call; grow each unit once
+    cached = functools.lru_cache(materialized_unit)
     grow = functools.partial(cached, None, frame, ens.prune_eps)
     path_lists = [
         {tuple(grow((group, a_lo, a_lo + chunk))[2]) for a_lo in range(0, 1 << frame.left, chunk)}
@@ -370,7 +376,7 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(monkeypatch, kin
     assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
     want = np.zeros_like(ens.gram)
     for label in block_labels(block):
-        vecs = np.array([branch_vector(ens, label, path) for path in ens.paths])
+        vecs = np.array([branch_vector(ens, label, path, cached) for path in ens.paths])
         # want[i, j] = weight * <b_j | b_i>
         want += block_weight(block) * (vecs @ vecs.conj().T)
     np.testing.assert_allclose(ens.gram, want, rtol=0, atol=1e-12)
@@ -485,11 +491,7 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
     frame = ens._frame
-    units = [
-        (group, a_lo, a_lo + frame.chunk)
-        for group in range(1 << frame.freeq)
-        for a_lo in range(0, 1 << frame.left, frame.chunk)
-    ]
+    units = _unit_list(frame)
     assert len(units) > 1
     run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, prune_eps)
     ws = histories._Workspace()
@@ -504,6 +506,64 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
         assert [lo for lo, _ in blocks] == [lo for lo, _ in want_blocks]
         for (_, g), (_, want) in zip(blocks, want_blocks):
             np.testing.assert_array_equal(g, want)
+
+
+def _unit_list(frame):
+    return [
+        (group, a_lo, a_lo + frame.chunk)
+        for group in range(1 << frame.freeq)
+        for a_lo in range(0, 1 << frame.left, frame.chunk)
+    ]
+
+
+@pytest.mark.parametrize("labels", ["one-label", "whole-unit"])
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("arm", ["fft", "dense"])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window",
+    [
+        # one step: step 1's columns are the streamed step, on either arm,
+        # in two units of 64 labels
+        (13, 8, 7, 2, 1, "0101"),
+        # 64 rows of 4 labels enter the last step (full)
+        (11, 5, 2, 5, 3, "0110"),
+        # 16 labels a unit, mirrored on the FFT arm
+        (11, 6, 4, 4, 3, "011"),
+    ],
+)
+def test_the_streamed_last_step_matches_the_materialized_one(
+    monkeypatch, qubits, dot, left, right, steps, window, arm, kind, prune_eps, labels
+):
+    # _run_unit folds its last step into norms and Gram blocks a block of
+    # labels at a time; materialized_unit grows the whole step, then forms the
+    # blocks as one product per run of rows.  Both are compared in the
+    # ensemble's units, where each label weighs 2**-(left + steps)
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+    monkeypatch.setattr(histories, "_BLOCK_BYTES", 0 if labels == "one-label" else 1 << 62)
+    frame = block_frame(make_block(qubits, dot, left, right, window), steps, kind)
+    assert frame.block == (1 if labels == "one-label" else frame.chunk)
+    assert histories._needs_kernel(frame) == (arm == "dense" and steps > 1)
+    kernel = transfer_kernel(dot) if histories._needs_kernel(frame) else None
+    weight = 2.0 ** -(left + steps)
+    pruned = dropped = 0
+    for unit in _unit_list(frame):
+        disc, cross, codes, blocks = histories._run_unit(
+            kernel, frame, prune_eps, unit, histories._Workspace()
+        )
+        want_disc, want_cross, want_codes, amp = materialized_unit(kernel, frame, prune_eps, unit)
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_allclose(weight * disc, weight * want_disc, rtol=0, atol=1e-13)
+        assert weight * cross == pytest.approx(weight * want_cross, rel=0, abs=1e-13)
+        runs = list(histories._runs(codes // frame.last_place))
+        assert [lo for lo, _ in blocks] == [lo for _, lo, _ in runs]
+        for (_, got), (_, lo, hi) in zip(blocks, runs, strict=True):
+            want = np.einsum("ialf,jalf->ij", amp[lo:hi], amp[lo:hi].conj())
+            np.testing.assert_allclose(weight * got, weight * want, rtol=0, atol=1e-13)
+        pruned += disc.any()
+        dropped += len(codes) < frame.last_place << frame.qwidth
+    assert bool(pruned) == (prune_eps > 0)
+    assert bool(dropped) == (prune_eps > 0)
 
 
 def test_a_growing_workspace_frees_the_old_buffer_first():
@@ -659,6 +719,9 @@ _BUDGET_CASES = [
     # a lower _OUT_CAP: chunks of 4 (full) or 16 (coarse) labels, and of one
     (15, 9, 8, 4, 3, "011", 1 << 20),
     (15, 9, 8, 4, 3, "011", 0),
+    # the four-step sweep point at left 8: a last step of 8 (full) or 2
+    # (coarse) blocks per unit, after a 4 MiB (full) penultimate step
+    (18, 9, 8, 8, 4, "01", None),
 ]
 
 
@@ -749,8 +812,8 @@ def test_default_budget_admits_the_left_10_sweep_point():
 def test_default_budget_admits_six_steps_of_the_left_8_sweep_point():
     # sweep geometry at left 8: qubits 18, dot 9, right 8; at 64 labels a
     # unit's last output (its fresh-bit-0 half) would be 512 MiB, and the run
-    # was refused at 5.4 GB.  At 2 threads it projects 232733552 bytes, and a
-    # run under tracemalloc peaked at 75595781
+    # was refused at 5.4 GB.  At 2 threads it projects 127320240 bytes, and a
+    # run under tracemalloc peaked at 46866984
     block = make_block(18, 9, 8, 8, "01")
     assert block_frame(block, 6, "full").chunk == 2
     for threads in (1, 2, 8):
@@ -1152,24 +1215,15 @@ def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps
         return apply_columns(x, *args, **kwargs)
 
     monkeypatch.setattr(histories, "apply_columns", recording)
-    units = [
-        (group, a_lo, a_lo + frame.chunk)
-        for group in range(1 << frame.freeq)
-        for a_lo in range(0, 1 << frame.left, frame.chunk)
-    ]
-    halved = [
-        histories._grow_unit(None, frame, prune_eps, unit, histories._Workspace())
-        for unit in units
-    ]
+    units = _unit_list(frame)
+    halved = [materialized_unit(None, frame, prune_eps, unit) for unit in units]
     # every run of rows goes to the FFT as one contiguous block
     assert sent and all(sent)
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
     assert histories._needs_kernel(frame)
     kernel = transfer_kernel(frame.dot)
     for unit, (disc, _, codes, amp) in zip(units, halved):
-        want_disc, _, want_codes, whole = histories._grow_unit(
-            kernel, frame, prune_eps, unit, histories._Workspace()
-        )
+        want_disc, _, want_codes, whole = materialized_unit(kernel, frame, prune_eps, unit)
         np.testing.assert_array_equal(codes, want_codes)
         np.testing.assert_allclose(disc, want_disc, rtol=0, atol=1e-12)
         half = whole.shape[2] // 2
