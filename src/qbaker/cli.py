@@ -46,7 +46,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import DENSE_LIMIT, baker_matrix, basis_state, bvs_reference_matrix
+from .bakermap import (
+    _MATRIX_BLOCK,
+    DENSE_LIMIT,
+    baker_matrix,
+    basis_state,
+    bvs_reference_matrix,
+)
 from .coarsegrain import BlockInitialState, CoarseGraining, project, run_graining
 from .core import DEFAULT_BUDGET_BYTES, SystemShape, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -395,6 +401,25 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
+def _gram_deviation(a: np.ndarray) -> float:
+    """max |A^H A - I| over every entry, one _MATRIX_BLOCK of columns at a time.
+
+    Block i's conjugate meets only the columns from its own start onward,
+    since |G_ji| = |G_ij|, so each column pair is formed once and nothing of
+    dim x dim size is allocated.  On one BLAS thread, as the CLI runs, equal
+    bit for bit to the dense np.abs(a.conj().T @ a - np.eye(n)).max().
+    """
+    n = a.shape[1]
+    dev = 0.0
+    for start in range(0, n, _MATRIX_BLOCK):
+        width = min(_MATRIX_BLOCK, n - start)
+        gram = a[:, start : start + width].conj().T @ a[:, start:]
+        # the block's diagonal: entry (k, k) of each row's slice
+        gram.reshape(-1)[:: n - start + 1] -= 1
+        dev = max(dev, float(np.abs(gram).max()))
+    return dev
+
+
 def cmd_check(cfg: dict) -> int:
     graining = _geometry(cfg)
     shape = graining.shape
@@ -416,16 +441,16 @@ def cmd_check(cfg: dict) -> int:
         if not ok:
             failures.append(name)
 
+    # one dim x dim matrix alive at a time, freed before the suites below
     dim = shape.dim
-    basis = np.column_stack(
-        [
-            basis_state(shape, shape.dot, format(j, f"0{shape.qubits}b"))
-            for j in range(dim)
-        ]
-    )
-    record("basis orthonormality", float(np.abs(basis.conj().T @ basis - np.eye(dim)).max()))
+    basis = np.empty((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        basis[:, j] = basis_state(shape, shape.dot, format(j, f"0{shape.qubits}b"))
+    record("basis orthonormality", _gram_deviation(basis))
+    del basis
     u = baker_matrix(shape)
-    record("map unitarity", float(np.abs(u.conj().T @ u - np.eye(dim)).max()))
+    record("map unitarity", _gram_deviation(u))
+    del u
 
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

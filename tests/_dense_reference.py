@@ -6,6 +6,7 @@ coefficient vector, projecting after each step (or only the last one), so
 the fast reduced-register engine can be compared against it entry by entry.
 index_to_bits spells an index as an MSB-first label, and kron_basis_state
 builds a basis state as a chain of np.kron products.
+dense_unitarity_deviation is max |A^H A - I| from one whole Gram product.
 """
 
 import itertools
@@ -36,6 +37,12 @@ def kron_basis_state(shape, dot, bits):
         ) / np.sqrt(2.0)
         state = np.kron(state, factor)
     return state
+
+
+def dense_unitarity_deviation(a):
+    """max |A^H A - I| over every entry, from the whole n x n product."""
+    n = a.shape[1]
+    return float(np.abs(a.conj().T @ a - np.eye(n)).max())
 
 
 def enumerate_block(graining, window):

@@ -16,8 +16,9 @@ byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
 three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
 and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
-steps 4, --threads 1 against the default, both output formats and two
-budget refusals.
+steps 4, check at three more geometries, --threads 1 against the default,
+both output formats and two budget refusals.  check's report is compared
+line by line: a suite's name and verdict as text, its numbers as numbers.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -43,6 +44,8 @@ TIMEOUT_S = 900
 TOLERANCE = 1e-12
 # "timings: ..." of full-histories and coarse-entropy, "sweep point ...: runtime" of sweep
 TIMING = re.compile(r"^(timings: |sweep point .*: runtime )")
+# a suite line of check's report: its name, deviation, tolerance and verdict
+SUITE = re.compile(r"^(.*): max deviation (\S+) \(tol (\S+)\) (ok|FAIL)$")
 
 # (qubits, dot, left, right, steps, init-x of full-histories): the default
 # geometry, four groups of one a-chunk, and two groups of four a-chunks
@@ -77,6 +80,15 @@ def invocations() -> list[list[str]]:
                             *common])
             out.append(["sweep", "--sweep-left", "4,6,8", "--sweep-steps", "1,2,3",
                         "--prune", prune, "--format", fmt])
+    # check's dense suites at three more dots than perfbench's (10, 5): the
+    # default geometry, then (10, 3) and (9, 6)
+    out += [
+        ["check"],
+        ["check", "--qubits", "10", "--dot", "3", "--left", "1", "--right", "5",
+         "--steps", "2", "--init-x", "1111"],
+        ["check", "--qubits", "9", "--dot", "6", "--left", "4", "--right", "2",
+         "--steps", "1", "--init-x", "101"],
+    ]
     threaded = deep + [args for args in out if "--prune" in args and "1e-3" in args]
     out += [args + ["--threads", "1"] for args in threaded]
     # sweep points of several a-chunks each, sized by the 16 MiB output cap,
@@ -114,14 +126,20 @@ def run_once(src: str, args: list[str], out: Path) -> tuple[int, bytes | None, l
     return proc.returncode, text, [line for line in err if not TIMING.match(line)]
 
 
+def _cells(line: str) -> list[str]:
+    suite = SUITE.match(line)
+    return list(suite.groups()) if suite else re.split(r",| = ", line)
+
+
 def fields(text: bytes) -> list[str]:
-    """An output file's fields in order: JSON keys and leaves, or CSV cells."""
+    """An output file's fields in order: JSON keys and leaves, CSV cells, or
+    the name, numbers and verdict of each suite line of check's report."""
     doc = text.decode("utf-8")
     try:
         data = json.loads(doc)
     except ValueError:
-        # CSV rows, and "# key = value" lines
-        return [cell for line in doc.splitlines() for cell in re.split(r",| = ", line)]
+        # CSV rows, "# key = value" lines, and check's suite and verdict lines
+        return [cell for line in doc.splitlines() for cell in _cells(line)]
     out = []
 
     def walk(node):

@@ -7,15 +7,20 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
+from _dense_reference import dense_unitarity_deviation, index_to_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbaker import cli, histories
+from qbaker.bakermap import baker_matrix, basis_state
 from qbaker.cli import main
+from qbaker.core import SystemShape
 
 
 def read_csv(path):
@@ -54,6 +59,91 @@ def test_check_failure_exits_3_after_writing_its_report(tmp_path, monkeypatch, c
     assert verdict == "invariant violated: basis orthonormality"
     err = capsys.readouterr().err
     assert err == "error: invariant violated: basis orthonormality\n"
+
+
+# a column inside the last 64-column block of the default 8-qubit geometry
+_DOCTORED = (1 << 8) - 3
+
+
+def _doctor(column, first, how):
+    """`column` with 1e-6 of the first column mixed in, or scaled by 1 + 1e-8."""
+    return column + 1e-6 * first if how == "mix" else column * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("how,dev", [("mix", 1e-6), ("scale", 2e-8)])
+@pytest.mark.parametrize("suite", ["basis orthonormality", "map unitarity"])
+def test_check_sees_one_doctored_column_in_the_last_block(tmp_path, monkeypatch, suite, how, dev):
+    # mixing moves only an off-diagonal entry of the first block's rows,
+    # scaling only the last block's diagonal
+    if suite == "basis orthonormality":
+        real = cli.basis_state
+
+        def doctored_state(shape, dot, bits):
+            state = real(shape, dot, bits)
+            if int(bits, 2) != _DOCTORED:
+                return state
+            return _doctor(state, real(shape, dot, "0" * shape.qubits), how)
+
+        monkeypatch.setattr(cli, "basis_state", doctored_state)
+    else:
+        real = cli.baker_matrix
+
+        def doctored_matrix(shape):
+            u = real(shape)
+            if shape.qubits == 8:  # the run's map, not the 6-qubit reference
+                u[:, _DOCTORED] = _doctor(u[:, _DOCTORED], u[:, 0], how)
+            return u
+
+        monkeypatch.setattr(cli, "baker_matrix", doctored_matrix)
+    out = tmp_path / "report.txt"
+    assert main(["check", "--out", str(out)]) == 3
+    *suites, verdict = out.read_text(encoding="utf-8").splitlines()
+    assert verdict == f"invariant violated: {suite}"
+    assert len(suites) == 8
+    for line in suites:
+        name, _, rest = line.partition(": max deviation ")
+        if name == suite:
+            assert line.endswith(" FAIL")
+            assert float(rest.split()[0]) == pytest.approx(dev, rel=1e-3)
+        else:
+            assert line.endswith(" ok")
+
+
+@pytest.mark.parametrize(
+    "qubits,dot", [(10, 5), (10, 3), (10, 9), (9, 4), (8, 2), (7, 6)]
+)
+def test_blocked_gram_deviation_equals_the_dense_one(qubits, dot):
+    shape = SystemShape(qubits, dot)
+    basis = np.column_stack(
+        [basis_state(shape, dot, index_to_bits(j, qubits)) for j in range(shape.dim)]
+    )
+    for a in (basis, baker_matrix(shape)):
+        assert cli._gram_deviation(a) == dense_unitarity_deviation(a)
+
+
+@pytest.mark.parametrize("rows,cols", [(200, 200), (40, 37)])
+def test_blocked_gram_deviation_of_a_ragged_random_matrix(rows, cols):
+    # widths that no whole number of column blocks makes.  On two BLAS
+    # threads OpenBLAS rounded one tail-block entry 1 ulp apart from the
+    # whole product in one of 400 random draws over ten shapes; 200 x 200
+    # matched in every draw, on one BLAS thread and on two
+    rng = np.random.default_rng(3)
+    a = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / 10
+    assert cli._gram_deviation(a) == dense_unitarity_deviation(a)
+
+
+def test_check_holds_one_dense_matrix_at_a_time():
+    # one 10-qubit complex matrix is 16 * 4**10 bytes; both of them, or one
+    # and its whole Gram product, take twice that
+    tracemalloc.start()
+    try:
+        code = main(["check", "--qubits", "10", "--dot", "5", "--left", "2", "--right", "4",
+                     "--steps", "3", "--init-x", "0101", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.5 * 16 * 4**10
 
 
 def test_check_names_violated_inequality(capsys):

@@ -36,3 +36,19 @@ def test_json_leaves_compare_like_csv_cells():
     assert texts and 8e-16 < largest < 1e-15
     moved["config"]["init_x"] = "10"
     assert field_diff(json.dumps(doc).encode(), json.dumps(moved).encode())[0] is False
+
+
+REPORT = b"""basis orthonormality: max deviation 8.882e-16 (tol 1e-10) ok
+full-to-coarse sum rule: max deviation 8.327e-17 (tol 1e-10) ok
+all checks passed
+"""
+
+
+def test_check_report_numbers_compare_as_numbers():
+    moved = REPORT.replace(b"8.327e-17", b"4.163e-17")
+    texts, largest = field_diff(REPORT, moved)
+    assert texts and largest == 8.327e-17 - 4.163e-17
+    # a suite's name and verdict are text
+    assert field_diff(REPORT, REPORT.replace(b"ok\nfull", b"FAIL\nfull"))[0] is False
+    assert field_diff(REPORT, REPORT.replace(b"sum rule", b"sum rules"))[0] is False
+    assert field_diff(REPORT, REPORT.replace(b"all checks", b"no checks"))[0] is False
