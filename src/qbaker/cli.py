@@ -187,17 +187,15 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
-def _shift_continuations(window: str, steps: int) -> set[tuple[str, ...]]:
-    """All per-step window histories reachable by dropping one leading bit
-    and appending one fresh bit each step."""
-    grown = [((), window)]
-    for _ in range(steps):
-        grown = [
-            (hist + (nxt,), nxt)
-            for hist, last in grown
-            for nxt in (last[1:] + "0", last[1:] + "1")
-        ]
-    return {hist for hist, _ in grown}
+def _shift_continuations(window: int, kept: int, steps: int) -> set[tuple[int, ...]]:
+    """All per-step histories of `kept`-bit window values reachable by
+    dropping the leading bit and appending a fresh bit each step: the
+    `steps`-bit value `fresh` appends its bits, leading bit first."""
+    mask = (1 << kept) - 1
+    return {
+        tuple((window << j | fresh >> steps - j) & mask for j in range(1, steps + 1))
+        for fresh in range(1 << steps)
+    }
 
 
 def _render_csv(echo, header, rows, summary) -> str:
@@ -283,18 +281,20 @@ def _history_rows(dist, kind: str, window: str, steps: int) -> list[tuple]:
     compares the surviving core window[steps:] with the word's leading bits.
     """
     kept = len(window)
+    prob = dict(zip(map(tuple, dist.paths.tolist()), dist.probabilities.tolist()))
     if kind == "full":
-        paths = sorted(set(dist.paths) | _shift_continuations(window, steps))
-        oracles = [ideal_full_value(window, path, path) for path in paths]
+        paths = sorted(prob.keys() | _shift_continuations(int(window, 2), kept, steps))
     else:
-        paths = [(format(v, f"0{kept}b"),) for v in range(1 << kept)]
-        core = window[steps:]
-        oracles = [ideal_coarse_value(core, word[: kept - steps], steps) for (word,) in paths]
-    prob = dict(zip(dist.paths, dist.probabilities))
+        paths = [(v,) for v in range(1 << kept)]
     rows = []
-    for path, oracle in zip(paths, oracles):
-        p = float(prob.get(path, 0.0))
-        rows.append((";".join(path), p, oracle, abs(p - oracle)))
+    for path in paths:
+        words = [format(w, f"0{kept}b") for w in path]
+        if kind == "full":
+            oracle = ideal_full_value(window, words, words)
+        else:
+            oracle = ideal_coarse_value(window[steps:], words[0][: kept - steps], steps)
+        p = prob.get(path, 0.0)
+        rows.append((";".join(words), p, oracle, abs(p - oracle)))
     return rows
 
 
@@ -483,7 +483,7 @@ def cmd_check(cfg: dict) -> int:
     ens_f = propagate_branches(
         block, cfg["steps"], prune_eps=0.0, threads=cfg["threads"]
     )
-    finals = sorted({p[-1] for p in ens_f.paths} | {p[0] for p in ens_c.paths})
+    finals = [words[w] for w in np.union1d(ens_f.paths[:, -1], ens_c.paths[:, 0])]
     record(
         "full-to-coarse sum rule",
         max(

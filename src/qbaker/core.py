@@ -6,7 +6,7 @@ inclusive is ``bits[a - 1:b]``.  Every other module consumes these
 conventions, with one stated exception: the dot-side labels 1..dot(+1) are
 read in reversed significance, label 1 the low bit.  The map's kernel mixes
 those labels in that order (bakermap.transfer_kernel), so histories._rev_int
-and _rev_bits turn window bits into kernel indices and back that way, and
+turns window bits into kernel indices that way, and
 bakermap.basis_state builds each momentum phase from the binary fraction of
 bits t..1.
 check_word is the package's one test of a bit word: CLI window flags,

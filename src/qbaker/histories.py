@@ -67,7 +67,7 @@ the n x n matrix is never formed; each (table, last window value) is a
 block of it, shared by 2**nomega omegas, in which a path's place is its
 code's lower digits.  Units are added in unit order as they finish, then
 freed, and for a shared table in group order; a block keeps the codes
-some unit kept.
+some unit kept.  A path leaves as a row of int64 words (_path_keys).
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -83,7 +83,7 @@ Active-label bookkeeping, with positions 1-indexed inside the label string:
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 import sys
 import threading
@@ -98,8 +98,6 @@ from .bakermap import _bit0_columns, apply_columns, kernel_columns, transfer_ker
 from .coarsegrain import BlockInitialState, validate_run
 from .core import DEFAULT_BUDGET_BYTES, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
-
-FullPath = tuple[str, ...]
 
 # most initial labels (a-axis entries) in one unit
 _CHUNK = 64
@@ -125,6 +123,7 @@ _FFT_MIN_WIDTH = 256
 # the same split.  Which products take BLAS sets the order of their sums, so
 # moving the constant moves outputs in their last digits
 _GEMM_MIN_MACS = 1 << 17
+_AHEAD = 2  # units per thread submitted ahead of the reduction (propagate_branches)
 # Python objects per thread of a small run: the executor, frames and unit lists
 _RUN_BYTES = 32 << 10
 # Python objects per unit until the reduction: its future, result tuple and
@@ -139,11 +138,6 @@ _NEGATIVE_CLIP = 1e-12
 def _rev_int(bits: str) -> int:
     """Reversed-significance reading: the first character is the low bit."""
     return int(bits[::-1], 2) if bits else 0
-
-
-def _rev_bits(value: int, width: int) -> str:
-    """Inverse of _rev_int."""
-    return format(value, f"0{width}b")[::-1] if width else ""
 
 
 @dataclass(frozen=True)
@@ -241,13 +235,11 @@ class _Frame:
             return (group >> (pos - self.left - self.kept - 1)) & 1
         return (omega >> (pos - self.omega_start - 1)) & 1
 
-    def definite_word(self, j: int, group: int, omega: int) -> str:
-        """Window bits at step j that come from definite label positions."""
-        lo = self.dot + 1 + j
-        hi = self.left + self.kept + j
-        return "".join(
-            str(self.label_bit(p, group, omega)) for p in range(lo, hi + 1)
-        )
+    def definite_word(self, j: int, group: int, omega: int) -> int:
+        """Window bits at step j from definite label positions, the first most significant."""
+        top = self.left + self.kept + j
+        bits = range(self.dot + j + 1, top + 1)
+        return sum(self.label_bit(p, group, omega) << top - p for p in bits)
 
 
 def _needs_kernel(frame: _Frame) -> bool:
@@ -269,7 +261,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     column block.  On the FFT arm the twiddle loop buffers come per thread;
     np.fft's in-place transforms copy nothing (numpy 2.4, traced).  The dense
     kernel or the build of the FFT's cached twiddles, the path Gram blocks
-    and the arrays and path keys of the reduction come once.
+    and the arrays and path words of the reduction come once, beside the
+    results of the units submitted and not yet added.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -293,13 +286,13 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # path keys: one table per group, or one that every group shares
     tables = 1 if frame.shared_keys else groups
     n_paths = tables * (1 << frame.nomega) * rows_final
-    # every unit's path codes, discarded masses and Gram blocks (h runs of
-    # `rows` paths), as pool.map lets all finished units wait, the norms and S
-    # of the units in flight, the reduced unit's keys (with, on a mirrored
-    # run, its partner's codes and keys beside them), the seen mask (a byte
-    # per table code) and its kept keys with three arrays derived at once, and
-    # one block's places with its gather copy and sum
-    held = n_units * (
+    # the path codes, discarded masses and Gram blocks (h runs of `rows`
+    # paths) of the units submitted and not yet added (_AHEAD per thread),
+    # the norms and S of the units in flight, the reduced unit's keys (with,
+    # on a mirrored run, its partner's codes and keys beside them), the seen
+    # mask (a byte per table code) and its kept keys with three arrays
+    # derived at once, and one block's places with its gather copy and sum
+    held = min(_AHEAD * threads, n_units) * (
         rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
     )
     key_arrays = 3 if frame.mirror else 1
@@ -309,12 +302,9 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # which add up across groups), each path's position in its block and the
     # functionals' two lookup arrays
     blocks = groups * h * (rows**2 * itemsize + 2 * _BLOCK_OBJECT_BYTES) + n_paths * 3 * 8
-    # per key: the string and index arrays of its sort, its joined string,
-    # and its tuple of word strings
-    words = len(frame.recorded)
-    width = words * frame.kept
-    key = sys.getsizeof(("",) * words) + words * sys.getsizeof("0" * frame.kept)
-    held += n_paths * (16 * width + 24 + sys.getsizeof("0" * width) + key)
+    # per path (_path_keys): its words as built and sorted, the sort's order,
+    # its inverse and buffer, and the word build's three key-sized temporaries
+    held += n_paths * 8 * (2 * len(frame.recorded) + 6)
     built = []
     if dense:
         built.append(("transfer kernel", two_m * two_m * itemsize))
@@ -595,7 +585,7 @@ def _run_unit(
 class HistoryDistribution:
     """Retained history probabilities plus the total pruned-away mass."""
 
-    paths: tuple[FullPath, ...]
+    paths: np.ndarray  # a row of window words per history, as in BranchEnsemble
     probabilities: np.ndarray
     discarded: float
 
@@ -607,12 +597,14 @@ class HistoryDistribution:
 class BranchEnsemble:
     """Path overlaps and pruned mass from one propagation run.
 
-    `paths` is sorted lexicographically.  The path Gram matrix G, whose
-    entry G[i, j] is the decoherence functional value between paths[i]
-    (ket side) and paths[j] (bra side), is kept as its nonzero blocks: each
-    of `blocks` is (positions, matrix), and for every row p of the 2-D
-    positions array G[p[a], p[b]] = matrix[a, b].  Entries between paths in
-    different rows or blocks are zero.  A block's rows are omegas sharing the
+    `paths` is an int64 array whose entry [i, j] is path i's window value at
+    its j-th recorded step, int(word, 2); its rows are sorted as their word
+    strings would be.  The path Gram matrix G, whose entry G[i, j] is the
+    decoherence functional value between paths[i] (ket side) and paths[j]
+    (bra side), is kept as its nonzero blocks: each of `blocks` is
+    (positions, matrix), and for every row p of the 2-D positions array
+    G[p[a], p[b]] = matrix[a, b].  Entries between paths in different rows
+    or blocks are zero.  A block's rows are omegas sharing the
     matrix of one (group, last window value) on kind "full", and of one last
     window value, summed over the groups and so 1 x 1, on kind "coarse".
     Blocks are in (group, last window value) order, and a block's paths in
@@ -625,7 +617,7 @@ class BranchEnsemble:
     steps: int
     kind: str
     prune_eps: float
-    paths: tuple[FullPath, ...]
+    paths: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     discarded_total: float
     cross_bound: float
@@ -662,47 +654,44 @@ class BranchEnsemble:
                 matrices.append(matrix)
         return slot, local, matrices
 
-    @cached_property
-    def _finals(self) -> np.ndarray:
-        # final window word of every path
-        return np.array([p[-1] for p in self.paths], dtype=str)
-
-    def _check_path(self, path: Sequence[str]) -> FullPath:
+    def _row(self, path: Sequence[str]) -> int | None:
+        # the row of path's checked words, or None; each sorted column narrows the match
         want = len(self._frame.recorded)
         key = tuple(path)
         if len(key) != want:
             raise ParameterError(
                 f"{self.kind}-kind paths have {want} window value(s), got {len(key)}"
             )
-        for word in key:
-            check_word(word, self._frame.kept, "each path entry")
-        return key
+        key = [int(check_word(word, self._frame.kept, "each path entry"), 2) for word in key]
+        lo, hi = 0, len(self.paths)
+        for column, word in zip(self.paths.T, key):
+            lo, hi = lo + np.searchsorted(column[lo:hi], [word, word + 1])
+        return int(lo) if lo < hi else None
 
 
 def _path_keys(frame: _Frame, tables: np.ndarray, codes: np.ndarray):
-    """Sorted path keys, and the position of each (omega, table, code) key.
+    """Sorted path words, and the (omega, key) array of each (table, code) key's position.
 
     A key's word at a recorded step is that step's window value (a digit of
     the path code, the first step's least significant) in reversed
-    significance, then the step's definite word, read with the table as the
+    significance above the step's definite word, read with the table as the
     group.  The (table, code) pairs are unique; their keys are listed once
-    per omega, omega-major.
+    per omega, omega-major.  A step's words have one width, so rows sorted
+    first step first are in the order of their word strings.
     """
-    h_count = 1 << frame.qwidth
-    heads = [_rev_bits(h, frame.qwidth) for h in range(h_count)]
+    h_mask = (1 << frame.qwidth) - 1
+    shift = frame.left + frame.kept - frame.dot  # definite word width
+    heads = np.array([_rev_int(format(h, f"0{frame.qwidth}b")) << shift for h in range(h_mask + 1)])
     groups = range(int(tables.max(initial=0)) + 1)
-    keys = []
-    for omega in range(1 << frame.nomega):
-        key = np.zeros(len(codes), dtype="U1")
-        for i, j in enumerate(frame.recorded):
-            words = [[h + frame.definite_word(j, g, omega) for h in heads] for g in groups]
-            key = key + np.array(words)[tables, codes // h_count**i % h_count]
-        keys.append(key)
-    # the words have equal widths, so joined keys sort as the key tuples do
-    joined, where = np.unique(np.concatenate(keys), return_inverse=True)
-    k = frame.kept
-    paths = tuple(tuple(w[i : i + k] for i in range(0, len(w), k)) for w in joined.tolist())
-    return paths, where
+    words = np.empty((len(frame.recorded), 1 << frame.nomega, len(codes)), dtype=np.int64)
+    for i, j in enumerate(frame.recorded):
+        head = heads[codes >> frame.qwidth * i & h_mask]
+        for omega in range(1 << frame.nomega):
+            definite = np.array([frame.definite_word(j, g, omega) for g in groups])
+            np.bitwise_or(head, definite[tables], out=words[i, omega])
+    words = words.reshape(len(frame.recorded), -1)
+    order = np.lexsort(words[::-1])
+    return words.T[order], np.argsort(order).reshape(1 << frame.nomega, -1)
 
 
 def propagate_branches(
@@ -769,30 +758,38 @@ def propagate_branches(
     # are its place in the block
     seen = np.zeros((1 if frame.shared_keys else 1 << frame.freeq) * span, dtype=bool)
     accs = {}
+
+    def add(group, a_lo, a_hi, disc, unit_cross, codes, unit_blocks) -> None:
+        nonlocal cross
+        twins = [(group, codes)]
+        if mirror:
+            # its partner: the top group bit set and the top bit of each
+            # code's last window value flipped, with this unit's masses and blocks
+            twins.append((group | mirror, codes ^ span >> 1))
+        for group, codes in twins:
+            group_disc[group, a_lo:a_hi] = disc
+            cross += unit_cross
+            unit_keys = (0 if frame.shared_keys else group) * span + codes
+            seen[unit_keys] = True
+            for lo, g in unit_blocks:
+                head = int(unit_keys[lo]) // last_place
+                if (group, head) not in accs:
+                    accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
+                place = codes[lo : lo + len(g)] % last_place
+                accs[group, head][np.ix_(place, place)] += g
+
+    # each unit is added in unit order as it finishes, then freed with add's
+    # frame, and only then is the unit `ahead` places later submitted
+    ahead = _AHEAD * threads
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # each unit is added in as it finishes, in unit order, and then freed
-        for (group, a_lo, a_hi), result in zip(units, pool.map(run, units)):
-            disc, unit_cross, codes, unit_blocks = result
-            twins = [(group, codes)]
-            if mirror:
-                # its partner: the top group bit set and the top bit of each
-                # code's last window value flipped, with this unit's masses and blocks
-                twins.append((group | mirror, codes ^ span >> 1))
-            for group, codes in twins:
-                group_disc[group, a_lo:a_hi] = disc
-                cross += unit_cross
-                unit_keys = (0 if frame.shared_keys else group) * span + codes
-                seen[unit_keys] = True
-                for lo, g in unit_blocks:
-                    head = int(unit_keys[lo]) // last_place
-                    if (group, head) not in accs:
-                        accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
-                    place = codes[lo : lo + len(g)] % last_place
-                    accs[group, head][np.ix_(place, place)] += g
+        futures = [pool.submit(run, unit) for unit in units[:ahead]]
+        for k, unit in enumerate(units):
+            add(*unit, *futures.pop(0).result())
+            if k + ahead < len(units):
+                futures.append(pool.submit(run, units[k + ahead]))
 
     keys = np.flatnonzero(seen)
     paths, where = _path_keys(frame, keys // span, keys % span)
-    where = where.reshape(1 << frame.nomega, -1)
     # each element sums its units in unit order from 0, and the weights are
     # powers of two, so scaling is exact; a block keeps its seen codes, and
     # groups that share a table add theirs, in group order, into one matrix
@@ -824,11 +821,9 @@ def full_dfunc(ensemble: BranchEnsemble, ys: Sequence[str], zs: Sequence[str]) -
     """
     if ensemble.kind != "full":
         raise ParameterError("full_dfunc needs a kind='full' ensemble")
-    ykey, zkey = ensemble._check_path(ys), ensemble._check_path(zs)
-    paths = ensemble.paths
-    yi, zi = bisect.bisect_left(paths, ykey), bisect.bisect_left(paths, zkey)
+    yi, zi = ensemble._row(ys), ensemble._row(zs)
     slot, local, matrices = ensemble._lookup
-    if paths[yi : yi + 1] != (ykey,) or paths[zi : zi + 1] != (zkey,) or slot[yi] != slot[zi]:
+    if yi is None or zi is None or slot[yi] != slot[zi]:
         return 0j
     return complex(matrices[slot[yi]][local[yi], local[zi]])
 
@@ -840,10 +835,14 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     independently: on a kind='full' ensemble over all intermediate window
     values, on a kind='coarse' one the single entry of one path each.
     """
-    for word in (y, z):
-        check_word(word, ensemble._frame.kept, "window value")
-    rows = np.flatnonzero(ensemble._finals == y)
-    cols = np.flatnonzero(ensemble._finals == z)
+    kept = ensemble._frame.kept
+    return _coarse_sum(ensemble, *(int(check_word(w, kept, "window value"), 2) for w in (y, z)))
+
+
+def _coarse_sum(ensemble: BranchEnsemble, y: int, z: int) -> complex:
+    """coarse_dfunc between the final window values y and z as integers."""
+    finals = ensemble.paths[:, -1]
+    rows, cols = np.flatnonzero(finals == y), np.flatnonzero(finals == z)
     # gram[np.ix_(rows, cols)], zeros included, so the sum adds what the
     # dense submatrix would
     slot, local, matrices = ensemble._lookup
@@ -865,9 +864,9 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         probs = ensemble.probabilities
         marginal = False
     elif ensemble.kind == "full" and kind == "coarse":
-        finals = sorted({p[-1] for p in ensemble.paths})
-        paths = tuple((w,) for w in finals)
-        probs = np.array([coarse_dfunc(ensemble, w, w).real for w in finals])
+        finals = sorted(set(ensemble.paths[:, -1].tolist()))
+        paths = np.array(finals, dtype=np.int64).reshape(-1, 1)
+        probs = np.array([_coarse_sum(ensemble, w, w).real for w in finals])
         marginal = True
     else:
         raise ParameterError("cannot refine a kind='coarse' ensemble into full histories")
@@ -925,7 +924,7 @@ def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
         off = mags[mags > 0]
         off_max = max(off_max, float(off.max(initial=0.0)))
         squares.append(off * off * len(positions))
-    return off_max, math.sqrt(math.fsum(np.concatenate(squares).tolist()) / (n * (n - 1)))
+    return off_max, math.sqrt(math.fsum(itertools.chain.from_iterable(squares)) / (n * (n - 1)))
 
 
 def ideal_coarse_value(x: str, y: str, steps: int) -> float:

@@ -16,9 +16,11 @@ byte for byte.  It exits 1 when any invocation or twin differs.  The list
 covers every perfbench invocation of seeds 0 and 7, pruned runs of the
 three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
 and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
-steps 4, check at three more geometries, --threads 1 against the default,
-both output formats and two budget refusals.  check's report is compared
-line by line: a suite's name and verdict as text, its numbers as numbers.
+steps 4, check at three more geometries, full-histories and coarse-entropy
+at a 13-bit window over five steps (a path of 65 bits), --threads 1
+against the default, both output formats and two budget refusals.
+check's report is compared line by line: a suite's name and verdict as
+text, its numbers as numbers.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -102,12 +104,18 @@ def invocations() -> list[list[str]]:
     for point in (["sweep", "--sweep-left", "8", "--sweep-steps", "5"],
                   ["sweep", "--sweep-left", "8", "--sweep-steps", "4", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
+    # a 13-bit window over five steps: a path's words span 65 bits, more than
+    # one int64 holds; 1024 rows of full histories, 8192 coarse ones
+    wide = ["--qubits", "30", "--dot", "2", "--left", "1", "--right", "16", "--steps", "5"]
+    out += [["full-histories", *wide, "--init-x", "0110100110010", "--format", fmt]
+            for fmt in ("csv", "json")]
+    out.append(["coarse-entropy", *wide, "--init-x", "00110010"])
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 19048874240 and 577905913088 bytes, so a change to
+    # this tree 7056214752 and 26384845536 bytes (2 threads), so a change to
     # _estimate_bytes shows here as a stderr difference it must declare
     out += [
-        ["full-histories", "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
-         "--steps", "8", "--init-x", "01"],
+        ["full-histories", "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10",
+         "--steps", "9", "--init-x", "01"],
         ["sweep", "--sweep-left", "11", "--sweep-steps", "9"],
     ]
     return out

@@ -29,6 +29,7 @@ from qbaker import (
 )
 from qbaker.cli import main as cli_main
 from _dense_reference import dense_gram
+from _string_paths import word_paths
 
 TOL_EXACT = 1e-10
 
@@ -112,14 +113,14 @@ def test_criterion_2_dense_oracle_equivalence():
         block = BlockInitialState(CoarseGraining(SystemShape(8, 4), 2, 3), window)
         ens_f = propagate_branches(block, 2, prune_eps=0.0)
         keys_f, gm_f = dense_gram(block, 2, "full")
-        paths_match = paths_match and set(ens_f.paths) == set(keys_f)
+        paths_match = paths_match and set(word_paths(ens_f.paths, 3)) == set(keys_f)
         for ya, yb in itertools.product(keys_f, keys_f):
             worst_pair = max(
                 worst_pair, abs(full_dfunc(ens_f, ya, yb) - gm_f[(ya, yb)])
             )
         ens_c = propagate_branches(block, 2, prune_eps=0.0, kind="coarse")
         keys_c, gm_c = dense_gram(block, 2, "coarse")
-        paths_match = paths_match and set(ens_c.paths) == set(keys_c)
+        paths_match = paths_match and set(word_paths(ens_c.paths, 3)) == set(keys_c)
         for ya, yb in itertools.product(keys_c, keys_c):
             worst_pair = max(
                 worst_pair, abs(coarse_dfunc(ens_c, ya[0], yb[0]) - gm_c[(ya, yb)])
@@ -134,7 +135,7 @@ def test_criterion_2_dense_oracle_equivalence():
     block = BlockInitialState(CoarseGraining(SystemShape(12, 8), 1, 3), "01101001")
     ens_c = propagate_branches(block, 2, prune_eps=0.0, kind="coarse")
     keys_c, gm_c = dense_gram(block, 2, "coarse")
-    paths_match = paths_match and set(ens_c.paths) == set(keys_c)
+    paths_match = paths_match and set(word_paths(ens_c.paths, 8)) == set(keys_c)
     for ya, yb in itertools.product(keys_c, keys_c):
         worst_pair = max(
             worst_pair, abs(coarse_dfunc(ens_c, ya[0], yb[0]) - gm_c[(ya, yb)])
@@ -176,7 +177,7 @@ def test_criterion_4_dominant_path_structure():
     block = BlockInitialState(CoarseGraining(SystemShape(14, 7), 6, 6), "01")
     ens = propagate_branches(block, 2)
     dist = history_distribution(ens)
-    pairs = list(zip(dist.paths, dist.probabilities))
+    pairs = list(zip(word_paths(dist.paths, 2), dist.probabilities))
     dominant = [(p, v) for p, v in pairs if v > 0.01]
     near = max(abs(v - 0.25) for _, v in dominant) if dominant else float("inf")
     consistent = all(ideal_full_value("01", p, p) > 0 for p, _ in dominant)

@@ -167,8 +167,8 @@ def test_resource_limit_exit_code(capsys):
     code = main(
         [
             "full-histories",
-            "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9",
-            "--steps", "8", "--init-x", "01",
+            "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10",
+            "--steps", "9", "--init-x", "01",
         ]
     )
     assert code == 4
@@ -608,7 +608,7 @@ _EVERY = ("check", "full-histories", "coarse-entropy", "sweep")
 # sweep derives its geometry from --init-x and ignores these flags
 _GEOMETRY = ("check", "full-histories", "coarse-entropy")
 _BUDGET_REFUSED = [
-    "--qubits", "20", "--dot", "10", "--left", "9", "--right", "9", "--steps", "8",
+    "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10", "--steps", "9",
     "--init-x", "01",
 ]
 _BAD_INPUTS = [
@@ -756,7 +756,7 @@ def _run_geometry(draw, qubit_cap):
     """A valid run geometry, the budget-refused one, or five free values."""
     pick = draw(st.sampled_from(["valid"] * 3 + ["free", "budget"]))
     if pick == "budget":
-        return dict(zip(_GEOMETRY_KEYS, (20, 10, 9, 9, 8)))
+        return dict(zip(_GEOMETRY_KEYS, (21, 10, 9, 10, 9)))
     if pick == "free":
         return {k: draw(st.none() | _FREE_GEOMETRY[k]) for k in _GEOMETRY_KEYS}
     qubits = draw(st.integers(4, qubit_cap))

@@ -8,8 +8,10 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,14 @@ from _dense_reference import (
     dense_branches,
     dense_gram,
     dense_pruned_marginal,
+)
+from _string_paths import (
+    definite_word,
+    rev_bits,
+    string_coarse_dfunc,
+    string_full_dfunc,
+    string_path_keys,
+    word_paths,
 )
 
 # largest register branch_vector rebuilds as a full 2**qubits vector
@@ -151,14 +161,15 @@ def branch_vector(ens, label, path, grow=materialized_unit):
             f"branch reconstruction limited to qubits <= {RECONSTRUCT_LIMIT}, "
             f"got {frame.qubits}"
         )
-    key = ens._check_path(path)
+    ens._row(path)  # checks the path's words
+    key = tuple(path)
     low, group, omega = decode_label(ens, label)
     out = np.zeros(1 << frame.qubits, dtype=np.complex128)
     step_js = range(1, ens.steps + 1) if ens.kind == "full" else [ens.steps]
     # the path determines the definite window words; mismatch with this
     # label's group/omega bits means the branch is exactly zero
     for word, j in zip(key, step_js):
-        if word[frame.qwidth :] != frame.definite_word(j, group, omega):
+        if word[frame.qwidth :] != definite_word(frame, j, group, omega):
             return out
     # the path code's digits are the window values, the newest most significant
     code = 0
@@ -181,7 +192,7 @@ def branch_vector(ens, label, path, grow=materialized_unit):
     # the coefficient of (lo_idx, f_idx) sits at bits head + mid + spect + tail:
     # head is the dot-bit reversed momentum index, tail the fresh register
     heads = [
-        int(histories._rev_bits(head_base + lo_idx, frame.dot), 2)
+        int(rev_bits(head_base + lo_idx, frame.dot), 2)
         for lo_idx in range(coeffs.shape[0])
     ]
     idx = (
@@ -221,7 +232,7 @@ def test_matches_dense_reference(qubits, dot, left, right, steps, kind, window):
     block = make_block(qubits, dot, left, right, window)
     ens = propagate_branches(block, steps, prune_eps=0.0, kind=kind)
     keys, gmat = dense_gram(block, steps, kind)
-    assert set(ens.paths) == set(keys)
+    assert set(word_paths(ens.paths, ens._frame.kept)) == set(keys)
     for ya, yb in itertools.product(keys, keys):
         if kind == "full":
             got = full_dfunc(ens, ya, yb)
@@ -236,7 +247,7 @@ def test_branch_vectors_match_dense_reference():
         ens = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
         ref = dense_branches(block, 2, kind)
         for label in block_labels(block):
-            for path in ens.paths:
+            for path in word_paths(ens.paths, ens._frame.kept):
                 got = branch_vector(ens, label, path)
                 want = ref[label].get(path)
                 if want is None:
@@ -293,12 +304,13 @@ def test_coarse_kind_decoheres_exactly(medium_coarse):
 def test_coarse_equals_summed_full(medium_full):
     # summing the functional over intermediate window values on both sides
     # must reproduce the final-step-only functional entry for entry
-    finals = sorted({p[-1] for p in medium_full.paths})
+    paths = word_paths(medium_full.paths, medium_full._frame.kept)
+    finals = sorted({p[-1] for p in paths})
     for y, z in itertools.product(finals, finals):
         direct = coarse_dfunc(medium_full, y, z)
         acc = 0j
-        for ya in medium_full.paths:
-            for za in medium_full.paths:
+        for ya in paths:
+            for za in paths:
                 if ya[-1] == y and za[-1] == z:
                     acc += full_dfunc(medium_full, ya, za)
         assert abs(direct - acc) < 1e-10
@@ -307,7 +319,7 @@ def test_coarse_equals_summed_full(medium_full):
 def test_marginal_matches_coarse_run(medium_full, medium_coarse):
     dist_m = history_distribution(medium_full, kind="coarse")
     dist_c = history_distribution(medium_coarse)
-    assert dist_m.paths == dist_c.paths
+    np.testing.assert_array_equal(dist_m.paths, dist_c.paths, strict=True)
     np.testing.assert_allclose(dist_m.probabilities, dist_c.probabilities, atol=1e-12)
 
 
@@ -349,7 +361,7 @@ def test_pruned_run_stays_consistent():
         itertools.product(
             ["".join(b) for b in itertools.product("01", repeat=3)], repeat=2
         )
-    ) - set(ens.paths)
+    ) - set(word_paths(ens.paths, ens._frame.kept))
     assert missing
     path = sorted(missing)[0]
     assert full_dfunc(ens, path, path) == 0j
@@ -376,7 +388,9 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(kind):
     assert any(len(lists) > 1 for lists in path_lists) == (kind == "full")
     want = np.zeros_like(ens.gram)
     for label in block_labels(block):
-        vecs = np.array([branch_vector(ens, label, path, cached) for path in ens.paths])
+        vecs = np.array(
+            [branch_vector(ens, label, path, cached) for path in word_paths(ens.paths, frame.kept)]
+        )
         # want[i, j] = weight * <b_j | b_i>
         want += block_weight(block) * (vecs @ vecs.conj().T)
     np.testing.assert_allclose(ens.gram, want, rtol=0, atol=1e-12)
@@ -420,7 +434,7 @@ def pair_dict_gram(ens):
                 # the first step's window value is the least significant digit
                 digits = [code // h_count**i % h_count for i in range(len(step_js))]
                 return tuple(
-                    histories._rev_bits(d, frame.qwidth) + frame.definite_word(j, group, omega)
+                    rev_bits(d, frame.qwidth) + definite_word(frame, j, group, omega)
                     for d, j in zip(digits, step_js)
                 )
 
@@ -453,7 +467,7 @@ def test_gram_equals_the_pair_dict_reduction(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
     paths, gram = pair_dict_gram(ens)
-    assert ens.paths == paths
+    assert word_paths(ens.paths, ens._frame.kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
 
 
@@ -467,7 +481,7 @@ def test_a_mirrored_coarse_gram_adds_its_groups_in_group_order(monkeypatch, prun
     ens = propagate_branches(block, 4, prune_eps=prune_eps, kind="coarse")
     assert ens._frame.mirror == 4
     paths, gram = pair_dict_gram(ens)
-    assert ens.paths == paths
+    assert word_paths(ens.paths, ens._frame.kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
 
 
@@ -589,14 +603,14 @@ def test_a_growing_workspace_frees_the_old_buffer_first():
 def test_a_fully_pruned_run_keeps_only_discarded_mass(kind):
     # prune_eps above 1 drops every branch of two groups of four a-chunks
     ens = propagate_branches(make_block(13, 9, 8, 3, "01"), 2, prune_eps=5.0, kind=kind)
-    assert ens.paths == () and ens.blocks == ()
+    assert ens.paths.shape == (0, len(ens._frame.recorded)) and ens.blocks == ()
     assert abs(history_distribution(ens).total() - 1.0) < 1e-12
     assert offdiagonal_norm(ens) == (0.0, 0.0)
 
 
 def test_threads_bit_identical(medium_full):
     ens4 = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, prune_eps=0.0, threads=4)
-    assert ens4.paths == medium_full.paths
+    np.testing.assert_array_equal(ens4.paths, medium_full.paths, strict=True)
     assert np.array_equal(ens4.gram, medium_full.gram)
 
 
@@ -619,13 +633,13 @@ def test_a_shrunk_chunk_moves_only_last_digits(monkeypatch, cap, prune_eps, kind
     if prune_eps:
         assert whole.discarded_total > 0.0
     # the chunk follows the geometry, not the thread count
-    assert cut[0].paths == cut[1].paths
+    np.testing.assert_array_equal(cut[0].paths, cut[1].paths, strict=True)
     assert (cut[0].discarded_total, cut[0].cross_bound) == (cut[1].discarded_total, cut[1].cross_bound)
     for (pos, matrix), (pos1, matrix1) in zip(cut[0].blocks, cut[1].blocks, strict=True):
         np.testing.assert_array_equal(pos, pos1)
         assert matrix.tobytes() == matrix1.tobytes()
     ens = cut[0]
-    assert ens.paths == whole.paths
+    np.testing.assert_array_equal(ens.paths, whole.paths, strict=True)
     for (pos, matrix), (want_pos, want) in zip(ens.blocks, whole.blocks, strict=True):
         np.testing.assert_array_equal(pos, want_pos)
         np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
@@ -688,9 +702,9 @@ def test_budget_gate():
     block = make_block(8, 4, 2, 3, "010")
     with pytest.raises(ResourceLimitError, match="over budget"):
         propagate_branches(block, 2, budget_bytes=1 << 10)
-    big = make_block(20, 10, 9, 9, "01")
+    big = make_block(21, 10, 9, 10, "01")
     with pytest.raises(ResourceLimitError, match="over budget"):
-        propagate_branches(big, 8)
+        propagate_branches(big, 9)
 
 
 def block_frame(block, steps, kind):
@@ -831,7 +845,7 @@ def test_branch_reconstruction_gate():
     ens = propagate_branches(make_block(21, 10, 1, 9, "0" * 11), 1, prune_eps=0.0)
     label = "0" * 21
     with pytest.raises(ResourceLimitError, match="reconstruction"):
-        branch_vector(ens, label, ens.paths[0])
+        branch_vector(ens, label, word_paths(ens.paths, ens._frame.kept)[0])
 
 
 @st.composite
@@ -873,22 +887,25 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
             assert abs(disc + kept - 1.0) <= tol
         if prune_eps == 0:
             keys, gmat = dense_gram(block, steps, kind)
-            index = {p: i for i, p in enumerate(e.paths)}
-            assert set(e.paths) <= set(keys)
+            index = {p: i for i, p in enumerate(word_paths(e.paths, e._frame.kept))}
+            assert set(index) <= set(keys)
             for ya, yb in itertools.product(keys, keys):
                 ia, ib = index.get(ya), index.get(yb)
                 got = 0j if ia is None or ib is None else g[ia, ib]
                 assert abs(got - gmat[(ya, yb)]) <= 1e-10
     if prune_eps == 0:
         full, coarse = ens["full"], ens["coarse"]
-        finals = sorted({p[-1] for p in full.paths} | {p[0] for p in coarse.paths})
+        finals = sorted(
+            {p[-1] for p in word_paths(full.paths, full._frame.kept)}
+            | {p[0] for p in word_paths(coarse.paths, coarse._frame.kept)}
+        )
         for y, z in itertools.product(finals, finals):
             assert abs(coarse_dfunc(full, y, z) - coarse_dfunc(coarse, y, z)) <= 1e-10
 
 
 def dense_coarse_dfunc(ens, gram, y, z):
     """coarse_dfunc of a kind-"full" ensemble, summed over the dense gram view."""
-    finals = np.array([p[-1] for p in ens.paths], dtype=str)
+    finals = np.array([p[-1] for p in word_paths(ens.paths, ens._frame.kept)], dtype=str)
     rows, cols = np.flatnonzero(finals == y), np.flatnonzero(finals == z)
     if not rows.size or not cols.size:
         return 0j
@@ -925,11 +942,12 @@ def test_block_functionals_equal_the_dense_view_exactly(geometry, kind, prune_ep
     # every path with itself, and pairs drawn from the paths plus absent keys
     words = ["".join(b) for b in itertools.product("01", repeat=len(window))]
     width = steps if kind == "full" else 1
-    index = {p: i for i, p in enumerate(ens.paths)}
-    keys = list(ens.paths) + [
+    paths = word_paths(ens.paths, ens._frame.kept)
+    index = {p: i for i, p in enumerate(paths)}
+    keys = list(paths) + [
         tuple(data.draw(st.sampled_from(words)) for _ in range(width)) for _ in range(4)
     ]
-    pairs = [(p, p) for p in ens.paths] + [
+    pairs = [(p, p) for p in paths] + [
         (data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))) for _ in range(64)
     ]
     for ykey, zkey in pairs:
@@ -940,9 +958,58 @@ def test_block_functionals_equal_the_dense_view_exactly(geometry, kind, prune_ep
         else:
             assert coarse_dfunc(ens, ykey[0], zkey[0]) == want
     if kind == "full":
-        finals = sorted({p[-1] for p in ens.paths})[:6] + [data.draw(st.sampled_from(words))]
+        finals = sorted({p[-1] for p in paths})[:6] + [data.draw(st.sampled_from(words))]
         for y, z in itertools.product(finals, finals):
             assert coarse_dfunc(ens, y, z) == dense_coarse_dfunc(ens, gram, y, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=_geometries(max_qubits=12),
+    kind=st.sampled_from(["full", "coarse"]),
+    prune_eps=st.sampled_from([0.0, 0.01]),
+    arm=st.sampled_from(["fft", "dense"]),
+    seed=st.integers(0, 1 << 16),
+)
+# mirrored (freeq 2 and 3 through the FFT), pruned and unpruned
+@example(geometry=(9, 4, 2, 4, 3, "011"), kind="full", prune_eps=0.01, arm="fft", seed=0)
+@example(geometry=(11, 5, 2, 5, 4, "0110"), kind="coarse", prune_eps=0.0, arm="fft", seed=0)
+def test_integer_paths_format_to_the_string_oracles_words(geometry, kind, prune_eps, arm, seed):
+    # the same run named by the engine and by string_path_keys: the integer
+    # rows format to the oracle's sorted word tuples, every block sits at the
+    # same positions, and the functionals read the same entries
+    qubits, dot, left, right, steps, window = geometry
+    block = make_block(qubits, dot, left, right, window)
+    assume(_projected_bytes(block, steps, kind, 1) <= 64 << 20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+        ens = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
+        patch.setattr(histories, "_path_keys", string_path_keys)
+        named = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
+    assume(len(named.paths) <= 512)
+    assert word_paths(ens.paths, len(window)) == named.paths
+    for (at, got), (want_at, want) in zip(ens.blocks, named.blocks, strict=True):
+        np.testing.assert_array_equal(at, want_at, strict=True)
+        np.testing.assert_array_equal(got, want, strict=True)
+    np.testing.assert_array_equal(ens.probabilities, named.probabilities, strict=True)
+    # every path with itself, and pairs drawn from the paths plus an absent key
+    rng = np.random.default_rng(seed)
+    words = [format(w, f"0{len(window)}b") for w in range(1 << len(window))]
+    width = steps if kind == "full" else 1
+    keys = list(named.paths) + [tuple(rng.choice(words, width).tolist())]
+    pairs = [(p, p) for p in named.paths] + [
+        (keys[i], keys[j]) for i, j in rng.integers(len(keys), size=(32, 2))
+    ]
+    for ykey, zkey in pairs:
+        if kind == "full":
+            assert full_dfunc(ens, ykey, zkey) == string_full_dfunc(named, ykey, zkey)
+        assert coarse_dfunc(ens, ykey[-1], zkey[-1]) == string_coarse_dfunc(named, ykey[-1], zkey[-1])
+    if kind == "full":
+        marginal = history_distribution(ens, kind="coarse")
+        finals = sorted({p[-1] for p in named.paths})
+        assert word_paths(marginal.paths, len(window)) == tuple((w,) for w in finals)
+        want = [string_coarse_dfunc(named, w, w).real for w in finals]
+        np.testing.assert_array_equal(marginal.probabilities, np.clip(want, 0.0, None))
 
 
 def test_functional_lookup_validation(medium_full, medium_coarse):
@@ -976,7 +1043,7 @@ def test_distribution_kind_validation(medium_full, medium_coarse):
 def test_entropy_examples():
     def dist(*probs):
         return HistoryDistribution(
-            paths=tuple(("p%d" % i,) for i in range(len(probs))),
+            paths=np.arange(len(probs)).reshape(-1, 1),
             probabilities=np.array(probs),
             discarded=0.0,
         )
@@ -1007,6 +1074,25 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
     mags = np.abs(gram)[~np.eye(n, dtype=bool)]
     assert offdiagonal_norm(ens) == (mags.max(), np.sqrt(math.fsum(mags**2) / (n * (n - 1))))
     np.testing.assert_array_equal(ens.gram, gram)
+
+
+def test_offdiagonal_norm_sums_its_squares_without_a_list_of_floats(medium_full):
+    # math.fsum reads the squares as arrays: magnitudes, kept entries and
+    # squares, 24 bytes a term at the peak (traced); a Python list of the
+    # squares and its concatenated source would take 64
+    n = 1024
+    rng = np.random.default_rng(3)
+    gram = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ens = dataclasses.replace(
+        medium_full, paths=np.zeros((n, 2), dtype=np.int64), blocks=((np.arange(n)[None, :], gram),)
+    )
+    tracemalloc.start()
+    try:
+        offdiagonal_norm(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n * n
 
 
 def test_ideal_coarse_value():
@@ -1060,7 +1146,7 @@ def test_dominant_paths_are_shift_consistent(qubits, dot, left, right):
     block = make_block(qubits, dot, left, right, "01")
     ens = propagate_branches(block, 2, prune_eps=0.0)
     dist = history_distribution(ens)
-    for path, p in zip(dist.paths, dist.probabilities):
+    for path, p in zip(word_paths(dist.paths, 2), dist.probabilities):
         if p > 0.02:
             assert ideal_full_value("01", path, path) > 0.0
 
@@ -1079,7 +1165,7 @@ def test_entropy_bounds():
 
 def test_distribution_total_includes_discarded():
     dist = HistoryDistribution(
-        paths=(("00",), ("01",)), probabilities=np.array([0.5, 0.25]), discarded=0.25
+        paths=np.array([[0], [1]]), probabilities=np.array([0.5, 0.25]), discarded=0.25
     )
     assert dist.total() == 1.0
 
@@ -1125,7 +1211,7 @@ def test_fft_and_dense_contractions_agree(
     monkeypatch.setattr(histories, "_GEMM_MIN_MACS", 1 << 62)
     via_dense = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     assert not fft_calls
-    assert via_fft.paths == via_dense.paths
+    np.testing.assert_array_equal(via_fft.paths, via_dense.paths, strict=True)
     np.testing.assert_allclose(via_fft.gram, via_dense.gram, rtol=0, atol=1e-12)
     np.testing.assert_allclose(via_fft.probabilities, via_dense.probabilities, rtol=0, atol=1e-12)
     assert (via_fft.discarded_total > 0) == (prune_eps > 0)
@@ -1165,7 +1251,7 @@ def test_fft_runs_of_any_freeq_match_the_dense_arm(freeq, kind, data, prune_eps)
             runs[arm] = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     via_fft, via_dense = runs["fft"], runs["dense"]
     assert min(via_fft._frame.freeq, 2) == freeq
-    assert via_fft.paths == via_dense.paths
+    np.testing.assert_array_equal(via_fft.paths, via_dense.paths, strict=True)
     for (at, got), (want_at, want) in zip(via_fft.blocks, via_dense.blocks, strict=True):
         np.testing.assert_array_equal(at, want_at)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -1297,7 +1383,7 @@ def test_no_kernel_outlives_its_run(monkeypatch, kind):
     monkeypatch.setattr(histories, "transfer_kernel", recording)
     ens = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, kind=kind)
     gc.collect()
-    assert ens.paths and refs
+    assert len(ens.paths) and refs
     assert all(ref() is None for ref in refs)
 
 
@@ -1305,6 +1391,7 @@ def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
     # with units run one at a time and in order, each unit is reduced before
     # the next starts, so at most the previous unit's arrays are still alive
     class Serial:
+        # runs each unit as it is submitted
         def __init__(self, max_workers):
             pass
 
@@ -1314,7 +1401,10 @@ def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     run_unit = histories._run_unit
     live, alive_at_start = set(), []
@@ -1331,6 +1421,30 @@ def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
     propagate_branches(make_block(15, 9, 8, 4, "011"), 3, threads=1)
     assert len(alive_at_start) > 2
     assert max(alive_at_start) <= 1
+
+
+def test_units_started_and_not_yet_added_stay_within_the_bound(monkeypatch):
+    # a real 2-thread pool whose first unit sleeps: the other thread runs on
+    # only while fewer than _AHEAD per thread are submitted and not yet added
+    # in.  A unit counts as added once its results are freed
+    monkeypatch.setattr(histories, "_CHUNK", 16)
+    block = make_block(13, 9, 8, 3, "01")
+    run_unit = histories._run_unit
+    live, live_at_start = set(), []
+
+    def counting(kernel, frame, prune_eps, unit, ws):
+        live.add(unit)
+        live_at_start.append(len(live))
+        if unit[1] == 0:
+            time.sleep(0.3)
+        result = run_unit(kernel, frame, prune_eps, unit, ws)
+        weakref.finalize(result[2], live.discard, unit)
+        return result
+
+    monkeypatch.setattr(histories, "_run_unit", counting)
+    propagate_branches(block, 2, threads=2)
+    assert len(live_at_start) == 16 and not live
+    assert max(live_at_start) <= histories._AHEAD * 2
 
 
 def test_budget_counts_the_kernel_only_on_dense_runs(monkeypatch):
