@@ -295,8 +295,9 @@ def transfer_kernel(dot: int) -> np.ndarray:
     The kernel is F_M^dagger times each half of F_2M (half-integer DFTs,
     M = 2**dot, as in the Balazs-Voros/Saraceno quantized baker), built here
     from the closed form in kernel_columns, once per call, and read-only.
-    Propagation applies wide column blocks through apply_columns instead and
-    builds this dense matrix only for its narrow contractions.
+    Propagation never builds it: wide column blocks go through
+    apply_columns and narrow ones through kernel_columns.  It is a public
+    oracle of both.
     """
     if dot < 0:
         raise ParameterError(f"dot must be >= 0, got {dot}")

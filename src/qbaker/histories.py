@@ -10,14 +10,15 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   form (bakermap.kernel_columns);
 * later steps apply a block of w columns to every live row.  When
   w >= W (= _FFT_MIN_WIDTH, 256) that is one length-2M inverse FFT and two
-  length-M FFTs per row (bakermap.apply_columns); narrower blocks multiply
-  the dense transfer_kernel(dot), which is faster there.  w is
-  2**left on kind "full" and 2**dot on kind "coarse" (_Frame.width).  Step
-  1's kernel column c has K[M + r, c] = K[r, c] * 1j*(-1)**c, and every
-  later step maps both halves of the fresh register alike, so a label's
-  step-1 fresh-bit-1 half stays its bit-0 half times that unit phase, with
-  equal |amplitude|**2 and overlap terms.  A run that builds no dense
-  kernel (_needs_kernel) is halved: its units carry the bit-0 half only,
+  length-M FFTs per row (bakermap.apply_columns); narrower blocks, on a
+  run of the dense arm (_Frame.dense), multiply the 2M x w block of
+  closed-form columns, which is faster there.  No run builds the whole
+  2M x 2M kernel.  w is 2**left on kind "full" and 2**dot on kind "coarse"
+  (_Frame.width).  Step 1's kernel column c has K[M + r, c] =
+  K[r, c] * 1j*(-1)**c, and every later step maps both halves of the fresh
+  register alike, so a label's step-1 fresh-bit-1 half stays its bit-0
+  half times that unit phase, with equal |amplitude|**2 and overlap terms.
+  A run off the dense arm is halved: its units carry the bit-0 half only,
   and double their norms and Gram blocks' weight, which is exact.
 * column c + M of K is column c with the top bit of r flipped and a sign,
   K[f*M + r, c + M] = K[f*M + r - M/2, c] for r >= M/2 and
@@ -94,7 +95,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import _bit0_columns, apply_columns, kernel_columns, transfer_kernel
+from .bakermap import _bit0_columns, apply_columns, kernel_columns
+from .bakermap import transfer_kernel  # noqa: F401  perfbench/traced.py wraps this name
 from .coarsegrain import BlockInitialState, validate_run
 from .core import DEFAULT_BUDGET_BYTES, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -111,7 +113,7 @@ _OUT_CAP = 16 << 20
 # level; single runs at 512 KiB took 2.41 s, and at 4 MiB peaked at 58 MiB
 _BLOCK_BYTES = 1 << 21
 # contractions at least this many columns wide go through the FFT, narrower
-# ones through the dense kernel (W in the module docstring)
+# ones multiply closed-form kernel columns (W in the module docstring)
 _FFT_MIN_WIDTH = 256
 # Gram products of at least this many complex multiply-adds run as one BLAS
 # ZGEMM; below it numpy's own einsum loop is faster.  Timed on one BLAS
@@ -175,7 +177,14 @@ class _Frame:
     def step_output(self, j: int, labels: int) -> int:
         """Complex entries of step j's contraction output over `labels` initial labels."""
         # rows entering step j x labels x stored fresh register x 2M
-        return self.place(j) * labels << j + self.dot - (not _needs_kernel(self))
+        return self.place(j) * labels << j + self.dot - (not self.dense)
+
+    @property
+    def dense(self) -> bool:
+        # the arm: a run with contractions narrower than _FFT_MIN_WIDTH
+        # multiplies closed-form kernel columns and carries both fresh halves;
+        # every other run goes by FFT and is halved (module docstring)
+        return self.steps > 1 and self.width < _FFT_MIN_WIDTH
 
     @property
     def chunk(self) -> int:
@@ -217,7 +226,7 @@ class _Frame:
     def mirror(self) -> int:
         # the top group bit, whose groups a halved run takes from their
         # partners below it (module docstring), or 0 when every group runs
-        return 0 if _needs_kernel(self) else (1 << self.freeq) >> 1
+        return 0 if self.dense else (1 << self.freeq) >> 1
 
     @property
     def nomega(self) -> int:
@@ -242,11 +251,6 @@ class _Frame:
         return sum(self.label_bit(p, group, omega) << top - p for p in bits)
 
 
-def _needs_kernel(frame: _Frame) -> bool:
-    """Whether a run has contractions narrower than _FFT_MIN_WIDTH, so builds transfer_kernel."""
-    return frame.steps > 1 and frame.width < _FFT_MIN_WIDTH
-
-
 def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
@@ -256,13 +260,14 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     step's output, which _Frame.block bounds.  Beside them it holds the last
     step's two Gram operands (a window value's rows of one block and their
     conjugate) and Gram accumulator, and a step's largest transient: step
-    1's kernel columns, or on the dense arm the np.tensordot result, the
-    copy it makes of a block's strided input, and the copy of its kernel
-    column block.  On the FFT arm the twiddle loop buffers come per thread;
-    np.fft's in-place transforms copy nothing (numpy 2.4, traced).  The dense
-    kernel or the build of the FFT's cached twiddles, the path Gram blocks
-    and the arrays and path words of the reduction come once, beside the
-    results of the units submitted and not yet added.
+    1's kernel columns, or on the dense arm the np.tensordot result and the
+    copy it makes of a block's strided input, beside a run's (2M, w) block
+    of closed-form columns and its build.  np.tensordot reads that
+    C-contiguous block in place, and np.fft's in-place transforms copy
+    nothing (numpy 2.4, traced).  On the FFT arm the twiddle loop buffers
+    come per thread.  The build of the FFT's cached twiddles, the path Gram
+    blocks and the arrays and path words of the reduction come once, beside
+    the results of the units submitted and not yet added.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -273,11 +278,16 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     rows_final = h * rows
     penultimate = frame.step_output(frame.steps - 1, a) if frame.steps > 1 else 0
     block = frame.step_output(frame.steps, frame.block)
-    dense = _needs_kernel(frame)
-    # step 1's transient: g (its build holds about 4 copies), plus all 2M rows when dense
-    transient = 5 * (a + two_m) + dense * a * two_m
-    if dense:
-        transient = max(transient, penultimate, 2 * block) + frame.width * two_m
+
+    def columns(width: int) -> int:
+        # a (2M, width) block of kernel_columns, beside its build's g (about
+        # 5 copies) and one buffered copy loop (traced at every dot up to 11)
+        return width * two_m + 5 * (width + two_m) + np.getbufsize()
+
+    # step 1's transient: g (its build holds about 4 copies), or all 2M rows when dense
+    transient = columns(a) if frame.dense else 5 * (a + two_m)
+    if frame.dense:
+        transient = max(transient, penultimate, 2 * block) + columns(frame.width)
     unit = 2 * max(penultimate, block) + 2 * block // h + h * rows**2 + transient
     groups = 1 << frame.freeq
     # units that run: on a mirrored run only the groups below the top bit
@@ -306,9 +316,7 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # its inverse and buffer, and the word build's three key-sized temporaries
     held += n_paths * 8 * (2 * len(frame.recorded) + 6)
     built = []
-    if dense:
-        built.append(("transfer kernel", two_m * two_m * itemsize))
-    elif frame.steps > 1:
+    if frame.steps > 1 and not frame.dense:
         # building apply_columns' cached pre, mid, post holds 6M entries in a few arrays
         built.append(("step twiddles", 3 * two_m * itemsize + 6 * _BLOCK_OBJECT_BYTES))
         # a twiddle multiply's buffered loop (at most 263600 bytes, measured)
@@ -350,21 +358,21 @@ def _runs(h_last: np.ndarray):
     return zip(h_last[starts].tolist(), starts.tolist(), ends.tolist())
 
 
-def _split(out: np.ndarray, frame: _Frame, halved: bool):
+def _split(out: np.ndarray, frame: _Frame):
     """A step output's children by window value, and their norms.
 
     The output composite index is fresh_bit * M + momentum' (bit 0 only at a
     halved step 1), the fresh bit joining the register as its lowest digit,
     and momentum' = child * 2**left + low digits.  Returns out as (row, a,
-    fresh, child, low) and the (child, row, a) norms, doubled on a halved
-    unit (module docstring) so that pruning judges a label by its whole norm.
+    fresh, child, low) and the (child, row, a) norms, doubled off the dense
+    arm (module docstring) so that pruning judges a label by its whole norm.
     """
     rows_n, a_width, f_width, width = out.shape
     children = (1 << frame.qwidth, 1 << frame.left)
     split = out.reshape((rows_n, a_width, f_width * width >> frame.dot) + children)
     flat = split.view(np.float64)
     norms = np.einsum("rafhl,rafhl->hra", flat, flat)
-    norms *= 2.0 if halved else 1.0  # exact: a bit-1 term equals a bit-0 one
+    norms *= 1.0 if frame.dense else 2.0  # exact: a bit-1 term equals a bit-0 one
     return split, norms
 
 
@@ -385,34 +393,26 @@ def _prune(norms: np.ndarray, prune_eps: float, disc: np.ndarray, root: np.ndarr
 
 
 def _step(
-    kernel: np.ndarray | None,
-    frame: _Frame,
-    j: int,
-    group: int,
-    labels: range,
-    amp: np.ndarray | None,
-    runs,
-    ws: _Workspace,
+    frame: _Frame, j: int, group: int, labels: range, amp: np.ndarray | None, runs, ws: _Workspace
 ) -> np.ndarray:
     """Step j's output for a range of initial labels, (row, a, fresh, 2M or M).
 
-    Step 1 takes the labels' kernel columns (their fresh-bit-0 half on a
-    halved run); a later step contracts amp, the step j-1 amplitudes of the
+    Step 1 takes the labels' kernel columns (their fresh-bit-0 half off the
+    dense arm); a later step contracts amp, the step j-1 amplitudes of the
     same labels, one run of rows (_step_runs) at a time.  The output goes
     into the ws buffer that does not hold amp.
     """
     m = 1 << frame.dot
-    halved = kernel is None
     feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
     if j == 1:
         start = feed * m + (_rev_int(frame.window[: frame.qwidth]) << frame.left)
-        columns = _bit0_columns if halved else kernel_columns
-        out = ws.take((1, len(labels), 1, m if halved else 2 * m))
+        columns = kernel_columns if frame.dense else _bit0_columns
+        out = ws.take((1, len(labels), 1, 2 * m if frame.dense else m))
         out[0, :, 0] = columns(frame.dot, start + labels.start, start + labels.stop).T
         return out
     rows_n, _, f_width, _ = amp.shape
     out = ws.take((rows_n, len(labels), f_width, 2 * m), busy=amp)
-    return _contract_rows(amp, kernel, frame.dot, feed, runs, out)
+    return _contract_rows(amp, frame, feed, runs, out)
 
 
 def _step_runs(frame: _Frame, j: int, codes: np.ndarray) -> list[tuple[int, int, int]]:
@@ -426,12 +426,7 @@ def _step_runs(frame: _Frame, j: int, codes: np.ndarray) -> list[tuple[int, int,
 
 
 def _grow_unit(
-    kernel: np.ndarray | None,
-    frame: _Frame,
-    prune_eps: float,
-    unit: tuple[int, int, int],
-    ws: _Workspace,
-    steps: int,
+    frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _Workspace, steps: int
 ):
     """Propagate one (group, a_lo, a_hi) unit of initial labels for its first `steps` steps.
 
@@ -450,12 +445,12 @@ def _grow_unit(
     codes = np.zeros(1, dtype=np.int64)
     amp = None
     for j in range(1, steps + 1):
-        amp = _step(kernel, frame, j, group, labels, amp, _step_runs(frame, j, codes), ws)
+        amp = _step(frame, j, group, labels, amp, _step_runs(frame, j, codes), ws)
         if j not in frame.recorded:
             amp = amp.reshape(amp.shape[:2] + (-1, 1 << frame.dot))
             continue
         # split children into window-value-major rows, so equal last values stay adjacent
-        split, norms = _split(amp, frame, kernel is None)
+        split, norms = _split(amp, frame)
         kill = _prune(norms, prune_eps, disc, root)
         h_count, rows_n = norms.shape[:2]
         amp = ws.take((h_count,) + split.shape[:3] + split.shape[4:], busy=split)
@@ -475,29 +470,25 @@ def _grow_unit(
     return disc, root, codes, amp
 
 
-def _contract_rows(
-    amp: np.ndarray,
-    kernel: np.ndarray | None,
-    dot: int,
-    feed: int,
-    runs,
-    out: np.ndarray,
-) -> np.ndarray:
+def _contract_rows(amp: np.ndarray, frame: _Frame, feed: int, runs, out: np.ndarray) -> np.ndarray:
     """Apply one step's kernel columns along amp's last axis into out, run by run.
 
     Rows in a run of equal last window value take the same column block, a
-    contiguous slice of amp and of out.  kernel is the dense transfer_kernel(dot)
-    on narrow runs, else None and the columns go by FFT to the halved unit.
+    contiguous slice of amp and of out.  On the dense arm the run's rows
+    multiply that (2M, w) block, built from the closed form by
+    kernel_columns: every entry depends only on c - 2r and the parity of c,
+    so it equals the dense transfer_kernel's slice bit for bit.  Off it the
+    columns go by FFT to the halved unit.
     """
-    m = 1 << dot
+    m = 1 << frame.dot
     width = amp.shape[-1]
     for h, lo, hi in runs:
         start = feed * m + h * width
-        if kernel is None:
-            apply_columns(amp[lo:hi], dot, start, out=out[lo:hi])
-        else:
-            cols = kernel[:, start : start + width]
+        if frame.dense:
+            cols = kernel_columns(frame.dot, start, start + width)
             out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))
+        else:
+            apply_columns(amp[lo:hi], frame.dot, start, out=out[lo:hi])
     return out
 
 
@@ -516,13 +507,7 @@ def _overlaps(sub: np.ndarray, conj: np.ndarray) -> np.ndarray:
     return np.einsum("ialf,jalf->ij", sub.reshape(shape), conj.reshape(shape), optimize=blas)
 
 
-def _run_unit(
-    kernel: np.ndarray | None,
-    frame: _Frame,
-    prune_eps: float,
-    unit: tuple[int, int, int],
-    ws: _Workspace,
-):
+def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _Workspace):
     """Grow one unit, streaming its last step into norms and Gram blocks.
 
     Steps 1..steps-1 run as _grow_unit.  The last step runs _Frame.block
@@ -533,12 +518,11 @@ def _run_unit(
     pruned norms' roots), the path codes (_grow_unit's, one more digit), and
     one (lo, block) per run of equal last window value (the codes' leading
     digit), where block[i, j] is the overlap of the paths in rows lo + i and
-    lo + j (half of it on a halved unit); paths in different runs are
+    lo + j (half of it off the dense arm); paths in different runs are
     orthogonal.  All in norm units: ensemble weights are applied by the caller.
     """
-    halved = kernel is None
     j = frame.steps
-    disc, root, codes, amp = _grow_unit(kernel, frame, prune_eps, unit, ws, j - 1)
+    disc, root, codes, amp = _grow_unit(frame, prune_eps, unit, ws, j - 1)
     group, a_lo, a_hi = unit
     h_count, rows_n = 1 << frame.qwidth, len(codes)
     runs = _step_runs(frame, j, codes)
@@ -547,7 +531,7 @@ def _run_unit(
     # a one-row block is the sum of its labels' halved norms; the dense arm,
     # the narrow-geometry oracle, forms every block as a product, whose MACs
     # perfbench's dense_equiv_gflop counter counts
-    from_norms = rows_n == 1 and halved
+    from_norms = rows_n == 1 and not frame.dense
     if not from_norms:
         # the product operands: one window value's rows of a block, and their conjugate
         width = frame.step_output(j, frame.block) // (frame.place(j) << frame.qwidth)
@@ -555,8 +539,8 @@ def _run_unit(
     for lo in range(0, a_hi - a_lo, frame.block):
         hi = lo + frame.block
         part = None if amp is None else amp[:, lo:hi]
-        out = _step(kernel, frame, j, group, range(a_lo + lo, a_lo + hi), part, runs, ws)
-        split, norms = _split(out, frame, halved)
+        out = _step(frame, j, group, range(a_lo + lo, a_lo + hi), part, runs, ws)
+        split, norms = _split(out, frame)
         kill = _prune(norms, prune_eps, disc[lo:hi], root[lo:hi])
         if prune_eps > 0:
             keep |= (norms >= prune_eps).any(axis=2)
@@ -733,7 +717,6 @@ def propagate_branches(
             f"(largest item: {what}, {_byte_count(size)} bytes)"
         )
 
-    kernel = transfer_kernel(shape.dot) if _needs_kernel(frame) else None
     low_total, chunk, mirror = 1 << frame.left, frame.chunk, frame.mirror
     units = [
         (group, a_lo, a_lo + chunk)
@@ -745,10 +728,10 @@ def propagate_branches(
 
     def run(unit: tuple[int, int, int]):
         local.ws = getattr(local, "ws", None) or _Workspace()
-        return _run_unit(kernel, frame, prune_eps, unit, local.ws)
+        return _run_unit(frame, prune_eps, unit, local.ws)
 
     weight = 2.0 ** -(frame.left + steps)
-    block_weight = weight * 2 if kernel is None else weight  # halved blocks are in half units
+    block_weight = weight if frame.dense else weight * 2  # halved blocks are in half units
     last_place = frame.last_place
     span = last_place << frame.qwidth  # path codes per key table
     group_disc = np.zeros((1 << frame.freeq, low_total))
@@ -911,20 +894,28 @@ def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
     Both read each block matrix once.  The rms sums the squares with
     math.fsum, which rounds the exact sum once whatever the order of its
     terms; a matrix shared by a power-of-two number of position rows counts
-    each square that many times by one exact multiplication.
+    each square that many times by one exact multiplication.  math.fsum
+    reads one block's squares at a time, so no more are held at once.
     """
     n = len(ensemble.paths)
     if n < 2:
         return 0.0, 0.0
     off_max = 0.0
-    squares = []
-    for positions, matrix in ensemble.blocks:
-        mags = np.abs(matrix)
-        np.fill_diagonal(mags, 0.0)
-        off = mags[mags > 0]
-        off_max = max(off_max, float(off.max(initial=0.0)))
-        squares.append(off * off * len(positions))
-    return off_max, math.sqrt(math.fsum(itertools.chain.from_iterable(squares)) / (n * (n - 1)))
+
+    def squares():
+        nonlocal off_max
+        for positions, matrix in ensemble.blocks:
+            mags = np.abs(matrix)
+            np.fill_diagonal(mags, 0.0)
+            off = mags[mags > 0]
+            del mags
+            off_max = max(off_max, float(off.max(initial=0.0)))
+            off *= off
+            off *= len(positions)
+            yield off
+
+    total = math.fsum(itertools.chain.from_iterable(squares()))
+    return off_max, math.sqrt(total / (n * (n - 1)))
 
 
 def ideal_coarse_value(x: str, y: str, steps: int) -> float:

@@ -17,8 +17,10 @@ covers every perfbench invocation of seeds 0 and 7, pruned runs of the
 three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
 and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
 steps 4, check at three more geometries, full-histories and coarse-entropy
-at a 13-bit window over five steps (a path of 65 bits), --threads 1
-against the default, both output formats and two budget refusals.
+at a 13-bit window over five steps (a path of 65 bits), full-histories
+at dots 10 and 11 where the dense arm's closed-form column blocks are
+tallest, --threads 1 against the default, both output formats and two
+budget refusals.
 check's report is compared line by line: a suite's name and verdict as
 text, its numbers as numbers.
 
@@ -110,6 +112,11 @@ def invocations() -> list[list[str]]:
     out += [["full-histories", *wide, "--init-x", "0110100110010", "--format", fmt]
             for fmt in ("csv", "json")]
     out.append(["coarse-entropy", *wide, "--init-x", "00110010"])
+    # the dense arm at dots 10 and 11: each run of rows multiplies a block of
+    # 64 closed-form kernel columns, 2048 and 4096 rows tall
+    for qubits, dot, window in ((14, 10, "01101"), (15, 11, "011010")):
+        out.append(["full-histories", "--qubits", str(qubits), "--dot", str(dot), "--left", "6",
+                    "--right", "3", "--steps", "2", "--init-x", window])
     # two budget refusals, whose error lines carry the projected peak: at
     # this tree 7056214752 and 26384845536 bytes (2 threads), so a change to
     # _estimate_bytes shows here as a stderr difference it must declare

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import gc
 import itertools
 import math
 import os
@@ -35,7 +34,6 @@ from qbaker import (
     ideal_full_value,
     offdiagonal_norm,
     propagate_branches,
-    transfer_kernel,
 )
 from qbaker import bakermap, histories
 from qbaker.core import check_word
@@ -81,12 +79,7 @@ def decode_label(ens, label):
     return low, group, omega
 
 
-def _unit_kernel(ens):
-    frame = ens._frame
-    return transfer_kernel(frame.dot) if histories._needs_kernel(frame) else None
-
-
-def materialized_unit(kernel, frame, prune_eps, unit):
+def materialized_unit(frame, prune_eps, unit):
     """A unit grown through its last step at once: the oracle of the streamed last step.
 
     Returns per-label discarded mass, the sum over labels of 2S + S**2, the
@@ -94,7 +87,7 @@ def materialized_unit(kernel, frame, prune_eps, unit):
     of their own.
     """
     disc, root, codes, amp = histories._grow_unit(
-        kernel, frame, prune_eps, unit, histories._Workspace(), frame.steps
+        frame, prune_eps, unit, histories._Workspace(), frame.steps
     )
     return disc, float((root * (2.0 + root)).sum()), codes, amp
 
@@ -112,11 +105,11 @@ def step1_phase(frame, unit):
 def whole_fresh_register(frame, unit, amp):
     """A unit's final amplitudes with both halves of the fresh register.
 
-    A run without the dense kernel holds only the half where step 1's fresh
-    bit, the fresh axis' leading digit, is 0; the other half is that half
-    times each label's step1_phase.
+    A run off the dense arm holds only the half where step 1's fresh bit,
+    the fresh axis' leading digit, is 0; the other half is that half times
+    each label's step1_phase.
     """
-    if histories._needs_kernel(frame):
+    if frame.dense:
         return amp
     bit1 = step1_phase(frame, unit)[:, None, None] * amp
     return np.concatenate([amp, bit1], axis=2)
@@ -137,7 +130,7 @@ def label_masses(ens):
         for a_lo in range(0, low_total, frame.chunk):
             a_hi = a_lo + frame.chunk
             unit = (group, a_lo, a_hi)
-            d, _, _, amp = materialized_unit(_unit_kernel(ens), frame, ens.prune_eps, unit)
+            d, _, _, amp = materialized_unit(frame, ens.prune_eps, unit)
             flat = whole_fresh_register(frame, unit, amp).view(np.float64)
             disc[group, a_lo:a_hi] = d
             kept[group, a_lo:a_hi] = np.einsum("rafl,rafl->ra", flat, flat).sum(axis=0)
@@ -177,7 +170,7 @@ def branch_vector(ens, label, path, grow=materialized_unit):
         code = (code << frame.qwidth) + histories._rev_int(word[: frame.qwidth])
     a_lo = low - low % frame.chunk
     unit = (group, a_lo, a_lo + frame.chunk)
-    _, _, codes, amp = grow(_unit_kernel(ens), frame, ens.prune_eps, unit)
+    _, _, codes, amp = grow(frame, ens.prune_eps, unit)
     rows = np.flatnonzero(codes == code)
     if not rows.size:
         return out
@@ -377,10 +370,10 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(kind):
     frame = ens._frame
     chunk = frame.chunk
     assert frame.freeq > 0 and (1 << frame.left) > chunk
-    assert not histories._needs_kernel(frame)
+    assert not frame.dense
     # branch_vector regrows a whole unit per call; grow each unit once
     cached = functools.lru_cache(materialized_unit)
-    grow = functools.partial(cached, None, frame, ens.prune_eps)
+    grow = functools.partial(cached, frame, ens.prune_eps)
     path_lists = [
         {tuple(grow((group, a_lo, a_lo + chunk))[2]) for a_lo in range(0, 1 << frame.left, chunk)}
         for group in range(1 << frame.freeq)
@@ -402,14 +395,14 @@ def pair_dict_gram(ens):
     Sums each group's per-unit overlaps pair by pair in unit order, scales
     them by the ensemble weight and adds them up per path-key pair in
     (group, omega) order: the order the array scatter must reproduce.  A
-    unit of a run without the dense kernel sums its fresh-bit-0 half only;
+    unit of a run off the dense arm sums its fresh-bit-0 half only;
     each bit-1 overlap term equals a bit-0 one (whole_fresh_register), so
     its weight is doubled.  On a mirrored run (_Frame.mirror) a group with the
     top group bit set takes its partner's units, the top bit of each code's
     last window value flipped, as the engine does.
     """
     frame, kind = ens._frame, ens.kind
-    weight = 2.0 ** -(frame.left + ens.steps - (not histories._needs_kernel(frame)))
+    weight = 2.0 ** -(frame.left + ens.steps - (not frame.dense))
     low, h_count = 1 << frame.left, 1 << frame.qwidth
     step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
     pairs = {}
@@ -419,8 +412,7 @@ def pair_dict_gram(ens):
         for a_lo in range(0, low, frame.chunk):
             a_hi = a_lo + frame.chunk
             _, _, codes, blocks = histories._run_unit(
-                _unit_kernel(ens), frame, ens.prune_eps, (group ^ top, a_lo, a_hi),
-                histories._Workspace(),
+                frame, ens.prune_eps, (group ^ top, a_lo, a_hi), histories._Workspace()
             )
             if top:
                 codes = codes ^ (h_count >> 1) * frame.last_place
@@ -490,7 +482,7 @@ def test_a_mirrored_coarse_gram_adds_its_groups_in_group_order(monkeypatch, prun
 @pytest.mark.parametrize(
     "qubits,dot,left,right,steps,window",
     [
-        # dense kernel, four groups of one a-chunk
+        # the dense arm, four groups of one a-chunk
         (12, 7, 5, 4, 3, "001"),
         # FFT, two groups of four a-chunks
         (13, 9, 8, 3, 2, "01"),
@@ -507,7 +499,7 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
     frame = ens._frame
     units = _unit_list(frame)
     assert len(units) > 1
-    run = functools.partial(histories._run_unit, _unit_kernel(ens), frame, prune_eps)
+    run = functools.partial(histories._run_unit, frame, prune_eps)
     ws = histories._Workspace()
     for unit in reversed(units):
         disc, cross, codes, blocks = run(unit, ws)
@@ -557,15 +549,14 @@ def test_the_streamed_last_step_matches_the_materialized_one(
     monkeypatch.setattr(histories, "_BLOCK_BYTES", 0 if labels == "one-label" else 1 << 62)
     frame = block_frame(make_block(qubits, dot, left, right, window), steps, kind)
     assert frame.block == (1 if labels == "one-label" else frame.chunk)
-    assert histories._needs_kernel(frame) == (arm == "dense" and steps > 1)
-    kernel = transfer_kernel(dot) if histories._needs_kernel(frame) else None
+    assert frame.dense == (arm == "dense" and steps > 1)
     weight = 2.0 ** -(left + steps)
     pruned = dropped = 0
     for unit in _unit_list(frame):
         disc, cross, codes, blocks = histories._run_unit(
-            kernel, frame, prune_eps, unit, histories._Workspace()
+            frame, prune_eps, unit, histories._Workspace()
         )
-        want_disc, want_cross, want_codes, amp = materialized_unit(kernel, frame, prune_eps, unit)
+        want_disc, want_cross, want_codes, amp = materialized_unit(frame, prune_eps, unit)
         np.testing.assert_array_equal(codes, want_codes)
         np.testing.assert_allclose(weight * disc, weight * want_disc, rtol=0, atol=1e-13)
         assert weight * cross == pytest.approx(weight * want_cross, rel=0, abs=1e-13)
@@ -721,7 +712,7 @@ def _projected_bytes(block, steps, kind, threads):
 
 
 _BUDGET_CASES = [
-    # contraction widths below _FFT_MIN_WIDTH: the dense kernel
+    # contraction widths below _FFT_MIN_WIDTH: the dense arm
     (8, 4, 2, 3, 2, "010", None),
     (12, 7, 5, 4, 3, "001", None),
     (12, 5, 1, 5, 2, "011010", None),
@@ -1077,22 +1068,23 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
 
 
 def test_offdiagonal_norm_sums_its_squares_without_a_list_of_floats(medium_full):
-    # math.fsum reads the squares as arrays: magnitudes, kept entries and
-    # squares, 24 bytes a term at the peak (traced); a Python list of the
-    # squares and its concatenated source would take 64
-    n = 1024
+    # math.fsum reads the squares as arrays, one block's at a time:
+    # magnitudes, kept entries and squares, 24 bytes a term of one block at
+    # the peak (traced); a Python list of the squares and its concatenated
+    # source would take 64, and four blocks' squares kept at once 96
     rng = np.random.default_rng(3)
-    gram = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    ens = dataclasses.replace(
-        medium_full, paths=np.zeros((n, 2), dtype=np.int64), blocks=((np.arange(n)[None, :], gram),)
-    )
-    tracemalloc.start()
-    try:
-        offdiagonal_norm(ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * n * n
+    for n, count in ((1024, 1), (512, 4)):
+        grams = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        blocks = tuple((np.arange(k * n, (k + 1) * n)[None, :], grams[k]) for k in range(count))
+        paths = np.zeros((n * count, 2), dtype=np.int64)
+        ens = dataclasses.replace(medium_full, paths=paths, blocks=blocks)
+        tracemalloc.start()
+        try:
+            offdiagonal_norm(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n * n
 
 
 def test_ideal_coarse_value():
@@ -1241,7 +1233,7 @@ def _freeq_geometries(draw, freeq):
 @given(data=st.data(), prune_eps=st.sampled_from([0.0, 1e-3]))
 def test_fft_runs_of_any_freeq_match_the_dense_arm(freeq, kind, data, prune_eps):
     # every run goes through the FFT, mirrored when freeq >= 1, against the
-    # dense kernel, which grows every group
+    # dense arm, which grows every group
     qubits, dot, left, right, steps, window = data.draw(_freeq_geometries(freeq))
     block = make_block(qubits, dot, left, right, window)
     runs = {}
@@ -1268,15 +1260,15 @@ def test_a_mirrored_run_grows_only_the_groups_below_the_top_bit(monkeypatch, kin
     run_unit = histories._run_unit
     grown = []
 
-    def recording(kernel, frame, prune_eps, unit, ws):
+    def recording(frame, prune_eps, unit, ws):
         grown.append(unit[0])
-        return run_unit(kernel, frame, prune_eps, unit, ws)
+        return run_unit(frame, prune_eps, unit, ws)
 
     monkeypatch.setattr(histories, "_run_unit", recording)
     for width, groups in ((0, {0, 1}), (1 << 30, {0, 1, 2, 3})):
         monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", width)
         frame = block_frame(block, 3, kind)
-        assert frame.freeq == 2 and histories._needs_kernel(frame) == bool(width)
+        assert frame.freeq == 2 and frame.dense == bool(width)
         grown.clear()
         ens = propagate_branches(block, 3, prune_eps=1e-3, kind=kind)
         assert set(grown) == groups
@@ -1286,13 +1278,13 @@ def test_a_mirrored_run_grows_only_the_groups_below_the_top_bit(monkeypatch, kin
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
 @pytest.mark.parametrize("kind", ["full", "coarse"])
 def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps):
-    # a unit of a run without the dense kernel holds the half of the fresh
+    # a unit of a run off the dense arm holds the half of the fresh
     # register where step 1's fresh bit, the fresh axis' leading digit, is 0;
     # the same unit on the dense arm holds both halves, and its bit-1 half is
     # its bit-0 half times each label's step-1 phase
     block = make_block(15, 9, 8, 4, "011")
     frame = block_frame(block, 3, kind)
-    assert not histories._needs_kernel(frame)
+    assert not frame.dense
     sent = []
     apply_columns = histories.apply_columns
 
@@ -1302,14 +1294,13 @@ def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps
 
     monkeypatch.setattr(histories, "apply_columns", recording)
     units = _unit_list(frame)
-    halved = [materialized_unit(None, frame, prune_eps, unit) for unit in units]
+    halved = [materialized_unit(frame, prune_eps, unit) for unit in units]
     # every run of rows goes to the FFT as one contiguous block
     assert sent and all(sent)
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
-    assert histories._needs_kernel(frame)
-    kernel = transfer_kernel(frame.dot)
+    assert frame.dense
     for unit, (disc, _, codes, amp) in zip(units, halved):
-        want_disc, _, want_codes, whole = materialized_unit(kernel, frame, prune_eps, unit)
+        want_disc, _, want_codes, whole = materialized_unit(frame, prune_eps, unit)
         np.testing.assert_array_equal(codes, want_codes)
         np.testing.assert_allclose(disc, want_disc, rtol=0, atol=1e-12)
         half = whole.shape[2] // 2
@@ -1323,31 +1314,22 @@ def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps
 
 
 @pytest.mark.parametrize("qubits,dot,left,right,window", [(8, 4, 2, 3, "010"), (13, 9, 8, 3, "01")])
-def test_pruned_run_conserves_mass_and_leaves_kernel_alone(
-    monkeypatch, qubits, dot, left, right, window
-):
-    # pruning used to write through step-1 views of the kernel; the kernel a
-    # dense run used, and the twiddles an FFT run cached, must be unchanged
-    used = []
-
-    def recording(d):
-        used.append(transfer_kernel(d))
-        return used[-1]
-
-    monkeypatch.setattr(histories, "transfer_kernel", recording)
+def test_pruned_run_conserves_mass_and_leaves_the_twiddles_alone(qubits, dot, left, right, window):
+    # pruning used to write through step-1 views of shared columns; the
+    # twiddles an FFT run cached must be unchanged
     block = make_block(qubits, dot, left, right, window)
     ens = propagate_branches(block, 2, prune_eps=0.01)
     assert ens.discarded_total > 0.0
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
     for disc, kept in label_masses(ens).values():
         assert abs(disc + kept - 1.0) < 1e-9
-    dense = histories._needs_kernel(ens._frame)
-    assert len(used) == int(dense)
-    shared = used if dense else list(bakermap._step_twiddles(dot))
-    fresh = [transfer_kernel(dot)] if dense else bakermap._step_twiddles.__wrapped__(dot)
-    for arr, want in zip(shared, fresh, strict=True):
-        assert not arr.flags.writeable
-        np.testing.assert_array_equal(arr, want)
+    assert ens._frame.dense == (dot == 4)
+    if not ens._frame.dense:
+        shared = bakermap._step_twiddles(dot)
+        fresh = bakermap._step_twiddles.__wrapped__(dot)
+        for arr, want in zip(shared, fresh, strict=True):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
 
 
 def test_the_twiddle_cache_holds_one_dot():
@@ -1369,22 +1351,26 @@ def test_the_twiddle_cache_holds_one_dot():
     assert "step twiddles" not in dict(histories._estimate_bytes(full, 1))
 
 
+@pytest.mark.parametrize("prune_eps", [0.0, 0.01])
 @pytest.mark.parametrize("kind", ["full", "coarse"])
-def test_no_kernel_outlives_its_run(monkeypatch, kind):
-    # each run builds its dense kernel once; neither a cache nor the
-    # returned ensemble may keep it alive afterwards
-    refs = []
+@pytest.mark.parametrize("arm", ["fft", "dense"])
+def test_no_propagation_builds_the_transfer_kernel(monkeypatch, arm, kind, prune_eps):
+    # the dense arm multiplies closed-form column blocks, and the FFT arm
+    # (mirrored here, at freeq 2) applies them by transform; histories keeps
+    # the name only for perfbench/traced.py to wrap
+    assert histories.transfer_kernel is bakermap.transfer_kernel
 
-    def recording(dot):
-        kernel = transfer_kernel(dot)
-        refs.append(weakref.ref(kernel))
-        return kernel
+    def refuse(dot):
+        raise AssertionError(f"transfer_kernel({dot}) was built")
 
-    monkeypatch.setattr(histories, "transfer_kernel", recording)
-    ens = propagate_branches(make_block(8, 4, 2, 3, "010"), 2, kind=kind)
-    gc.collect()
-    assert len(ens.paths) and refs
-    assert all(ref() is None for ref in refs)
+    for module in (bakermap, histories):
+        monkeypatch.setattr(module, "transfer_kernel", refuse)
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+    ens = propagate_branches(make_block(9, 4, 2, 4, "011"), 3, prune_eps=prune_eps, kind=kind)
+    assert ens._frame.dense == (arm == "dense")
+    assert ens._frame.mirror == (0 if arm == "dense" else 2)
+    assert (ens.discarded_total > 0) == (prune_eps > 0)
+    assert abs(history_distribution(ens).total() - 1.0) < 1e-9
 
 
 def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
@@ -1409,9 +1395,9 @@ def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
     run_unit = histories._run_unit
     live, alive_at_start = set(), []
 
-    def counting(kernel, frame, prune_eps, unit, ws):
+    def counting(frame, prune_eps, unit, ws):
         alive_at_start.append(len(live))
-        result = run_unit(kernel, frame, prune_eps, unit, ws)
+        result = run_unit(frame, prune_eps, unit, ws)
         live.add(unit)
         weakref.finalize(result[2], live.discard, unit)
         return result
@@ -1432,12 +1418,12 @@ def test_units_started_and_not_yet_added_stay_within_the_bound(monkeypatch):
     run_unit = histories._run_unit
     live, live_at_start = set(), []
 
-    def counting(kernel, frame, prune_eps, unit, ws):
+    def counting(frame, prune_eps, unit, ws):
         live.add(unit)
         live_at_start.append(len(live))
         if unit[1] == 0:
             time.sleep(0.3)
-        result = run_unit(kernel, frame, prune_eps, unit, ws)
+        result = run_unit(frame, prune_eps, unit, ws)
         weakref.finalize(result[2], live.discard, unit)
         return result
 
@@ -1447,11 +1433,32 @@ def test_units_started_and_not_yet_added_stay_within_the_bound(monkeypatch):
     assert max(live_at_start) <= histories._AHEAD * 2
 
 
-def test_budget_counts_the_kernel_only_on_dense_runs(monkeypatch):
-    # the 16 MiB dot-9 kernel fits no 8 MiB budget, but the FFT run never
-    # builds it and its other projections stay under 8 MiB
-    block = make_block(13, 9, 2, 3, "01101001")
-    propagate_branches(block, 2, kind="coarse", budget_bytes=8 << 20)
-    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 1 << 30)
-    with pytest.raises(ResourceLimitError, match="transfer kernel"):
-        propagate_branches(block, 2, kind="coarse", budget_bytes=8 << 20)
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,window,kind,most_mib",
+    [
+        # the 2M x 2M kernel alone would be 64 MiB, three times the projection
+        (14, 10, 6, 3, "01101", "full", 24),
+        # a (2M, M) column block per thread is most of the traced peak
+        (11, 7, 2, 3, "010101", "coarse", 2),
+    ],
+)
+def test_a_dense_run_projects_no_kernel_and_stays_above_its_traced_peak(
+    qubits, dot, left, right, window, kind, most_mib
+):
+    # a dense run holds one (2M, w) block of closed-form kernel columns per
+    # thread and no kernel; the estimate must count the block, not the
+    # kernel, and still bound what the run traces
+    block = make_block(qubits, dot, left, right, window)
+    frame = block_frame(block, 2, kind)
+    assert frame.dense
+    items = dict(histories._estimate_bytes(frame, 2))
+    assert set(items) == {"step workspace", "path gram blocks", "path bookkeeping"}
+    projected = sum(items.values())
+    assert projected < most_mib << 20
+    tracemalloc.start()
+    try:
+        propagate_branches(block, 2, prune_eps=0.0, kind=kind, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= projected
