@@ -274,7 +274,8 @@ def apply_columns(
     out[..., start + width :] = 0
     np.multiply(x, pre[start : start + width], out=out[..., start : start + width])
     # in-place FFTs keep peak memory at one output buffer; np.fft's out=
-    # needs numpy >= 2.0, the floor pyproject.toml declares
+    # needs numpy >= 2.0, and pyproject.toml declares 2.4, on which they
+    # were traced to copy nothing (histories._estimate_bytes)
     np.fft.ifft(out, norm="forward", out=out)
     out *= mid
     halves = out.reshape(out.shape[:-1] + (2, m))

@@ -89,7 +89,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -358,14 +358,18 @@ def _runs(h_last: np.ndarray):
     return zip(h_last[starts].tolist(), starts.tolist(), ends.tolist())
 
 
-def _split(out: np.ndarray, frame: _Frame):
-    """A step output's children by window value, and their norms.
+def _fold(out: np.ndarray, frame: _Frame, prune_eps: float, disc: np.ndarray, root: np.ndarray):
+    """A step output's children by window value, their norms, and its pruning.
 
     The output composite index is fresh_bit * M + momentum' (bit 0 only at a
     halved step 1), the fresh bit joining the register as its lowest digit,
-    and momentum' = child * 2**left + low digits.  Returns out as (row, a,
-    fresh, child, low) and the (child, row, a) norms, doubled off the dense
-    arm (module docstring) so that pruning judges a label by its whole norm.
+    and momentum' = child * 2**left + low digits.  Returns out viewed as
+    (row, a, fresh, child, low), the (child, row, a) norms, doubled off the
+    dense arm (module docstring) so that pruning judges a label by its whole
+    norm, and the (child, row) mask of children some label keeps.  A branch
+    whose norm is under prune_eps is pruned: its norm is added to its
+    label's disc and its root to root, in place, and it is zeroed in the
+    split and the norms.  At prune_eps 0 every child is kept.
     """
     rows_n, a_width, f_width, width = out.shape
     children = (1 << frame.qwidth, 1 << frame.left)
@@ -373,23 +377,14 @@ def _split(out: np.ndarray, frame: _Frame):
     flat = split.view(np.float64)
     norms = np.einsum("rafhl,rafhl->hra", flat, flat)
     norms *= 1.0 if frame.dense else 2.0  # exact: a bit-1 term equals a bit-0 one
-    return split, norms
-
-
-def _prune(norms: np.ndarray, prune_eps: float, disc: np.ndarray, root: np.ndarray):
-    """Book the (child, row, a) branches whose norm is under prune_eps.
-
-    Adds each label's pruned norms to disc and their roots to root, in
-    place; returns the mask of pruned branches, or None when there are none.
-    """
-    if prune_eps > 0:
-        kill = norms < prune_eps
-        if kill.any():
-            dead = np.where(kill, norms, 0.0)
-            disc += dead.sum(axis=(0, 1))
-            root += np.sqrt(dead, out=dead).sum(axis=(0, 1))
-            return kill
-    return None
+    kill = norms < prune_eps
+    if kill.any():
+        dead = np.where(kill, norms, 0.0)
+        disc += dead.sum(axis=(0, 1))
+        root += np.sqrt(dead, out=dead).sum(axis=(0, 1))
+        np.moveaxis(split, 3, 0)[kill] = 0
+        norms[kill] = 0.0
+    return split, norms, ~kill.all(axis=2)
 
 
 def _step(
@@ -432,7 +427,9 @@ def _grow_unit(
 
     Amplitudes are held as (row, a, fresh, momentum) in the two buffers of
     ws, each step writing the buffer its input does not use; the returned
-    amplitudes (None after 0 steps) last until ws runs another unit.
+    amplitudes (None after 0 steps) last until ws runs another unit.  At a
+    recorded step _fold splits and prunes the output, which is then copied
+    into window-value-major rows, and the rows no label keeps are dropped.
     Returns per-label discarded mass (norm units), per-label S (the sum of
     a label's pruned norms' roots), each row's path code (its recorded window
     values as base-2**qwidth digits, the newest most significant, so the
@@ -450,23 +447,19 @@ def _grow_unit(
             amp = amp.reshape(amp.shape[:2] + (-1, 1 << frame.dot))
             continue
         # split children into window-value-major rows, so equal last values stay adjacent
-        split, norms = _split(amp, frame)
-        kill = _prune(norms, prune_eps, disc, root)
-        h_count, rows_n = norms.shape[:2]
+        split, _, keep = _fold(amp, frame, prune_eps, disc, root)
+        h_count, rows_n = keep.shape
         amp = ws.take((h_count,) + split.shape[:3] + split.shape[4:], busy=split)
         np.copyto(amp, np.moveaxis(split, 3, 0))
         del split
-        if kill is not None:
-            amp[kill] = 0
         amp = amp.reshape((h_count * rows_n,) + amp.shape[2:])
         codes = (np.arange(h_count)[:, None] * frame.place(j) + codes).reshape(-1)
-        if prune_eps > 0:
-            keep = (norms >= prune_eps).any(axis=2).reshape(-1)
-            if not keep.all():
-                # mode="clip" fills kept directly; "raise" would buffer a copy
-                kept = ws.take((int(keep.sum()),) + amp.shape[1:], busy=amp)
-                amp = np.take(amp, np.flatnonzero(keep), axis=0, out=kept, mode="clip")
-                codes = codes[keep]
+        keep = keep.reshape(-1)
+        if not keep.all():
+            # mode="clip" fills kept directly; "raise" would buffer a copy
+            kept = ws.take((int(keep.sum()),) + amp.shape[1:], busy=amp)
+            amp = np.take(amp, np.flatnonzero(keep), axis=0, out=kept, mode="clip")
+            codes = codes[keep]
     return disc, root, codes, amp
 
 
@@ -511,15 +504,17 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
     """Grow one unit, streaming its last step into norms and Gram blocks.
 
     Steps 1..steps-1 run as _grow_unit.  The last step runs _Frame.block
-    labels at a time, and each block is folded at once into the per-label
-    masses, the per-row keep mask and one Gram accumulator per last window
-    value; rows nobody keeps are dropped at the end.  Returns the per-label
-    discarded mass, the sum over labels of 2S + S**2 (S the sum of a label's
-    pruned norms' roots), the path codes (_grow_unit's, one more digit), and
-    one (lo, block) per run of equal last window value (the codes' leading
-    digit), where block[i, j] is the overlap of the paths in rows lo + i and
-    lo + j (half of it off the dense arm); paths in different runs are
-    orthogonal.  All in norm units: ensemble weights are applied by the caller.
+    labels at a time; _fold splits and prunes each block's output, its keep
+    mask is ORed into the unit's, and its pruned norms (one row off the
+    dense arm) or each window value's rows (as a product) go into one Gram
+    accumulator per last window value.  Rows nobody keeps are dropped at the
+    end.  Returns the per-label discarded mass, the sum over labels of 2S +
+    S**2 (S the sum of a label's pruned norms' roots), the path codes
+    (_grow_unit's, one more digit), and one (lo, block) per run of equal
+    last window value (the codes' leading digit), where block[i, j] is the
+    overlap of the paths in rows lo + i and lo + j (half of it off the dense
+    arm); paths in different runs are orthogonal.  All in norm units:
+    ensemble weights are applied by the caller.
     """
     j = frame.steps
     disc, root, codes, amp = _grow_unit(frame, prune_eps, unit, ws, j - 1)
@@ -527,7 +522,7 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
     h_count, rows_n = 1 << frame.qwidth, len(codes)
     runs = _step_runs(frame, j, codes)
     gram = np.zeros((h_count, rows_n, rows_n), dtype=np.complex128)
-    keep = np.full((h_count, rows_n), prune_eps == 0)
+    keep = np.zeros((h_count, rows_n), dtype=bool)
     # a one-row block is the sum of its labels' halved norms; the dense arm,
     # the narrow-geometry oracle, forms every block as a product, whose MACs
     # perfbench's dense_equiv_gflop counter counts
@@ -540,20 +535,13 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
         hi = lo + frame.block
         part = None if amp is None else amp[:, lo:hi]
         out = _step(frame, j, group, range(a_lo + lo, a_lo + hi), part, runs, ws)
-        split, norms = _split(out, frame)
-        kill = _prune(norms, prune_eps, disc[lo:hi], root[lo:hi])
-        if prune_eps > 0:
-            keep |= (norms >= prune_eps).any(axis=2)
+        split, norms, block_keep = _fold(out, frame, prune_eps, disc[lo:hi], root[lo:hi])
+        keep |= block_keep
         if from_norms:
-            if kill is not None:
-                norms[kill] = 0.0
             gram[:, 0, 0] += norms[:, 0].sum(axis=1) * 0.5
             continue
         for h in range(h_count):
-            gathered = sub.reshape(split[:, :, :, h].shape)
-            np.copyto(gathered, split[:, :, :, h])
-            if kill is not None:
-                gathered[kill[h]] = 0
+            np.copyto(sub.reshape(split[:, :, :, h].shape), split[:, :, :, h])
             gram[h] += _overlaps(sub, np.conjugate(sub, out=conj))
     blocks, lo = [], 0
     for h in range(h_count):
@@ -582,8 +570,10 @@ class BranchEnsemble:
     """Path overlaps and pruned mass from one propagation run.
 
     `paths` is an int64 array whose entry [i, j] is path i's window value at
-    its j-th recorded step, int(word, 2); its rows are sorted as their word
-    strings would be.  The path Gram matrix G, whose entry G[i, j] is the
+    its j-th recorded step, int(word, 2), a word of block.graining.kept
+    bits; its rows are sorted as their word strings would be.  It has one
+    column per recorded step (every step on kind "full", the last on kind
+    "coarse") even when pruning keeps no path.  The path Gram matrix G, whose entry G[i, j] is the
     decoherence functional value between paths[i] (ket side) and paths[j]
     (bra side), is kept as its nonzero blocks: each of `blocks` is
     (positions, matrix), and for every row p of the 2-D positions array
@@ -605,7 +595,6 @@ class BranchEnsemble:
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     discarded_total: float
     cross_bound: float
-    _frame: _Frame = field(repr=False)
 
     @property
     def gram(self) -> np.ndarray:
@@ -640,13 +629,14 @@ class BranchEnsemble:
 
     def _row(self, path: Sequence[str]) -> int | None:
         # the row of path's checked words, or None; each sorted column narrows the match
-        want = len(self._frame.recorded)
+        want = self.paths.shape[1]
         key = tuple(path)
         if len(key) != want:
             raise ParameterError(
                 f"{self.kind}-kind paths have {want} window value(s), got {len(key)}"
             )
-        key = [int(check_word(word, self._frame.kept, "each path entry"), 2) for word in key]
+        kept = self.block.graining.kept
+        key = [int(check_word(word, kept, "each path entry"), 2) for word in key]
         lo, hi = 0, len(self.paths)
         for column, word in zip(self.paths.T, key):
             lo, hi = lo + np.searchsorted(column[lo:hi], [word, word + 1])
@@ -793,7 +783,6 @@ def propagate_branches(
         blocks=tuple(blocks),
         discarded_total=weight * float(group_disc.sum()) * (1 << frame.nomega),
         cross_bound=weight * cross * (1 << frame.nomega),
-        _frame=frame,
     )
 
 
@@ -818,7 +807,7 @@ def coarse_dfunc(ensemble: BranchEnsemble, y: str, z: str) -> complex:
     independently: on a kind='full' ensemble over all intermediate window
     values, on a kind='coarse' one the single entry of one path each.
     """
-    kept = ensemble._frame.kept
+    kept = ensemble.block.graining.kept
     return _coarse_sum(ensemble, *(int(check_word(w, kept, "window value"), 2) for w in (y, z)))
 
 

@@ -19,8 +19,9 @@ and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
 steps 4, check at three more geometries, full-histories and coarse-entropy
 at a 13-bit window over five steps (a path of 65 bits), full-histories
 at dots 10 and 11 where the dense arm's closed-form column blocks are
-tallest, --threads 1 against the default, both output formats and two
-budget refusals.
+tallest, a pruned mirrored coarse-entropy and a pruned dense-arm
+full-histories each with a --threads 1 twin, --threads 1 against the
+default, both output formats and two budget refusals.
 check's report is compared line by line: a suite's name and verdict as
 text, its numbers as numbers.
 
@@ -117,6 +118,14 @@ def invocations() -> list[list[str]]:
     for qubits, dot, window in ((14, 10, "01101"), (15, 11, "011010")):
         out.append(["full-histories", "--qubits", str(qubits), "--dot", str(dot), "--left", "6",
                     "--right", "3", "--steps", "2", "--init-x", window])
+    # partial pruning where no benchmark workload prunes: one-row units of a
+    # mirrored FFT coarse run (0.0077 discarded), and the dense arm at 8
+    # blocks per unit (0.0083 discarded), each against its --threads 1 twin
+    for point in (["coarse-entropy", "--qubits", "22", "--dot", "10", "--left", "9",
+                   "--right", "9", "--steps", "4", "--prune", "0.3"],
+                  ["full-histories", "--qubits", "16", "--dot", "6", "--left", "4",
+                   "--right", "6", "--steps", "4", "--init-x", "010110", "--prune", "1e-3"]):
+        out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
     # this tree 7056214752 and 26384845536 bytes (2 threads), so a change to
     # _estimate_bytes shows here as a stderr difference it must declare

@@ -66,7 +66,7 @@ def make_block(qubits, dot, left, right, window):
 
 def decode_label(ens, label):
     """(low, group, omega) indices of an initial label of the ensemble's block."""
-    frame = ens._frame
+    frame = frame_of(ens)
     check_word(label, frame.qubits, "label")
     window = label[frame.left : frame.left + frame.kept]
     if window != ens.block.window:
@@ -122,7 +122,7 @@ def label_masses(ens):
     (group, a-chunk) unit with materialized_unit and sums each label's
     pruned and final branch norms (norm units) over its whole fresh register.
     """
-    frame = ens._frame
+    frame = frame_of(ens)
     low_total = 1 << frame.left
     disc = np.zeros((1 << frame.freeq, low_total))
     kept = np.zeros_like(disc)
@@ -148,7 +148,7 @@ def branch_vector(ens, label, path, grow=materialized_unit):
     (group, a-chunk) unit with grow, materialized_unit or a cache of it, and
     rebuilds the full 2**qubits coefficient vector from its compact register.
     """
-    frame = ens._frame
+    frame = frame_of(ens)
     if frame.qubits > RECONSTRUCT_LIMIT:
         raise ResourceLimitError(
             f"branch reconstruction limited to qubits <= {RECONSTRUCT_LIMIT}, "
@@ -225,7 +225,7 @@ def test_matches_dense_reference(qubits, dot, left, right, steps, kind, window):
     block = make_block(qubits, dot, left, right, window)
     ens = propagate_branches(block, steps, prune_eps=0.0, kind=kind)
     keys, gmat = dense_gram(block, steps, kind)
-    assert set(word_paths(ens.paths, ens._frame.kept)) == set(keys)
+    assert set(word_paths(ens.paths, frame_of(ens).kept)) == set(keys)
     for ya, yb in itertools.product(keys, keys):
         if kind == "full":
             got = full_dfunc(ens, ya, yb)
@@ -240,7 +240,7 @@ def test_branch_vectors_match_dense_reference():
         ens = propagate_branches(block, 2, prune_eps=0.0, kind=kind)
         ref = dense_branches(block, 2, kind)
         for label in block_labels(block):
-            for path in word_paths(ens.paths, ens._frame.kept):
+            for path in word_paths(ens.paths, frame_of(ens).kept):
                 got = branch_vector(ens, label, path)
                 want = ref[label].get(path)
                 if want is None:
@@ -288,7 +288,7 @@ def test_coarse_kind_decoheres_exactly(medium_coarse):
     assert offdiagonal_norm(medium_coarse) == (0.0, 0.0)
     # one-time histories: every block is one path, and the groups' blocks of
     # a path are summed into one, so no position appears twice
-    assert medium_coarse._frame.freeq > 0
+    assert frame_of(medium_coarse).freeq > 0
     assert all(matrix.shape == (1, 1) for _, matrix in medium_coarse.blocks)
     positions = np.concatenate([p.ravel() for p, _ in medium_coarse.blocks]).tolist()
     assert sorted(positions) == list(range(len(medium_coarse.paths)))
@@ -297,7 +297,7 @@ def test_coarse_kind_decoheres_exactly(medium_coarse):
 def test_coarse_equals_summed_full(medium_full):
     # summing the functional over intermediate window values on both sides
     # must reproduce the final-step-only functional entry for entry
-    paths = word_paths(medium_full.paths, medium_full._frame.kept)
+    paths = word_paths(medium_full.paths, frame_of(medium_full).kept)
     finals = sorted({p[-1] for p in paths})
     for y, z in itertools.product(finals, finals):
         direct = coarse_dfunc(medium_full, y, z)
@@ -354,7 +354,7 @@ def test_pruned_run_stays_consistent():
         itertools.product(
             ["".join(b) for b in itertools.product("01", repeat=3)], repeat=2
         )
-    ) - set(word_paths(ens.paths, ens._frame.kept))
+    ) - set(word_paths(ens.paths, frame_of(ens).kept))
     assert missing
     path = sorted(missing)[0]
     assert full_dfunc(ens, path, path) == 0j
@@ -367,7 +367,7 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(kind):
     # also keeps different path lists in different units of one group
     block = make_block(13, 9, 8, 3, "01")
     ens = propagate_branches(block, 2, prune_eps=0.01, kind=kind)
-    frame = ens._frame
+    frame = frame_of(ens)
     chunk = frame.chunk
     assert frame.freeq > 0 and (1 << frame.left) > chunk
     assert not frame.dense
@@ -401,7 +401,7 @@ def pair_dict_gram(ens):
     top group bit set takes its partner's units, the top bit of each code's
     last window value flipped, as the engine does.
     """
-    frame, kind = ens._frame, ens.kind
+    frame, kind = frame_of(ens), ens.kind
     weight = 2.0 ** -(frame.left + ens.steps - (not frame.dense))
     low, h_count = 1 << frame.left, 1 << frame.qwidth
     step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
@@ -459,7 +459,7 @@ def test_gram_equals_the_pair_dict_reduction(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
     paths, gram = pair_dict_gram(ens)
-    assert word_paths(ens.paths, ens._frame.kept) == paths
+    assert word_paths(ens.paths, frame_of(ens).kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
 
 
@@ -471,9 +471,9 @@ def test_a_mirrored_coarse_gram_adds_its_groups_in_group_order(monkeypatch, prun
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0)
     block = make_block(11, 5, 2, 5, "0110")
     ens = propagate_branches(block, 4, prune_eps=prune_eps, kind="coarse")
-    assert ens._frame.mirror == 4
+    assert frame_of(ens).mirror == 4
     paths, gram = pair_dict_gram(ens)
-    assert word_paths(ens.paths, ens._frame.kept) == paths
+    assert word_paths(ens.paths, frame_of(ens).kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
 
 
@@ -496,7 +496,7 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
     ens = propagate_branches(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
-    frame = ens._frame
+    frame = frame_of(ens)
     units = _unit_list(frame)
     assert len(units) > 1
     run = functools.partial(histories._run_unit, frame, prune_eps)
@@ -571,6 +571,52 @@ def test_the_streamed_last_step_matches_the_materialized_one(
     assert bool(dropped) == (prune_eps > 0)
 
 
+@pytest.mark.parametrize("arm", ["fft", "dense"])
+def test_fold_books_and_zeroes_exactly_the_branches_under_prune_eps(monkeypatch, arm):
+    # a doctored step output of (8,4,2,3,2): 2 rows x 3 labels x 4 fresh
+    # values x 4 children x 4 low digits, with chosen (child, row, label)
+    # branches shrunk under prune_eps; child 2 of row 0 is pruned for every
+    # label, child 1 of row 1 for one label only
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+    frame = block_frame(make_block(8, 4, 2, 3, "010"), 2, "full")
+    assert frame.dense == (arm == "dense")
+    rng = np.random.default_rng(5)
+    out = rng.normal(size=(2, 3, 2, 32)) + 1j * rng.normal(size=(2, 3, 2, 32))
+    view = out.reshape(2, 3, 4, 4, 4)  # (row, label, fresh, child, low)
+    killed = [(0, 0, 0), (2, 0, 0), (2, 0, 1), (2, 0, 2), (1, 1, 2)]  # (child, row, label)
+    for h, r, a in killed:
+        view[r, a, :, h] *= 1e-3
+    want_norms = np.einsum("rafhl->hra", np.abs(view) ** 2) * (1.0 if frame.dense else 2.0)
+    kill = np.zeros(want_norms.shape, dtype=bool)
+    kill[tuple(zip(*killed))] = True
+    prune_eps = 1e-3
+    assert want_norms[kill].max() < prune_eps < want_norms[~kill].min()
+    disc0, root0 = np.array([0.25, 0.5, 1.0]), np.array([1.0, 2.0, 4.0])
+
+    # prune_eps 0: nothing is booked or zeroed, and every child is kept
+    before, disc, root = out.copy(), disc0.copy(), root0.copy()
+    split, norms, keep = histories._fold(out, frame, 0.0, disc, root)
+    assert out.tobytes() == before.tobytes()
+    assert disc.tobytes() == disc0.tobytes() and root.tobytes() == root0.tobytes()
+    assert keep.shape == (4, 2) and keep.all()
+    np.testing.assert_allclose(norms, want_norms, rtol=1e-14, atol=0)
+
+    split, norms, keep = histories._fold(out, frame, prune_eps, disc, root)
+    assert np.shares_memory(split, out)
+    got = np.moveaxis(split, 3, 0)
+    assert not got[kill].any()
+    assert np.array_equal(got[~kill], np.moveaxis(before.reshape(split.shape), 3, 0)[~kill])
+    assert not norms[kill].any()
+    np.testing.assert_allclose(norms[~kill], want_norms[~kill], rtol=1e-14, atol=0)
+    for a in range(3):
+        dead = want_norms[:, :, a][kill[:, :, a]]
+        assert disc[a] == pytest.approx(disc0[a] + math.fsum(dead), rel=1e-15, abs=0)
+        assert root[a] == pytest.approx(root0[a] + math.fsum(np.sqrt(dead)), rel=1e-15, abs=0)
+    want_keep = np.ones((4, 2), dtype=bool)
+    want_keep[2, 0] = False
+    np.testing.assert_array_equal(keep, want_keep)
+
+
 def test_a_growing_workspace_frees_the_old_buffer_first():
     # after a unit whose pruning left buffer 0 at nearly the size the next
     # unit needs, growing it must not hold the old and new buffers at once
@@ -594,7 +640,7 @@ def test_a_growing_workspace_frees_the_old_buffer_first():
 def test_a_fully_pruned_run_keeps_only_discarded_mass(kind):
     # prune_eps above 1 drops every branch of two groups of four a-chunks
     ens = propagate_branches(make_block(13, 9, 8, 3, "01"), 2, prune_eps=5.0, kind=kind)
-    assert ens.paths.shape == (0, len(ens._frame.recorded)) and ens.blocks == ()
+    assert ens.paths.shape == (0, len(frame_of(ens).recorded)) and ens.blocks == ()
     assert abs(history_distribution(ens).total() - 1.0) < 1e-12
     assert offdiagonal_norm(ens) == (0.0, 0.0)
 
@@ -614,13 +660,13 @@ def test_a_shrunk_chunk_moves_only_last_digits(monkeypatch, cap, prune_eps, kind
     # order of the label sums may change
     block = make_block(15, 9, 8, 4, "011")
     whole = propagate_branches(block, 3, prune_eps=prune_eps, kind=kind)
-    assert whole._frame.chunk == histories._CHUNK
+    assert frame_of(whole).chunk == histories._CHUNK
     monkeypatch.setattr(histories, "_OUT_CAP", cap)
     cut = [
         propagate_branches(block, 3, prune_eps=prune_eps, kind=kind, threads=threads)
         for threads in (1, 2)
     ]
-    assert cut[0]._frame.chunk < histories._CHUNK
+    assert frame_of(cut[0]).chunk < histories._CHUNK
     if prune_eps:
         assert whole.discarded_total > 0.0
     # the chunk follows the geometry, not the thread count
@@ -704,6 +750,11 @@ def block_frame(block, steps, kind):
         graining.shape.qubits, graining.shape.dot, graining.left, graining.kept, steps,
         block.window, kind,
     )
+
+
+def frame_of(ens):
+    """The _Frame of the run that made the ensemble."""
+    return block_frame(ens.block, ens.steps, ens.kind)
 
 
 def _projected_bytes(block, steps, kind, threads):
@@ -836,7 +887,7 @@ def test_branch_reconstruction_gate():
     ens = propagate_branches(make_block(21, 10, 1, 9, "0" * 11), 1, prune_eps=0.0)
     label = "0" * 21
     with pytest.raises(ResourceLimitError, match="reconstruction"):
-        branch_vector(ens, label, word_paths(ens.paths, ens._frame.kept)[0])
+        branch_vector(ens, label, word_paths(ens.paths, frame_of(ens).kept)[0])
 
 
 @st.composite
@@ -878,7 +929,7 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
             assert abs(disc + kept - 1.0) <= tol
         if prune_eps == 0:
             keys, gmat = dense_gram(block, steps, kind)
-            index = {p: i for i, p in enumerate(word_paths(e.paths, e._frame.kept))}
+            index = {p: i for i, p in enumerate(word_paths(e.paths, frame_of(e).kept))}
             assert set(index) <= set(keys)
             for ya, yb in itertools.product(keys, keys):
                 ia, ib = index.get(ya), index.get(yb)
@@ -887,16 +938,46 @@ def test_random_geometries_keep_the_invariants(geometry, prune_eps):
     if prune_eps == 0:
         full, coarse = ens["full"], ens["coarse"]
         finals = sorted(
-            {p[-1] for p in word_paths(full.paths, full._frame.kept)}
-            | {p[0] for p in word_paths(coarse.paths, coarse._frame.kept)}
+            {p[-1] for p in word_paths(full.paths, frame_of(full).kept)}
+            | {p[0] for p in word_paths(coarse.paths, frame_of(coarse).kept)}
         )
         for y, z in itertools.product(finals, finals):
             assert abs(coarse_dfunc(full, y, z) - coarse_dfunc(coarse, y, z)) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=_geometries(max_qubits=12),
+    prune_eps=st.sampled_from([1e-3, 1e-2]),
+    arm=st.sampled_from(["fft", "dense"]),
+)
+# pruned on either arm, and mirrored through the FFT at freeq 2 and 3
+@example(geometry=(8, 4, 1, 3, 2, "0110"), prune_eps=1e-3, arm="dense")
+@example(geometry=(9, 4, 2, 4, 3, "011"), prune_eps=1e-2, arm="fft")
+@example(geometry=(11, 5, 2, 5, 4, "0110"), prune_eps=1e-3, arm="fft")
+def test_pruning_only_lowers_probabilities_and_books_what_it_drops(geometry, prune_eps, arm):
+    # every retained probability q_y of a pruned kind-"full" run is at most the
+    # exact p_y, and the probability it drops, sum(p - q), is discarded_total
+    qubits, dot, left, right, steps, window = geometry
+    block = make_block(qubits, dot, left, right, window)
+    assume(_projected_bytes(block, steps, "full", 1) <= 64 << 20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+        exact = propagate_branches(block, steps, prune_eps=0.0)
+        assume(len(exact.paths) <= 4096)
+        pruned = propagate_branches(block, steps, prune_eps=prune_eps)
+        assert block_frame(block, steps, "full").dense == (arm == "dense" and steps > 1)
+    p = dict(zip(map(tuple, exact.paths.tolist()), exact.probabilities.tolist()))
+    q = dict(zip(map(tuple, pruned.paths.tolist()), pruned.probabilities.tolist()))
+    assert set(q) <= set(p)
+    assert all(q[y] <= p[y] + 1e-15 for y in q)
+    dropped = math.fsum(p[y] - q.get(y, 0.0) for y in p)
+    assert abs(dropped - pruned.discarded_total) <= 1e-12
+
+
 def dense_coarse_dfunc(ens, gram, y, z):
     """coarse_dfunc of a kind-"full" ensemble, summed over the dense gram view."""
-    finals = np.array([p[-1] for p in word_paths(ens.paths, ens._frame.kept)], dtype=str)
+    finals = np.array([p[-1] for p in word_paths(ens.paths, frame_of(ens).kept)], dtype=str)
     rows, cols = np.flatnonzero(finals == y), np.flatnonzero(finals == z)
     if not rows.size or not cols.size:
         return 0j
@@ -933,7 +1014,7 @@ def test_block_functionals_equal_the_dense_view_exactly(geometry, kind, prune_ep
     # every path with itself, and pairs drawn from the paths plus absent keys
     words = ["".join(b) for b in itertools.product("01", repeat=len(window))]
     width = steps if kind == "full" else 1
-    paths = word_paths(ens.paths, ens._frame.kept)
+    paths = word_paths(ens.paths, frame_of(ens).kept)
     index = {p: i for i, p in enumerate(paths)}
     keys = list(paths) + [
         tuple(data.draw(st.sampled_from(words)) for _ in range(width)) for _ in range(4)
@@ -1242,7 +1323,7 @@ def test_fft_runs_of_any_freeq_match_the_dense_arm(freeq, kind, data, prune_eps)
             patch.setattr(histories, "_FFT_MIN_WIDTH", width)
             runs[arm] = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind)
     via_fft, via_dense = runs["fft"], runs["dense"]
-    assert min(via_fft._frame.freeq, 2) == freeq
+    assert min(frame_of(via_fft).freeq, 2) == freeq
     np.testing.assert_array_equal(via_fft.paths, via_dense.paths, strict=True)
     for (at, got), (want_at, want) in zip(via_fft.blocks, via_dense.blocks, strict=True):
         np.testing.assert_array_equal(at, want_at)
@@ -1323,8 +1404,8 @@ def test_pruned_run_conserves_mass_and_leaves_the_twiddles_alone(qubits, dot, le
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
     for disc, kept in label_masses(ens).values():
         assert abs(disc + kept - 1.0) < 1e-9
-    assert ens._frame.dense == (dot == 4)
-    if not ens._frame.dense:
+    assert frame_of(ens).dense == (dot == 4)
+    if not frame_of(ens).dense:
         shared = bakermap._step_twiddles(dot)
         fresh = bakermap._step_twiddles.__wrapped__(dot)
         for arr, want in zip(shared, fresh, strict=True):
@@ -1367,8 +1448,8 @@ def test_no_propagation_builds_the_transfer_kernel(monkeypatch, arm, kind, prune
         monkeypatch.setattr(module, "transfer_kernel", refuse)
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
     ens = propagate_branches(make_block(9, 4, 2, 4, "011"), 3, prune_eps=prune_eps, kind=kind)
-    assert ens._frame.dense == (arm == "dense")
-    assert ens._frame.mirror == (0 if arm == "dense" else 2)
+    assert frame_of(ens).dense == (arm == "dense")
+    assert frame_of(ens).mirror == (0 if arm == "dense" else 2)
     assert (ens.discarded_total > 0) == (prune_eps > 0)
     assert abs(history_distribution(ens).total() - 1.0) < 1e-9
 
