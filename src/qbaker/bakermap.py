@@ -19,17 +19,19 @@ import numpy as np
 # keeps that import out of the first propagation's memory peak
 import numpy.fft  # noqa: F401
 
-from .core import DEFAULT_BUDGET_BYTES, SystemShape, binary_fraction, bits_to_index
+from .core import DEFAULT_BUDGET_BYTES, SystemShape, bits_to_index
 from .errors import ParameterError, ResourceLimitError
 
 DENSE_LIMIT = 10  # dense reference matrices are test oracles, not production paths
-# identity columns baker_matrix steps at once, and columns per block of
-# check's Gram deviation.  At 10 qubits 64 was the fastest of 16..1024 for
-# baker_matrix and holds 5 MiB beside the 16 MiB result; one batch of all
-# 1024 columns held 80 MiB and raised check's peak RSS from 67 to 127 MiB.
-# On one BLAS thread a 1024-column Gram deviation took 0.10 s in blocks of
-# 64 or 128 columns, 0.14 s in blocks of 16 and 0.16 s whole
-_MATRIX_BLOCK = 64
+# identity rows baker_matrix steps at once; basis_matrix builds as many
+# labels' worth of amplitudes (_DENSE_BLOCK * 2**qubits) at once.  At 10
+# qubits a 32-row step holds 2.6 MiB (rows and _step_rows temporaries) and
+# a basis block 1.6 MiB, both under the 2.9 MiB of one 64-column block of
+# check's Gram deviation, so that block sets check's dense peak.  64 rows
+# held 5.1 MiB; at one thread they took 0.054 / 0.062 s per matrix at dots
+# 5 / 9, 32 rows 0.056 / 0.042 s.  One batch of all 1024 rows held 80 MiB
+# and raised check's peak RSS from 67 to 127 MiB
+_DENSE_BLOCK = 32
 
 
 def _check_state(state: np.ndarray, shape: SystemShape) -> np.ndarray:
@@ -103,40 +105,105 @@ def _step_twiddles(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pre, mid, post
 
 
-def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
-    """Localized basis state for the given dot position and label string.
+def _product_amplitudes(dot: int, highs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (len(highs), 2**dot) with the product form of each label.
 
-    Built directly from the product form: a global phase, the trailing
-    position qubits as computational factors, then one momentum factor
+    Row i holds the 2**dot amplitudes that every dot-basis state whose
+    dot-side label bits (labels 1..dot, MSB first) read highs[i] carries on
+    its trailing position index: a global phase times one momentum factor
     (|0> + exp(2j*pi*f_t)|1>)/sqrt(2) per leading label bit, where f_t is the
     binary fraction over label bits t..1 with a trailing 1 appended.  The
     trailing 1 keeps every phase a half-integer multiple of the mesh, which
-    is what makes the family orthonormal.  A state whose build would peak
-    over DEFAULT_BUDGET_BYTES raises ResourceLimitError before anything is
-    allocated.
+    is what makes the family orthonormal.  Labels t..1 read as an integer
+    are the low t bits of highs bit-reversed, so each fraction is an exact
+    dyadic.  The factors multiply in label order, the last one into `out`,
+    so the build holds `out` and the half-size product before it.
+    """
+    n, t = len(highs), np.arange(1, dot + 1)
+    rev = (((highs[:, None] >> (dot - t)) & 1) << (t - 1)).sum(axis=1)
+    amps = np.exp(1j * np.pi * ((2 * rev + 1) / (2 << dot)))[:, None]
+    factors = np.empty((n, dot, 2), dtype=np.complex128)
+    factors[..., 0] = 1.0
+    factors[..., 1] = np.exp(2j * np.pi * ((2 * (rev[:, None] & ((1 << t) - 1)) + 1) / (2 << t)))
+    factors /= np.sqrt(2.0)
+    for i in range(dot):
+        last = out.reshape(n, -1, 2) if i == dot - 1 else None
+        amps = np.multiply(amps[:, :, None], factors[:, i, None, :], out=last).reshape(n, -1)
+    if not dot:
+        out[...] = amps
+    return out
+
+
+def basis_state(shape: SystemShape, dot: int, bits: str) -> np.ndarray:
+    """Localized basis state for the given dot position and label string.
+
+    A computational state on the trailing position qubits times the
+    product form of the dot-side labels (_product_amplitudes).  A state
+    whose build would peak over DEFAULT_BUDGET_BYTES raises
+    ResourceLimitError before anything is allocated.
     """
     n_qubits = shape.qubits
     SystemShape(shape.qubits, dot)  # checks 0 <= dot <= qubits
     if len(bits) != n_qubits:
         raise ParameterError(f"label must have {n_qubits} bits, got {len(bits)}")
-    # the last momentum factor's outer product holds the half-size state
-    # beside the full one
+    # at dot = qubits the last momentum factor's product reads the half-size
+    # amplitudes beside the full state; at lower dots it holds less
     peak = (24 if dot else 16) << n_qubits
     if peak > DEFAULT_BUDGET_BYTES:
         raise ResourceLimitError(
             f"basis state needs {peak} bytes, over budget {DEFAULT_BUDGET_BYTES}"
         )
-    phase = np.exp(1j * np.pi * binary_fraction(bits[:dot][::-1], append_one=True))
-    pos_dim = 1 << (n_qubits - dot)
-    state = np.zeros(pos_dim, dtype=np.complex128)
-    state[bits_to_index(bits[dot:])] = phase
-    for t in range(1, dot + 1):
-        factor = np.array(
-            [1.0, np.exp(2j * np.pi * binary_fraction(bits[:t][::-1], append_one=True))],
-            dtype=np.complex128,
-        ) / np.sqrt(2.0)
-        state = np.multiply.outer(state, factor).reshape(-1)
+    size = 1 << dot
+    state = np.zeros(1 << n_qubits, dtype=np.complex128)
+    pos = bits_to_index(bits[dot:])
+    highs = np.array([bits_to_index(bits[:dot])])
+    _product_amplitudes(dot, highs, state[pos * size : (pos + 1) * size].reshape(1, size))
     return state
+
+
+def _dense_out(out: np.ndarray | None, dim: int) -> np.ndarray:
+    """`out`, checked to receive a (dim, dim) complex matrix in place, or a
+    new one.  C order is required: basis_matrix writes through a reshaped
+    view, which any other layout would turn into a copy."""
+    if out is None:
+        return np.empty((dim, dim), dtype=np.complex128)
+    if not isinstance(out, np.ndarray) or out.shape != (dim, dim) or out.dtype != np.complex128:
+        got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ParameterError(f"out must be a ({dim}, {dim}) complex128 array, got {got}")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ParameterError("out must be a writable C-contiguous array")
+    return out
+
+
+def basis_matrix(shape: SystemShape, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix whose column j is basis_state(shape, shape.dot, label j).
+
+    Equal bit for bit to stacking basis_state's columns.  Label j =
+    h * P + p (P = 2**(qubits - dot), h its dot-side bits, p its position
+    bits) is zero outside rows p*K .. p*K + K-1 (K = 2**dot), where it holds
+    the product form of h alone.  Viewed as (P, K, K, P), the matrix is
+    those product forms on the p = p' diagonal, which is written in place,
+    _DENSE_BLOCK * 2**qubits amplitudes at a time.  Fills and returns `out`
+    (a C-contiguous (dim, dim) complex128 array) when given.  Test oracle
+    only.
+    """
+    if shape.qubits > DENSE_LIMIT:
+        raise ResourceLimitError(
+            f"dense basis matrix limited to qubits <= {DENSE_LIMIT}, got {shape.qubits}"
+        )
+    out = _dense_out(out, shape.dim)
+    dot = shape.dot
+    size, pos_dim = 1 << dot, 1 << (shape.qubits - dot)
+    out[...] = 0
+    # entry (p, k, h, p') is row p*K + k of label h*P + p'
+    grid = out.reshape(pos_dim, size, size, pos_dim)
+    step = _DENSE_BLOCK * pos_dim
+    for start in range(0, size, step):
+        highs = np.arange(start, min(start + step, size))
+        amps = _product_amplitudes(dot, highs, np.empty((len(highs), size), np.complex128))
+        # a writable view of the p = p' diagonal, (P, K, len(highs))
+        np.einsum("pkhp->pkh", grid[:, :, start : start + len(highs)])[...] = amps.T
+    return out
 
 
 def _label_axes(n_qubits: int, dot: int) -> tuple[int, ...]:
@@ -307,17 +374,19 @@ def transfer_kernel(dot: int) -> np.ndarray:
     return kernel
 
 
-def baker_matrix(shape: SystemShape) -> np.ndarray:
-    """Dense matrix of apply_baker, _MATRIX_BLOCK identity columns per batched
-    step, equal bit for bit to stacking apply_baker's images.  Test oracle only."""
+def baker_matrix(shape: SystemShape, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix of apply_baker, _DENSE_BLOCK identity rows per batched
+    step, equal bit for bit to stacking apply_baker's images.  Fills and
+    returns `out` (a C-contiguous (dim, dim) complex128 array) when given,
+    so check refills the buffer its basis suite used.  Test oracle only."""
     if shape.qubits > DENSE_LIMIT:
         raise ResourceLimitError(
             f"dense map matrix limited to qubits <= {DENSE_LIMIT}, got {shape.qubits}"
         )
     dim = shape.dim
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for start in range(0, dim, _MATRIX_BLOCK):
-        stop = min(start + _MATRIX_BLOCK, dim)
+    out = _dense_out(out, dim)
+    for start in range(0, dim, _DENSE_BLOCK):
+        stop = min(start + _DENSE_BLOCK, dim)
         rows = np.zeros((stop - start, dim), dtype=np.complex128)
         rows[np.arange(stop - start), np.arange(start, stop)] = 1.0
         out[:, start:stop] = _step_rows(rows, shape).T

@@ -46,13 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import (
-    _MATRIX_BLOCK,
-    DENSE_LIMIT,
-    baker_matrix,
-    basis_state,
-    bvs_reference_matrix,
-)
+from .bakermap import DENSE_LIMIT, baker_matrix, basis_matrix, bvs_reference_matrix
+from .bakermap import basis_state  # noqa: F401  perfbench/traced.py wraps this name
 from .coarsegrain import BlockInitialState, CoarseGraining, project, run_graining
 from .core import DEFAULT_BUDGET_BYTES, SystemShape, check_word
 from .errors import InvariantError, ParameterError, ResourceLimitError
@@ -67,6 +62,10 @@ from .histories import (
 )
 
 _CHECK_TOL = 1e-10
+# columns per block of check's Gram deviation.  On one BLAS thread a
+# 1024-column deviation took 0.10 s in blocks of 64 or 128 columns, 0.14 s
+# in blocks of 16 and 0.16 s whole
+_GRAM_BLOCK = 64
 _EXIT_CODES = {ParameterError: 2, InvariantError: 3, ResourceLimitError: 4}
 _ROW_HEADER = ("path", "p", "oracle_p", "abs_residual")
 _SWEEP_HEADER = (
@@ -402,7 +401,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _gram_deviation(a: np.ndarray) -> float:
-    """max |A^H A - I| over every entry, one _MATRIX_BLOCK of columns at a time.
+    """max |A^H A - I| over every entry, one _GRAM_BLOCK of columns at a time.
 
     Block i's conjugate meets only the columns from its own start onward,
     since |G_ji| = |G_ij|, so each column pair is formed once and nothing of
@@ -411,8 +410,8 @@ def _gram_deviation(a: np.ndarray) -> float:
     """
     n = a.shape[1]
     dev = 0.0
-    for start in range(0, n, _MATRIX_BLOCK):
-        width = min(_MATRIX_BLOCK, n - start)
+    for start in range(0, n, _GRAM_BLOCK):
+        width = min(_GRAM_BLOCK, n - start)
         gram = a[:, start : start + width].conj().T @ a[:, start:]
         # the block's diagonal: entry (k, k) of each row's slice
         gram.reshape(-1)[:: n - start + 1] -= 1
@@ -441,16 +440,15 @@ def cmd_check(cfg: dict) -> int:
         if not ok:
             failures.append(name)
 
-    # one dim x dim matrix alive at a time, freed before the suites below
+    # both dense suites fill one dim x dim buffer, freed before the suites
+    # below.  A second matrix of 16 MiB would come from the heap, which
+    # glibc keeps resident after it is freed; this one is mapped on its
+    # own and goes back to the OS, so the later suites do not stack on it
     dim = shape.dim
-    basis = np.empty((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        basis[:, j] = basis_state(shape, shape.dot, format(j, f"0{shape.qubits}b"))
-    record("basis orthonormality", _gram_deviation(basis))
-    del basis
-    u = baker_matrix(shape)
-    record("map unitarity", _gram_deviation(u))
-    del u
+    dense = np.empty((dim, dim), dtype=np.complex128)
+    record("basis orthonormality", _gram_deviation(basis_matrix(shape, out=dense)))
+    record("map unitarity", _gram_deviation(baker_matrix(shape, out=dense)))
+    del dense
 
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -23,7 +23,11 @@ tallest, a pruned mirrored coarse-entropy and a pruned dense-arm
 full-histories each with a --threads 1 twin, --threads 1 against the
 default, both output formats and two budget refusals.
 check's report is compared line by line: a suite's name and verdict as
-text, its numbers as numbers.
+text, its numbers as numbers.  Each invocation's line also prints both
+trees' peak RSS, read with os.wait4, and the summary names the largest
+rise; these are information only and never change the exit code.  A
+child's peak starts at its parent's RSS, and this script, which loads no
+numpy, stays below every qbaker process.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -37,6 +41,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,17 +142,28 @@ def invocations() -> list[list[str]]:
     return out
 
 
-def run_once(src: str, args: list[str], out: Path) -> tuple[int, bytes | None, list[str]]:
+def run_once(src: str, args: list[str], out: Path) -> tuple[int, bytes | None, list[str], float]:
+    """Exit code, output bytes, non-timing stderr lines and peak RSS in MiB."""
     out.unlink(missing_ok=True)
     env = {k: v for k, v in os.environ.items() if k not in perfbench.THREAD_VARS}
     env["PYTHONPATH"] = src
-    proc = subprocess.run(
-        [sys.executable, "-m", "qbaker", *args, "--out", str(out)],
-        env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S,
-    )
-    err = proc.stderr.decode("utf-8", "replace").splitlines()
+    with tempfile.TemporaryFile() as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbaker", *args, "--out", str(out)],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=log,
+        )
+        watchdog = threading.Timer(TIMEOUT_S, proc.kill)
+        watchdog.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            watchdog.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        err = log.read().decode("utf-8", "replace").splitlines()
     text = out.read_bytes() if out.exists() else None
-    return proc.returncode, text, [line for line in err if not TIMING.match(line)]
+    kept = [line for line in err if not TIMING.match(line)]
+    return proc.returncode, text, kept, usage.ru_maxrss / 1024
 
 
 def _cells(line: str) -> list[str]:
@@ -216,16 +232,20 @@ def main(argv: list[str]) -> int:
     # the change's output of each invocation, and how many --threads 1 ones
     # matched their default-threads twin
     outputs, twins, twins_same = {}, 0, 0
+    # (change minus parent peak RSS in MiB, the invocation) of the largest rise
+    rise = (-math.inf, [])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for args in cases:
-            code_a, text_a, err_a = run_once(parent, args, out)
-            code_b, text_b, err_b = run_once(change, args, out)
+            code_a, text_a, err_a, rss_a = run_once(parent, args, out)
+            code_b, text_b, err_b, rss_b = run_once(change, args, out)
+            rise = max(rise, (rss_b - rss_a, args))
             flags = {"exit": code_a == code_b, "output": text_a == text_b, "stderr": err_a == err_b}
             for key, ok in flags.items():
                 same[key] += ok
             marks = " ".join(f"{key} {'same' if ok else 'DIFF'}" for key, ok in flags.items())
-            print(f"exit {code_a}/{code_b}  {marks}  {' '.join(args)}", flush=True)
+            print(f"exit {code_a}/{code_b}  {marks}  rss {rss_a:.1f}/{rss_b:.1f} MiB  "
+                  f"{' '.join(args)}", flush=True)
             if not flags["output"] and text_a is not None and text_b is not None:
                 texts, diff = field_diff(text_a, text_b)
                 text_same, largest = text_same and texts, max(largest, diff)
@@ -248,6 +268,8 @@ def main(argv: list[str]) -> int:
         print(f"outputs that differ: text fields {'same' if text_same else 'DIFF'}, largest "
               f"numeric difference {largest:.3g} ({'within' if within else 'OVER'} {TOLERANCE:g})")
     print(f"--threads 1 against the default, change: output bytes {twins_same}/{twins}")
+    print(f"peak RSS, change minus parent: largest rise {rise[0]:+.1f} MiB "
+          f"({' '.join(rise[1])})")
     return 0 if min(same.values()) == n and twins_same == twins else 1
 
 

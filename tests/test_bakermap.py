@@ -20,7 +20,7 @@ from qbaker import (
     transfer,
     transfer_kernel,
 )
-from qbaker.bakermap import apply_columns, half_integer_fourier, kernel_columns
+from qbaker.bakermap import apply_columns, basis_matrix, half_integer_fourier, kernel_columns
 
 from _dense_reference import index_to_bits, kron_basis_state
 
@@ -243,14 +243,57 @@ def test_basis_state_equals_the_kron_product_bit_for_bit(qubits):
             assert np.array_equal(basis_state(shape, dot, bits), kron_basis_state(shape, dot, bits))
 
 
-# dims 32 and 64 sit below and at baker_matrix's 64-column block, 256 and
+# dims 16 and 32 sit below and at baker_matrix's 32-row block, 256 and
 # 1024 span several blocks
-@pytest.mark.parametrize("qubits", [5, 6, 8, 10])
+@pytest.mark.parametrize("qubits", [4, 5, 8, 10])
 def test_baker_matrix_equals_the_stacked_images_bit_for_bit(qubits):
     for dot in sorted({0, qubits // 2, qubits - 1}):
         shape = SystemShape(qubits, dot)
         stacked = np.column_stack([apply_baker(e, shape) for e in np.eye(shape.dim)])
         assert np.array_equal(baker_matrix(shape), stacked)
+
+
+@pytest.mark.parametrize("qubits", range(1, 11))
+def test_basis_matrix_stacks_the_product_form_bit_for_bit(qubits):
+    # kron_basis_state is basis_state's product form as it was built one
+    # label at a time, before the labels were batched
+    labels = all_labels(qubits)
+    for dot in range(qubits + 1):
+        shape = SystemShape(qubits, dot)
+        stacked = np.column_stack([kron_basis_state(shape, dot, bits) for bits in labels])
+        assert np.array_equal(basis_matrix(shape), stacked)
+
+
+def test_dense_matrices_fill_a_given_buffer_bit_for_bit():
+    # the buffer holds the other matrix first, as in check
+    buf = np.empty((1024, 1024), dtype=np.complex128)
+    for dot in range(10):
+        shape = SystemShape(10, dot)
+        assert basis_matrix(shape, out=buf) is buf
+        assert np.array_equal(buf, basis_matrix(shape))
+        assert baker_matrix(shape, out=buf) is buf
+        assert np.array_equal(buf, baker_matrix(shape))
+    terminal = SystemShape(10, 10)
+    assert np.array_equal(basis_matrix(terminal, out=buf), basis_matrix(terminal))
+
+
+@pytest.mark.parametrize("build", [baker_matrix, basis_matrix])
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.zeros((16, 8), dtype=np.complex128),
+        np.zeros((32, 32), dtype=np.complex128),
+        np.zeros((16, 16), dtype=np.complex64),
+        np.zeros((16, 16)),
+        np.zeros((16, 16), dtype=np.complex128, order="F"),
+        np.zeros((16, 32), dtype=np.complex128)[:, ::2],
+        np.zeros((16, 16), dtype=np.complex128).tolist(),
+    ],
+    ids=["shape", "size", "complex64", "float", "fortran", "strided", "list"],
+)
+def test_dense_matrices_refuse_an_unfit_buffer(build, out):
+    with pytest.raises(ParameterError, match="out must be"):
+        build(SystemShape(4, 2), out=out)
 
 
 def test_baker_matrix_rejects_terminal_dot():
@@ -261,6 +304,8 @@ def test_baker_matrix_rejects_terminal_dot():
 def test_dense_limits():
     with pytest.raises(ResourceLimitError):
         baker_matrix(SystemShape(11, 10))
+    with pytest.raises(ResourceLimitError):
+        basis_matrix(SystemShape(11, 10))
     with pytest.raises(ResourceLimitError):
         bvs_reference_matrix(11)
 

@@ -75,26 +75,16 @@ def _doctor(column, first, how):
 def test_check_sees_one_doctored_column_in_the_last_block(tmp_path, monkeypatch, suite, how, dev):
     # mixing moves only an off-diagonal entry of the first block's rows,
     # scaling only the last block's diagonal
-    if suite == "basis orthonormality":
-        real = cli.basis_state
+    name = "basis_matrix" if suite == "basis orthonormality" else "baker_matrix"
+    real = getattr(cli, name)
 
-        def doctored_state(shape, dot, bits):
-            state = real(shape, dot, bits)
-            if int(bits, 2) != _DOCTORED:
-                return state
-            return _doctor(state, real(shape, dot, "0" * shape.qubits), how)
+    def doctored_matrix(shape, out=None):
+        u = real(shape, out=out)
+        if shape.qubits == 8:  # the run's matrix, not the 6-qubit reference
+            u[:, _DOCTORED] = _doctor(u[:, _DOCTORED], u[:, 0], how)
+        return u
 
-        monkeypatch.setattr(cli, "basis_state", doctored_state)
-    else:
-        real = cli.baker_matrix
-
-        def doctored_matrix(shape):
-            u = real(shape)
-            if shape.qubits == 8:  # the run's map, not the 6-qubit reference
-                u[:, _DOCTORED] = _doctor(u[:, _DOCTORED], u[:, 0], how)
-            return u
-
-        monkeypatch.setattr(cli, "baker_matrix", doctored_matrix)
+    monkeypatch.setattr(cli, name, doctored_matrix)
     out = tmp_path / "report.txt"
     assert main(["check", "--out", str(out)]) == 3
     *suites, verdict = out.read_text(encoding="utf-8").splitlines()
@@ -133,8 +123,12 @@ def test_blocked_gram_deviation_of_a_ragged_random_matrix(rows, cols):
 
 
 def test_check_holds_one_dense_matrix_at_a_time():
-    # one 10-qubit complex matrix is 16 * 4**10 bytes; both of them, or one
-    # and its whole Gram product, take twice that
+    """Live arrays under tracemalloc, not RSS: a freed matrix that the
+    allocator keeps resident does not count here (see the next test).
+
+    One 10-qubit complex matrix is 16 * 4**10 bytes; both of them, or one
+    and its whole Gram product, take twice that.
+    """
     tracemalloc.start()
     try:
         code = main(["check", "--qubits", "10", "--dot", "5", "--left", "2", "--right", "4",
@@ -144,6 +138,41 @@ def test_check_holds_one_dense_matrix_at_a_time():
         tracemalloc.stop()
     assert code == 0
     assert peak <= 1.5 * 16 * 4**10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads glibc's return of freed memory")
+def test_check_peak_rss_holds_one_dense_matrix():
+    """A 10-qubit check peaks at most 1.5 matrices of 16 MiB above an
+    import-only process, as each child's os.wait4 peak RSS reads.
+
+    tracemalloc sees only live arrays.  A second 16 MiB matrix, allocated
+    after the first is freed, came from the heap, which glibc keeps resident;
+    the suites after it stacked on it, 35.5 MiB above the import.  A child
+    starts its peak at its parent's RSS, so a fresh interpreter, smaller
+    than either child, runs both.
+    """
+    argv = ["check", "--qubits", "10", "--dot", "5", "--left", "2", "--right", "4",
+            "--steps", "3"]
+    script = (
+        "import os, subprocess, sys\n"
+        "for args in (['-c', 'import qbaker.__main__'], ['-m', 'qbaker', *sys.argv[1:]]):\n"
+        "    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)\n"
+        "    _, status, usage = os.wait4(proc.pid, 0)\n"
+        "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    # each propagation thread adds RSS of its own: fix their number
+    env.update(PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               QBAKER_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+    (code_imported, imported_kib), (code_checked, checked_kib) = (
+        map(int, line.split()) for line in proc.stdout.splitlines()
+    )
+    assert code_imported == code_checked == 0
+    assert (checked_kib - imported_kib) * 1024 <= 1.5 * 16 * 4**10
 
 
 def test_check_names_violated_inequality(capsys):

@@ -19,6 +19,7 @@ from qbaker import (
     ResourceLimitError,
     SystemShape,
     apply_baker,
+    baker_matrix,
     basis_state,
     history_distribution,
     ideal_coarse_value,
@@ -112,6 +113,14 @@ _BAD_CALLS = {
         "columns 1..2 outside 0..1",
     ),
     "kernel dot": (lambda: transfer_kernel(-1), "dot must be >= 0, got -1"),
+    "dense buffer": (
+        lambda: baker_matrix(SystemShape(2, 1), out=np.zeros((4, 4))),
+        "out must be a (4, 4) complex128 array, got (4, 4) float64",
+    ),
+    "dense buffer layout": (
+        lambda: baker_matrix(SystemShape(2, 1), out=np.zeros((4, 4), complex, order="F")),
+        "out must be a writable C-contiguous array",
+    ),
     "projected shape": (
         lambda: project(np.zeros(17), CoarseGraining(SystemShape(8, 4), 2, 3), "010"),
         "coefficients must have shape (256,), got (17,)",
