@@ -31,9 +31,9 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   partner's rows with last value h are the group's with h ^ 2**(qwidth-1),
   one sign per block, so its norms, pruning, masses and Gram blocks are
   the group's.  Such a run (_Frame.mirror) grows only the groups below the
-  top bit and adds each unit in twice, the second time as its partner with
-  that bit of its codes' last window value flipped.  The dense arm, the
-  narrow-geometry oracle, grows every group.
+  top bit and adds each unit in twice, the second time as its partner, each
+  Gram accumulator at its last window value with that bit flipped.  The
+  dense arm, the narrow-geometry oracle, grows every group.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -65,8 +65,9 @@ A row's key is a key table (its group, or 0 for every group on kind
 "coarse", whose final window reads no group bit) above its code.  Paths
 that differ in their group, omega or last window value are orthogonal, so
 the n x n matrix is never formed; each (table, last window value) is a
-block of it, shared by 2**nomega omegas, in which a path's place is its
-code's lower digits.  Units are added in unit order as they finish, then
+block of it, shared by 2**nomega omegas, in which a path's place is the
+code of its row entering the last step.  A unit's accumulators are added
+whole, zero where it kept no child, in unit order as units finish, then
 freed, and for a shared table in group order; a block keeps the codes
 some unit kept.  A path leaves as a row of int64 words (_path_keys).
 
@@ -131,7 +132,7 @@ _RUN_BYTES = 32 << 10
 # Python objects per unit until the reduction: its future, result tuple and
 # array headers (about 1.2 KiB measured with tracemalloc)
 _UNIT_BYTES = 1536
-# a Gram block's array header and its (lo, block) tuple
+# a path Gram block's array header and its (positions, matrix) tuple
 _BLOCK_OBJECT_BYTES = sys.getsizeof(np.empty((0, 0))) + sys.getsizeof((0, None))
 _ENTROPY_FLOOR = 1e-15
 _NEGATIVE_CLIP = 1e-12
@@ -296,18 +297,16 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # path keys: one table per group, or one that every group shares
     tables = 1 if frame.shared_keys else groups
     n_paths = tables * (1 << frame.nomega) * rows_final
-    # the path codes, discarded masses and Gram blocks (h runs of `rows`
-    # paths) of the units submitted and not yet added (_AHEAD per thread),
-    # the norms and S of the units in flight, the reduced unit's keys (with,
-    # on a mirrored run, its partner's codes and keys beside them), the seen
-    # mask (a byte per table code) and its kept keys with three arrays
-    # derived at once, and one block's places with its gather copy and sum
+    # the Gram accumulators (h of `rows` paths), keep masks, codes and
+    # discarded masses of the units submitted and not yet added (_AHEAD per
+    # thread), the norms and S of the units in flight, the seen mask (a byte
+    # per table code) and its kept keys with three arrays derived at once,
+    # and one h's kept codes and keys with an accumulator's gather copy and sum
     held = min(_AHEAD * threads, n_units) * (
-        rows_final * (rows * itemsize + 8) + a * 8 + h * _BLOCK_OBJECT_BYTES + _UNIT_BYTES
+        rows_final * (rows * itemsize + 1) + (rows + a) * 8 + _UNIT_BYTES
     )
-    key_arrays = 3 if frame.mirror else 1
-    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * (8 * key_arrays + tables * 33)
-    held += rows * 8 + 2 * rows**2 * itemsize
+    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * tables * 33
+    held += 2 * rows * 8 + 2 * rows**2 * itemsize
     # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
     # which add up across groups), each path's position in its block and the
     # functionals' two lookup arrays
@@ -501,20 +500,20 @@ def _overlaps(sub: np.ndarray, conj: np.ndarray) -> np.ndarray:
 
 
 def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _Workspace):
-    """Grow one unit, streaming its last step into norms and Gram blocks.
+    """Grow one unit, streaming its last step into norms and Gram accumulators.
 
     Steps 1..steps-1 run as _grow_unit.  The last step runs _Frame.block
     labels at a time; _fold splits and prunes each block's output, its keep
     mask is ORed into the unit's, and its pruned norms (one row off the
     dense arm) or each window value's rows (as a product) go into one Gram
-    accumulator per last window value.  Rows nobody keeps are dropped at the
-    end.  Returns the per-label discarded mass, the sum over labels of 2S +
-    S**2 (S the sum of a label's pruned norms' roots), the path codes
-    (_grow_unit's, one more digit), and one (lo, block) per run of equal
-    last window value (the codes' leading digit), where block[i, j] is the
-    overlap of the paths in rows lo + i and lo + j (half of it off the dense
-    arm); paths in different runs are orthogonal.  All in norm units:
-    ensemble weights are applied by the caller.
+    accumulator per last window value h.  Returns the per-label discarded
+    mass, the sum over labels of 2S + S**2 (S the sum of a label's pruned
+    norms' roots), the codes of the rows entering the last step
+    (_grow_unit's), the (h, row) mask of the children some label keeps, and
+    the (h, row, row) accumulators, where gram[h, i, j] is the overlap of
+    the paths of rows i and j with last window value h, in norm units (the
+    bit-0 half off the dense arm).  _fold zeroes every pruned branch, so a
+    row that keep[h] drops has an all-zero row and column in gram[h].
     """
     j = frame.steps
     disc, root, codes, amp = _grow_unit(frame, prune_eps, unit, ws, j - 1)
@@ -543,14 +542,7 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
         for h in range(h_count):
             np.copyto(sub.reshape(split[:, :, :, h].shape), split[:, :, :, h])
             gram[h] += _overlaps(sub, np.conjugate(sub, out=conj))
-    blocks, lo = [], 0
-    for h in range(h_count):
-        rows = np.flatnonzero(keep[h])
-        if rows.size:
-            blocks.append((lo, gram[h] if rows.size == rows_n else gram[h][np.ix_(rows, rows)]))
-            lo += rows.size
-    codes = (np.arange(h_count)[:, None] * frame.last_place + codes)[keep]
-    return disc, float((root * (2.0 + root)).sum()), codes, blocks
+    return disc, float((root * (2.0 + root)).sum()), codes, keep, gram
 
 
 @dataclass
@@ -732,24 +724,24 @@ def propagate_branches(
     seen = np.zeros((1 if frame.shared_keys else 1 << frame.freeq) * span, dtype=bool)
     accs = {}
 
-    def add(group, a_lo, a_hi, disc, unit_cross, codes, unit_blocks) -> None:
+    def add(group, a_lo, a_hi, disc, unit_cross, codes, keep, gram) -> None:
         nonlocal cross
-        twins = [(group, codes)]
+        twins = [(group, 0)]
         if mirror:
-            # its partner: the top group bit set and the top bit of each
-            # code's last window value flipped, with this unit's masses and blocks
-            twins.append((group | mirror, codes ^ span >> 1))
-        for group, codes in twins:
+            # its partner: the top group bit set and the top bit of the last
+            # window value flipped, with this unit's masses and accumulators
+            twins.append((group | mirror, len(keep) >> 1))
+        for group, flip in twins:
             group_disc[group, a_lo:a_hi] = disc
             cross += unit_cross
-            unit_keys = (0 if frame.shared_keys else group) * span + codes
-            seen[unit_keys] = True
-            for lo, g in unit_blocks:
-                head = int(unit_keys[lo]) // last_place
+            table = 0 if frame.shared_keys else group
+            for h in np.flatnonzero(keep.any(axis=1)).tolist():
+                # the rows keep[h] drops are zero in gram[h], so adding them changes nothing
+                head = table << frame.qwidth | h ^ flip
+                seen[head * last_place + codes[keep[h]]] = True
                 if (group, head) not in accs:
                     accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
-                place = codes[lo : lo + len(g)] % last_place
-                accs[group, head][np.ix_(place, place)] += g
+                accs[group, head][np.ix_(codes, codes)] += gram[h]
 
     # each unit is added in unit order as it finishes, then freed with add's
     # frame, and only then is the unit `ahead` places later submitted
@@ -842,7 +834,6 @@ def history_distribution(ensemble: BranchEnsemble, kind: str | None = None) -> H
         marginal = True
     else:
         raise ParameterError("cannot refine a kind='coarse' ensemble into full histories")
-    probs = np.asarray(probs, dtype=float).copy()
     low = probs.min(initial=0.0)
     if low < -_NEGATIVE_CLIP:
         raise InvariantError(f"history probability {low} below -{_NEGATIVE_CLIP}")

@@ -394,7 +394,9 @@ def pair_dict_gram(ens):
 
     Sums each group's per-unit overlaps pair by pair in unit order, scales
     them by the ensemble weight and adds them up per path-key pair in
-    (group, omega) order: the order the array scatter must reproduce.  A
+    (group, omega) order: the order the array scatter must reproduce.  Only
+    the (last window value, row) pairs a unit kept are summed, so the
+    engine, which adds each accumulator whole, must find the rest zero.  A
     unit of a run off the dense arm sums its fresh-bit-0 half only;
     each bit-1 overlap term equals a bit-0 one (whole_fresh_register), so
     its weight is doubled.  On a mirrored run (_Frame.mirror) a group with the
@@ -411,15 +413,16 @@ def pair_dict_gram(ens):
         top = group & frame.mirror  # the top group bit, if this group is mirrored
         for a_lo in range(0, low, frame.chunk):
             a_hi = a_lo + frame.chunk
-            _, _, codes, blocks = histories._run_unit(
+            _, _, codes, keep, gram = histories._run_unit(
                 frame, ens.prune_eps, (group ^ top, a_lo, a_hi), histories._Workspace()
             )
-            if top:
-                codes = codes ^ (h_count >> 1) * frame.last_place
-            for lo, g in blocks:
-                for i, j in itertools.product(range(len(g)), repeat=2):
-                    pair = (int(codes[lo + i]), int(codes[lo + j]))
-                    per_group[pair] = per_group.get(pair, 0j) + complex(g[i, j])
+            flip = h_count >> 1 if top else 0
+            for h in range(h_count):
+                rows = np.flatnonzero(keep[h]).tolist()
+                # a path code: its last window value above its row's code
+                final = [(h ^ flip) * frame.last_place + int(codes[i]) for i in rows]
+                for (i, qa), (j, qb) in itertools.product(zip(rows, final), repeat=2):
+                    per_group[qa, qb] = per_group.get((qa, qb), 0j) + complex(gram[h, i, j])
         for omega in range(1 << frame.nomega):
 
             def key(code):
@@ -450,6 +453,9 @@ def pair_dict_gram(ens):
         (8, 4, 1, 3, 2, "0110"),
         (9, 4, 2, 4, 3, "011"),
         (13, 9, 8, 3, 2, "01"),
+        # the dense arm, 16 units of 32 labels; pruned, the units of four
+        # groups keep different (last window value, row) pairs
+        (15, 8, 7, 5, 4, "011"),
     ],
 )
 def test_gram_equals_the_pair_dict_reduction(
@@ -502,16 +508,13 @@ def test_a_reused_workspace_leaves_no_trace_between_units(
     run = functools.partial(histories._run_unit, frame, prune_eps)
     ws = histories._Workspace()
     for unit in reversed(units):
-        disc, cross, codes, blocks = run(unit, ws)
-        want_disc, want_cross, want_codes, want_blocks = run(unit, histories._Workspace())
-        np.testing.assert_array_equal(disc, want_disc)
-        assert cross == want_cross
-        np.testing.assert_array_equal(codes, want_codes)
+        got = run(unit, ws)
+        want = run(unit, histories._Workspace())
+        # disc, cross, codes, keep and gram
+        for value, want_value in zip(got, want, strict=True):
+            np.testing.assert_array_equal(value, want_value, strict=True)
         # the rows are in path-code order
-        assert (np.diff(codes) > 0).all()
-        assert [lo for lo, _ in blocks] == [lo for lo, _ in want_blocks]
-        for (_, g), (_, want) in zip(blocks, want_blocks):
-            np.testing.assert_array_equal(g, want)
+        assert (np.diff(got[2]) > 0).all()
 
 
 def _unit_list(frame):
@@ -541,9 +544,9 @@ def _unit_list(frame):
 def test_the_streamed_last_step_matches_the_materialized_one(
     monkeypatch, qubits, dot, left, right, steps, window, arm, kind, prune_eps, labels
 ):
-    # _run_unit folds its last step into norms and Gram blocks a block of
-    # labels at a time; materialized_unit grows the whole step, then forms the
-    # blocks as one product per run of rows.  Both are compared in the
+    # _run_unit folds its last step into norms and Gram accumulators a block
+    # of labels at a time; materialized_unit grows the whole step, then forms
+    # the blocks as one product per run of rows.  Both are compared in the
     # ensemble's units, where each label weighs 2**-(left + steps)
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
     monkeypatch.setattr(histories, "_BLOCK_BYTES", 0 if labels == "one-label" else 1 << 62)
@@ -553,20 +556,27 @@ def test_the_streamed_last_step_matches_the_materialized_one(
     weight = 2.0 ** -(left + steps)
     pruned = dropped = 0
     for unit in _unit_list(frame):
-        disc, cross, codes, blocks = histories._run_unit(
+        disc, cross, codes, keep, gram = histories._run_unit(
             frame, prune_eps, unit, histories._Workspace()
         )
         want_disc, want_cross, want_codes, amp = materialized_unit(frame, prune_eps, unit)
-        np.testing.assert_array_equal(codes, want_codes)
+        # the final codes: each kept (h, row)'s last window value h above the row's code
+        final = (np.arange(len(keep))[:, None] * frame.last_place + codes)[keep]
+        np.testing.assert_array_equal(final, want_codes)
         np.testing.assert_allclose(weight * disc, weight * want_disc, rtol=0, atol=1e-13)
         assert weight * cross == pytest.approx(weight * want_cross, rel=0, abs=1e-13)
-        runs = list(histories._runs(codes // frame.last_place))
-        assert [lo for lo, _ in blocks] == [lo for _, lo, _ in runs]
-        for (_, got), (_, lo, hi) in zip(blocks, runs, strict=True):
+        runs = list(histories._runs(final // frame.last_place))
+        assert [h for h, _, _ in runs] == np.flatnonzero(keep.any(axis=1)).tolist()
+        for h, lo, hi in runs:
+            kept = np.flatnonzero(keep[h])
             want = np.einsum("ialf,jalf->ij", amp[lo:hi], amp[lo:hi].conj())
+            got = gram[h][np.ix_(kept, kept)]
             np.testing.assert_allclose(weight * got, weight * want, rtol=0, atol=1e-13)
+        # every row and column that keep[h] drops is exactly zero
+        for h, rows in enumerate(keep):
+            assert not gram[h][~rows].any() and not gram[h][:, ~rows].any()
         pruned += disc.any()
-        dropped += len(codes) < frame.last_place << frame.qwidth
+        dropped += len(final) < frame.last_place << frame.qwidth
     assert bool(pruned) == (prune_eps > 0)
     assert bool(dropped) == (prune_eps > 0)
 
@@ -1480,7 +1490,8 @@ def test_the_reduction_keeps_no_finished_units_results(monkeypatch):
         alive_at_start.append(len(live))
         result = run_unit(frame, prune_eps, unit, ws)
         live.add(unit)
-        weakref.finalize(result[2], live.discard, unit)
+        # result[4], the Gram accumulators, is the largest array a unit returns
+        weakref.finalize(result[4], live.discard, unit)
         return result
 
     monkeypatch.setattr(histories, "ThreadPoolExecutor", Serial)
@@ -1505,7 +1516,8 @@ def test_units_started_and_not_yet_added_stay_within_the_bound(monkeypatch):
         if unit[1] == 0:
             time.sleep(0.3)
         result = run_unit(frame, prune_eps, unit, ws)
-        weakref.finalize(result[2], live.discard, unit)
+        # result[4], the Gram accumulators, is the largest array a unit returns
+        weakref.finalize(result[4], live.discard, unit)
         return result
 
     monkeypatch.setattr(histories, "_run_unit", counting)
