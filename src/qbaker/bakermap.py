@@ -288,29 +288,34 @@ def kernel_columns(dot: int, start: int, stop: int) -> np.ndarray:
     so the fresh-bit-1 half is the fresh-bit-0 half (_bit0_columns) times
     1j*(-1)**c (fresh_phase).  O(2M * (stop - start)).
     """
-    bit0 = _bit0_columns(dot, start, stop)
+    bit0 = _bit0_columns(_column_g(dot, start, stop), dot, 0, stop - start)
     out = np.empty((2, *bit0.shape), dtype=np.complex128)
     out[0] = bit0
     np.multiply(out[0], fresh_phase(start, stop), out=out[1])
     return out.reshape(2 * len(bit0), -1)
 
 
-def _bit0_columns(dot: int, start: int, stop: int) -> np.ndarray:
-    """Rows 0..M-1 of kernel_columns(dot, start, stop), as a strided view of g."""
+def _column_g(dot: int, start: int, stop: int) -> np.ndarray:
+    """kernel_columns' g(d) for d = start - 2(M-1) .. stop-1, all columns start..stop-1 read."""
     m = 1 << dot
     if not 0 <= start < stop <= 2 * m:
         raise ParameterError(f"need 0 <= start < stop <= {2 * m}, got start={start}, stop={stop}")
-    # g over every d = c - 2r the block touches, lowest first
     d = np.arange(start - 2 * (m - 1), stop)
     g = np.where(d % 2 == 0, -1 + 1j, 1 + 1j) / (
         2.0 * np.sin(np.pi * (d - 0.5) / (2 * m)) * (m * np.sqrt(2.0))
     )
-    # row r reads g from d = start - 2r, its 2(M-1-r)-th entry: a plain strided
-    # view, since sliding_window_view makes Python objects on every call (via
-    # as_strided), and over a run's many units they grew an interpreter table
-    # by 1.9 MB inside the traced peak
+    g.flags.writeable = False
+    return g
+
+
+def _bit0_columns(g: np.ndarray, dot: int, lo: int, hi: int) -> np.ndarray:
+    """Rows 0..M-1 of columns lo..hi-1 of a _column_g build (0 its first), a view of g."""
+    m = 1 << dot
+    # row r reads g from d = c - 2r, 2(M-1-r) entries past column c's own: a
+    # plain strided view, since sliding_window_view makes Python objects on
+    # every call (via as_strided), which grew an interpreter table by 1.9 MB
     size = g.itemsize
-    return np.ndarray((m, stop - start), g.dtype, g, 2 * (m - 1) * size, (-2 * size, size))
+    return np.ndarray((m, hi - lo), g.dtype, g, (2 * (m - 1) + lo) * size, (-2 * size, size))
 
 
 def fresh_phase(start: int, stop: int) -> np.ndarray:
@@ -319,9 +324,7 @@ def fresh_phase(start: int, stop: int) -> np.ndarray:
     return np.where(np.arange(start, stop) % 2 == 0, 1j, -1j)
 
 
-def apply_columns(
-    x: np.ndarray, dot: int, start: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def apply_columns(x: np.ndarray, dot: int, start, out: np.ndarray | None = None) -> np.ndarray:
     """Apply transfer_kernel(dot)[:, start:start+w] along the last axis of x.
 
     x has shape (..., w); the result has shape (..., 2M), M = 2**dot.  The
@@ -329,17 +332,21 @@ def apply_columns(
     inverse FFT and one length-M FFT over each half do the work, with the
     twiddles applied in place.  O(M log M) per vector; `out` (shape
     (..., 2M), its last axis contiguous) may be given to receive the result.
+    `start` may also list (start, lo, hi) runs: rows lo..hi-1 of x's first
+    axis take their columns from their own start, all in one transform.
     """
     m = 1 << dot
     width = x.shape[-1]
-    if start < 0 or start + width > 2 * m:
-        raise ParameterError(f"columns {start}..{start + width - 1} outside 0..{2 * m - 1}")
     if out is None:
         out = np.empty(x.shape[:-1] + (2 * m,), dtype=np.complex128)
     pre, mid, post = _step_twiddles(dot)
-    out[..., :start] = 0
-    out[..., start + width :] = 0
-    np.multiply(x, pre[start : start + width], out=out[..., start : start + width])
+    for begin, lo, hi in [(start, None, None)] if np.ndim(start) == 0 else start:
+        if begin < 0 or begin + width > 2 * m:
+            raise ParameterError(f"columns {begin}..{begin + width - 1} outside 0..{2 * m - 1}")
+        rows = out[lo:hi]
+        rows[..., :begin] = 0
+        rows[..., begin + width :] = 0
+        np.multiply(x[lo:hi], pre[begin : begin + width], out=rows[..., begin : begin + width])
     # in-place FFTs keep peak memory at one output buffer; np.fft's out=
     # needs numpy >= 2.0, and pyproject.toml declares 2.4, on which they
     # were traced to copy nothing (histories._estimate_bytes)

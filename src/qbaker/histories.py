@@ -6,8 +6,8 @@ label bits and a pure left shift of the trailing bits.  K is F_M^dagger
 applied to each half of F_2M, two half-integer DFTs with M = 2**dot (see
 bakermap.transfer_kernel), so it has a closed form and an FFT form:
 
-* step 1 needs one kernel column per initial label, built from the closed
-  form (bakermap.kernel_columns);
+* step 1 needs one kernel column per initial label, each unit's a view of
+  one closed-form build per run (_Frame.step1, bakermap.kernel_columns);
 * later steps apply a block of w columns to every live row.  When
   w >= W (= _FFT_MIN_WIDTH, 256) that is one length-2M inverse FFT and two
   length-M FFTs per row (bakermap.apply_columns); narrower blocks, on a
@@ -43,33 +43,35 @@ every probability and functional value computed here is exact, not
 approximate.  Tests compare the reduced register against dense-matrix
 evaluation at small sizes.
 
-Labels are propagated in (group, a-chunk) units.  A chunk is 64 labels, or
-all 2**left when fewer, halved while a unit's last step output (rows x
-labels x stored fresh values x 2M, _Frame.step_output) would be over
-16 MiB; that output doubles with every step, and labels evolve and are
-pruned independently, so the split changes nothing but the order of the
-label sums.  A unit stores steps 1..steps-1 whole, in the two buffers of
-its thread's reused step workspace.  Its last step is never stored whole:
-it runs _Frame.block labels at a time, a block's output at most 2 MiB
-unless one label alone is larger, and each block is folded at once into
-the per-label masses, the rows' keep mask and one Gram accumulator per
-last window value; on the FFT arm a unit that enters the step with one row
-takes its 1 x 1 blocks from the norms.  No branch vector is kept, so a
-thread holds two buffers, each the larger of the penultimate output
-(1/(2h) of the last one on kind "full", h = 2**qwidth, and 1/2 on kind
-"coarse") and one block, beside a block's two Gram operands; then come the
-path Gram blocks.  Moving the block bound moves outputs only in the order
-of each Gram entry's label sum.  A path code's digits are its window
-values, the newest most significant, so a unit's rows are in code order.
-A row's key is a key table (its group, or 0 for every group on kind
-"coarse", whose final window reads no group bit) above its code.  Paths
-that differ in their group, omega or last window value are orthogonal, so
-the n x n matrix is never formed; each (table, last window value) is a
-block of it, shared by 2**nomega omegas, in which a path's place is the
-code of its row entering the last step.  A unit's accumulators are added
-whole, zero where it kept no child, in unit order as units finish, then
-freed, and for a shared table in group order; a block keeps the codes
-some unit kept.  A path leaves as a row of int64 words (_path_keys).
+Labels are propagated in (group, a-chunk) units, and one block size,
+_BLOCK_BYTES (1 MiB), bounds every array a propagation thread holds.  A
+chunk is 64 labels, or all 2**left when fewer, halved while a unit's stored
+penultimate output (rows x labels x stored fresh values x 2M,
+_Frame.step_output) is over two blocks; labels evolve and are pruned
+independently, so the split changes nothing but the order of the label
+sums.  A unit stores steps 1..steps-1 whole, in the two step buffers of its
+thread's reused _Workspace.  Its last step runs _Frame.block labels at a
+time, a block's output at most one block, and each block is folded at once
+into the per-label masses, the rows' keep mask and one Gram accumulator per
+last window value.  The products' two operands, a window value's rows of a
+block and their conjugate, take at most 2/h of a block (h = 2**qwidth >= 2)
+in the workspace's third buffer; on the FFT arm a unit that enters the step
+with one row takes its 1 x 1 blocks from the norms.  No branch vector is
+kept, so a thread holds at most five blocks, two per step buffer and one of
+operands, unless one label's last step output, or its operands, are
+larger; then come the units' Gram accumulators and the path Gram blocks.
+Moving the block bound moves outputs only in the order of each Gram entry's
+label sum.  A path code's digits are its window values, the newest most
+significant, so a unit's rows are in code order.  A row's key is a key
+table (its group, or 0 for every group on kind "coarse", whose final window
+reads no group bit) above its code.  Paths that differ in their group,
+omega or last window value are orthogonal, so the n x n matrix is never
+formed; each (table, last window value) is a block of it, shared by
+2**nomega omegas, in which a path's place is the code of its row entering
+the last step.  A unit's accumulators are added whole, zero where it kept
+no child, in unit order as units finish, then freed, and for a shared table
+in group order; a block keeps the codes some unit kept.  A path leaves as a
+row of int64 words (_path_keys).
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -96,7 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bakermap import _bit0_columns, apply_columns, kernel_columns
+from .bakermap import _bit0_columns, _column_g, apply_columns, fresh_phase, kernel_columns
 from .bakermap import transfer_kernel  # noqa: F401  perfbench/traced.py wraps this name
 from .coarsegrain import BlockInitialState, validate_run
 from .core import DEFAULT_BUDGET_BYTES, check_word
@@ -104,15 +106,14 @@ from .errors import InvariantError, ParameterError, ResourceLimitError
 
 # most initial labels (a-axis entries) in one unit
 _CHUNK = 64
-# a unit's last step output, which is never stored whole, may exceed this
-# many bytes only at one label; so it also bounds the stored steps before it
-_OUT_CAP = 16 << 20
-# a block of a unit's streamed last step may output more bytes than this
-# only at one label.  Six interleaved perfbench runs each (2-vCPU VM, numpy
-# 2.4): at 2 MiB step-entropy read cpu_s 2.28 s against 2.35 s at 1 MiB and
-# 2.44 s unstreamed, at 55 MiB peak RSS either way, and flank-sweep was
-# level; single runs at 512 KiB took 2.41 s, and at 4 MiB peaked at 58 MiB
-_BLOCK_BYTES = 1 << 21
+# the one bound on a propagation thread's arrays: a block of a unit's
+# streamed last step outputs at most this many bytes, its stored steps at
+# most twice that and its Gram operands at most this, unless one label alone
+# needs more (_Frame.chunk, _Frame.block).  Six interleaved perfbench
+# step-entropy runs each (2-vCPU VM, numpy 2.4): cpu_s 1.41 s at 44.5 MiB peak
+# RSS; stored steps of one block 1.45 s at 40.8 MiB; 512 KiB 1.62 s at 40.2
+# MiB; 2 MiB blocks after stored steps of 4 MiB 1.35 s at 54.6 MiB
+_BLOCK_BYTES = 1 << 20
 # contractions at least this many columns wide go through the FFT, narrower
 # ones multiply closed-form kernel columns (W in the module docstring)
 _FFT_MIN_WIDTH = 256
@@ -189,12 +190,12 @@ class _Frame:
 
     @property
     def chunk(self) -> int:
-        # initial labels per unit: _CHUNK, halved while the unit's last step
-        # output, which is streamed, would be over _OUT_CAP, so the stored
-        # penultimate output is at most half of that.  The geometry alone
-        # picks it, so reductions group identically at any thread count
-        chunk = min(_CHUNK, 1 << self.left)
-        while chunk > 1 and 16 * self.step_output(self.steps, chunk) > _OUT_CAP:
+        # initial labels per unit: _CHUNK, halved while the unit's stored
+        # penultimate output is over two blocks (2 * _BLOCK_BYTES); the last
+        # step, the only one of a one-step run, is streamed.  The geometry
+        # alone picks it, so reductions group identically at any thread count
+        chunk, stored = min(_CHUNK, 1 << self.left), self.steps - 1
+        while stored and chunk > 1 and 16 * self.step_output(stored, chunk) > 2 * _BLOCK_BYTES:
             chunk //= 2
         return chunk
 
@@ -207,6 +208,14 @@ class _Frame:
         while block > 1 and 16 * self.step_output(self.steps, block) > _BLOCK_BYTES:
             block //= 2
         return block
+
+    @cached_property
+    def step1(self) -> tuple[int, np.ndarray]:
+        # step 1's column at initial label 0 (the window's first qwidth + 1
+        # bits, the last its feed bit at position dot + 1 <= left + kept) and
+        # the g of all 2**left labels' columns: one read-only build per run
+        start = _rev_int(self.window[: self.qwidth + 1]) << self.left
+        return start, _column_g(self.dot, start, start + (1 << self.left))
 
     @property
     def shared_keys(self) -> bool:
@@ -255,20 +264,16 @@ class _Frame:
 def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
-    Every thread in flight holds a _Workspace: two buffers, each the larger
-    of the penultimate step's output as stored (its window-major copy is as
-    large), which _Frame.chunk bounds, and one block of the streamed last
-    step's output, which _Frame.block bounds.  Beside them it holds the last
-    step's two Gram operands (a window value's rows of one block and their
-    conjugate) and Gram accumulator, and a step's largest transient: step
-    1's kernel columns, or on the dense arm the np.tensordot result and the
-    copy it makes of a block's strided input, beside a run's (2M, w) block
-    of closed-form columns and its build.  np.tensordot reads that
-    C-contiguous block in place, and np.fft's in-place transforms copy
-    nothing (numpy 2.4, traced).  On the FFT arm the twiddle loop buffers
-    come per thread.  The build of the FFT's cached twiddles, the path Gram
-    blocks and the arrays and path words of the reduction come once, beside
-    the results of the units submitted and not yet added.
+    Every thread in flight holds a _Workspace (module docstring; a stored
+    step's window-major copy is as large as the step), a unit's Gram
+    accumulator and, on the dense arm, the np.tensordot result and the copy
+    it makes of a block's strided input, beside a run's (2M, w) block of
+    closed-form columns and its build.  np.tensordot reads that C-contiguous
+    block in place, and np.fft's in-place transforms copy nothing (numpy
+    2.4, traced).  On the FFT arm the twiddle loop buffers come per thread.
+    Step 1's g, the build of the FFT's cached twiddles, the path Gram blocks
+    and the reduction's arrays and path words come once, beside the results
+    of the units submitted and not yet added.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -285,10 +290,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
         # 5 copies) and one buffered copy loop (traced at every dot up to 11)
         return width * two_m + 5 * (width + two_m) + np.getbufsize()
 
-    # step 1's transient: g (its build holds about 4 copies), or all 2M rows when dense
-    transient = columns(a) if frame.dense else 5 * (a + two_m)
-    if frame.dense:
-        transient = max(transient, penultimate, 2 * block) + columns(frame.width)
+    # a dense step's largest transient beats step 1's fresh phase (3a entries)
+    transient = max(penultimate, 2 * block) + columns(frame.width) if frame.dense else 0
     unit = 2 * max(penultimate, block) + 2 * block // h + h * rows**2 + transient
     groups = 1 << frame.freeq
     # units that run: on a mirrored run only the groups below the top bit
@@ -314,12 +317,14 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     # per path (_path_keys): its words as built and sorted, the sort's order,
     # its inverse and buffer, and the word build's three key-sized temporaries
     held += n_paths * 8 * (2 * len(frame.recorded) + 6)
-    built = []
+    # step 1's g, whose build holds about 4 more copies
+    built = [("step 1 columns", 5 * (two_m + (1 << frame.left)) * itemsize)]
     if frame.steps > 1 and not frame.dense:
         # building apply_columns' cached pre, mid, post holds 6M entries in a few arrays
         built.append(("step twiddles", 3 * two_m * itemsize + 6 * _BLOCK_OBJECT_BYTES))
-        # a twiddle multiply's buffered loop (at most 263600 bytes, measured)
-        built.append(("twiddle loop buffers", (2 * np.getbufsize() + 128) * itemsize * in_flight))
+        # a twiddle multiply's buffered loop, a buffer per operand when the
+        # input and output are strided (394640 bytes measured at the sweep's left 8)
+        built.append(("twiddle loop buffers", (3 * np.getbufsize() + 128) * itemsize * in_flight))
     return built + [
         ("step workspace", unit * itemsize * in_flight),
         ("path gram blocks", blocks),
@@ -334,16 +339,17 @@ def _byte_count(n: int) -> str:
 
 
 class _Workspace:
-    """Two flat complex buffers one thread reuses for every unit it runs, so a
-    run touches the same pages however its threads interleave."""
+    """Three flat complex buffers, two for the steps and one for the Gram operands,
+    that one thread reuses for every unit, whatever the threads' interleaving."""
 
     def __init__(self):
-        self._bufs = [np.empty(0, dtype=np.complex128)] * 2
+        self._bufs = [np.empty(0, dtype=np.complex128)] * 3
 
-    def take(self, shape: tuple[int, ...], busy: np.ndarray | None = None) -> np.ndarray:
-        """A C-contiguous array of `shape` in a buffer that does not hold `busy`."""
+    def take(self, shape: tuple[int, ...], *busy: np.ndarray | None) -> np.ndarray:
+        """A C-contiguous array of `shape` in the first buffer that holds none of busy."""
         n = math.prod(shape)
-        i = int(busy is not None and np.may_share_memory(self._bufs[0], busy))
+        i = next(i for i, buf in enumerate(self._bufs)
+                 if not any(np.may_share_memory(buf, b) for b in busy))
         if self._bufs[i].size < n:
             self._bufs[i] = None  # free the old buffer before the new one exists
             self._bufs[i] = np.empty(n, dtype=np.complex128)
@@ -391,22 +397,35 @@ def _step(
 ) -> np.ndarray:
     """Step j's output for a range of initial labels, (row, a, fresh, 2M or M).
 
-    Step 1 takes the labels' kernel columns (their fresh-bit-0 half off the
-    dense arm); a later step contracts amp, the step j-1 amplitudes of the
-    same labels, one run of rows (_step_runs) at a time.  The output goes
-    into the ws buffer that does not hold amp.
+    Step 1 copies the labels' kernel columns from a view of the run's g
+    (_Frame.step1).  A later step contracts amp, the labels' step j-1
+    amplitudes, into the first ws buffer that does not hold it; a run of
+    rows of equal last window value (_step_runs) takes one column block.  On
+    the dense arm its rows multiply that (2M, w) block, built by
+    kernel_columns: every entry depends only on c - 2r and the parity of c,
+    so it equals the dense transfer_kernel's slice bit for bit.  Off it all
+    runs go by one FFT to the halved unit.
     """
     m = 1 << frame.dot
-    feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
     if j == 1:
-        start = feed * m + (_rev_int(frame.window[: frame.qwidth]) << frame.left)
-        columns = kernel_columns if frame.dense else _bit0_columns
+        start, g = frame.step1
         out = ws.take((1, len(labels), 1, 2 * m if frame.dense else m))
-        out[0, :, 0] = columns(frame.dot, start + labels.start, start + labels.stop).T
+        halves = out.reshape(len(labels), -1, m)  # (label, fresh bit, r)
+        halves[:, 0] = _bit0_columns(g, frame.dot, labels.start, labels.stop).T
+        if frame.dense:  # kernel_columns' fresh-bit-1 half
+            phase = fresh_phase(start + labels.start, start + labels.stop)
+            np.multiply(halves[:, 0], phase[:, None], out=halves[:, 1])
         return out
-    rows_n, _, f_width, _ = amp.shape
-    out = ws.take((rows_n, len(labels), f_width, 2 * m), busy=amp)
-    return _contract_rows(amp, frame, feed, runs, out)
+    rows_n, _, f_width, width = amp.shape
+    out = ws.take((rows_n, len(labels), f_width, 2 * m), amp)
+    feed = frame.label_bit(frame.dot + j, group, 0)  # never an omega bit
+    starts = [(feed * m + h * width, lo, hi) for h, lo, hi in runs]
+    if not frame.dense:
+        return apply_columns(amp, frame.dot, starts, out=out)
+    for start, lo, hi in starts:
+        cols = kernel_columns(frame.dot, start, start + width)
+        out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))
+    return out
 
 
 def _step_runs(frame: _Frame, j: int, codes: np.ndarray) -> list[tuple[int, int, int]]:
@@ -448,7 +467,7 @@ def _grow_unit(
         # split children into window-value-major rows, so equal last values stay adjacent
         split, _, keep = _fold(amp, frame, prune_eps, disc, root)
         h_count, rows_n = keep.shape
-        amp = ws.take((h_count,) + split.shape[:3] + split.shape[4:], busy=split)
+        amp = ws.take((h_count,) + split.shape[:3] + split.shape[4:], split)
         np.copyto(amp, np.moveaxis(split, 3, 0))
         del split
         amp = amp.reshape((h_count * rows_n,) + amp.shape[2:])
@@ -456,32 +475,10 @@ def _grow_unit(
         keep = keep.reshape(-1)
         if not keep.all():
             # mode="clip" fills kept directly; "raise" would buffer a copy
-            kept = ws.take((int(keep.sum()),) + amp.shape[1:], busy=amp)
+            kept = ws.take((int(keep.sum()),) + amp.shape[1:], amp)
             amp = np.take(amp, np.flatnonzero(keep), axis=0, out=kept, mode="clip")
             codes = codes[keep]
     return disc, root, codes, amp
-
-
-def _contract_rows(amp: np.ndarray, frame: _Frame, feed: int, runs, out: np.ndarray) -> np.ndarray:
-    """Apply one step's kernel columns along amp's last axis into out, run by run.
-
-    Rows in a run of equal last window value take the same column block, a
-    contiguous slice of amp and of out.  On the dense arm the run's rows
-    multiply that (2M, w) block, built from the closed form by
-    kernel_columns: every entry depends only on c - 2r and the parity of c,
-    so it equals the dense transfer_kernel's slice bit for bit.  Off it the
-    columns go by FFT to the halved unit.
-    """
-    m = 1 << frame.dot
-    width = amp.shape[-1]
-    for h, lo, hi in runs:
-        start = feed * m + h * width
-        if frame.dense:
-            cols = kernel_columns(frame.dot, start, start + width)
-            out[lo:hi] = np.tensordot(amp[lo:hi], cols, axes=([3], [1]))
-        else:
-            apply_columns(amp[lo:hi], frame.dot, start, out=out[lo:hi])
-    return out
 
 
 def _overlaps(sub: np.ndarray, conj: np.ndarray) -> np.ndarray:
@@ -525,13 +522,9 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
     # a one-row block is the sum of its labels' halved norms; the dense arm,
     # the narrow-geometry oracle, forms every block as a product, whose MACs
     # perfbench's dense_equiv_gflop counter counts
-    from_norms = rows_n == 1 and not frame.dense
-    if not from_norms:
-        # the product operands: one window value's rows of a block, and their conjugate
-        width = frame.step_output(j, frame.block) // (frame.place(j) << frame.qwidth)
-        sub, conj = (np.empty((rows_n, width), dtype=np.complex128) for _ in range(2))
-    for lo in range(0, a_hi - a_lo, frame.block):
-        hi = lo + frame.block
+    from_norms, block = rows_n == 1 and not frame.dense, frame.block
+    for lo in range(0, a_hi - a_lo, block):
+        hi = lo + block
         part = None if amp is None else amp[:, lo:hi]
         out = _step(frame, j, group, range(a_lo + lo, a_lo + hi), part, runs, ws)
         split, norms, block_keep = _fold(out, frame, prune_eps, disc[lo:hi], root[lo:hi])
@@ -539,6 +532,8 @@ def _run_unit(frame: _Frame, prune_eps: float, unit: tuple[int, int, int], ws: _
         if from_norms:
             gram[:, 0, 0] += norms[:, 0].sum(axis=1) * 0.5
             continue
+        # the operands: a block's rows of one window value, and their conjugate
+        sub, conj = ws.take((2, rows_n, math.prod(out.shape[1:]) >> frame.qwidth), amp, out)
         for h in range(h_count):
             np.copyto(sub.reshape(split[:, :, :, h].shape), split[:, :, :, h])
             gram[h] += _overlaps(sub, np.conjugate(sub, out=conj))
@@ -700,12 +695,10 @@ def propagate_branches(
         )
 
     low_total, chunk, mirror = 1 << frame.left, frame.chunk, frame.mirror
-    units = [
-        (group, a_lo, a_lo + chunk)
-        for group in range(mirror or 1 << frame.freeq)
-        for a_lo in range(0, low_total, chunk)
-    ]
+    units = [(group, a_lo, a_lo + chunk) for group in range(mirror or 1 << frame.freeq)
+             for a_lo in range(0, low_total, chunk)]
 
+    frame.step1  # built once, here, before the pool's threads view it
     local = threading.local()  # one _Workspace per pool thread
 
     def run(unit: tuple[int, int, int]):

@@ -26,9 +26,9 @@ formats and two budget refusals.
 check's report is compared line by line: a suite's name and verdict as
 text, its numbers as numbers.  Each invocation's line also prints both
 trees' peak RSS, read with os.wait4, and the summary names the largest
-rise; these are information only and never change the exit code.  A
-child's peak starts at its parent's RSS, and this script, which loads no
-numpy, stays below every qbaker process.
+rise and the largest fall; these are information only and never change
+the exit code.  A child's peak starts at its parent's RSS, and this
+script, which loads no numpy, stays below every qbaker process.
 
 Standard library only.  pytest does not collect this file.
 """
@@ -102,14 +102,14 @@ def invocations() -> list[list[str]]:
     ]
     threaded = deep + [args for args in out if "--prune" in args and "1e-3" in args]
     out += [args + ["--threads", "1"] for args in threaded]
-    # sweep points of several a-chunks each, sized by the 16 MiB output cap,
-    # so that regrouping the label sums shows against the --threads 1 twin
+    # sweep points of several a-chunks each, sized by the block bound, so
+    # that regrouping the label sums shows against the --threads 1 twin
     for left, steps in ((10, 3), (11, 2), (12, 2)):
         point = ["sweep", "--sweep-left", str(left), "--sweep-steps", str(steps), "--init-x", "01"]
         out += [point, point + ["--threads", "1"]]
-    # a unit's last step over 8 blocks of labels (one label each at five
-    # steps), unpruned and pruned, so that the order of the blocks' Gram sums
-    # shows against the parent and against the --threads 1 twin
+    # a unit's last step over 4 blocks of one label at five steps and 8
+    # blocks of two at four, unpruned and pruned, so that the order of the
+    # blocks' Gram sums shows against the parent and the --threads 1 twin
     for point in (["sweep", "--sweep-left", "8", "--sweep-steps", "5"],
                   ["sweep", "--sweep-left", "8", "--sweep-steps", "4", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
@@ -125,8 +125,8 @@ def invocations() -> list[list[str]]:
         out.append(["full-histories", "--qubits", str(qubits), "--dot", str(dot), "--left", "6",
                     "--right", "3", "--steps", "2", "--init-x", window])
     # partial pruning where no benchmark workload prunes: one-row units of a
-    # mirrored FFT coarse run (0.0077 discarded), the dense arm at 8 blocks
-    # per unit (0.0083 discarded), and the dense arm at 4 units per group
+    # mirrored FFT coarse run (0.0077 discarded), the dense arm at 16 blocks
+    # per unit (0.0083 discarded), and the dense arm at 8 units per group
     # whose kept rows differ (0.0019), each against its --threads 1 twin
     for point in (["coarse-entropy", "--qubits", "22", "--dot", "10", "--left", "9",
                    "--right", "9", "--steps", "4", "--prune", "0.3"],
@@ -136,7 +136,7 @@ def invocations() -> list[list[str]]:
                    "--right", "5", "--steps", "4", "--init-x", "011", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 7056196896 and 26384827680 bytes (2 threads), so a change to
+    # this tree 7056336000 and 26384598144 bytes (2 threads), so a change to
     # _estimate_bytes shows here as a stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10",
@@ -236,14 +236,15 @@ def main(argv: list[str]) -> int:
     # the change's output of each invocation, and how many --threads 1 ones
     # matched their default-threads twin
     outputs, twins, twins_same = {}, 0, 0
-    # (change minus parent peak RSS in MiB, the invocation) of the largest rise
-    rise = (-math.inf, [])
+    # (change minus parent peak RSS in MiB, the invocation) of the largest
+    # rise and of the largest fall
+    rise, fall = (-math.inf, []), (math.inf, [])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for args in cases:
             code_a, text_a, err_a, rss_a = run_once(parent, args, out)
             code_b, text_b, err_b, rss_b = run_once(change, args, out)
-            rise = max(rise, (rss_b - rss_a, args))
+            rise, fall = max(rise, (rss_b - rss_a, args)), min(fall, (rss_b - rss_a, args))
             flags = {"exit": code_a == code_b, "output": text_a == text_b, "stderr": err_a == err_b}
             for key, ok in flags.items():
                 same[key] += ok
@@ -273,7 +274,7 @@ def main(argv: list[str]) -> int:
               f"numeric difference {largest:.3g} ({'within' if within else 'OVER'} {TOLERANCE:g})")
     print(f"--threads 1 against the default, change: output bytes {twins_same}/{twins}")
     print(f"peak RSS, change minus parent: largest rise {rise[0]:+.1f} MiB "
-          f"({' '.join(rise[1])})")
+          f"({' '.join(rise[1])}), largest fall {fall[0]:+.1f} MiB ({' '.join(fall[1])})")
     return 0 if min(same.values()) == n and twins_same == twins else 1
 
 

@@ -423,6 +423,22 @@ def test_apply_columns_matches_dense_contraction(dot):
         apply_columns(np.ones((1, 2)), dot, 2 * m - 1)
 
 
+@pytest.mark.parametrize("dot", range(1, 11))
+def test_apply_columns_runs_equal_one_call_per_run_bit_for_bit(dot):
+    # rows lo..hi-1 of each (start, lo, hi) run take their own columns, as
+    # the engine's rows of one last window value do, in one transform
+    rng = np.random.default_rng(50 + dot)
+    m = 1 << dot
+    width = max(1, m // 2)
+    x = rng.normal(size=(6, 3, width)) + 1j * rng.normal(size=(6, 3, width))
+    runs = [(0, 0, 1), (width, 1, 4), (2 * m - width, 4, 6)]
+    got = apply_columns(x, dot, runs)
+    for start, lo, hi in runs:
+        assert got[lo:hi].tobytes() == apply_columns(x[lo:hi], dot, start).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        apply_columns(x, dot, [(0, 0, 3), (2 * m - width + 1, 3, 6)])
+
+
 def _top_bit_mirror(y, dot):
     """y along its last axis (fresh bit f, then r < M) moved to the rows of
     columns M later: row f*M + r takes row f*M + r - M/2 for r >= M/2, and

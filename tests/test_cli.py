@@ -140,19 +140,13 @@ def test_check_holds_one_dense_matrix_at_a_time():
     assert peak <= 1.5 * 16 * 4**10
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads glibc's return of freed memory")
-def test_check_peak_rss_holds_one_dense_matrix():
-    """A 10-qubit check peaks at most 1.5 matrices of 16 MiB above an
-    import-only process, as each child's os.wait4 peak RSS reads.
+def _peak_rss_over_import(argv):
+    """Bytes by which a qbaker run's peak RSS exceeds an import-only
+    process's, each read with os.wait4, at two propagation threads.
 
-    tracemalloc sees only live arrays.  A second 16 MiB matrix, allocated
-    after the first is freed, came from the heap, which glibc keeps resident;
-    the suites after it stacked on it, 35.5 MiB above the import.  A child
-    starts its peak at its parent's RSS, so a fresh interpreter, smaller
-    than either child, runs both.
+    A child starts its peak at its parent's RSS, so a fresh interpreter,
+    smaller than either child, runs both.
     """
-    argv = ["check", "--qubits", "10", "--dot", "5", "--left", "2", "--right", "4",
-            "--steps", "3"]
     script = (
         "import os, subprocess, sys\n"
         "for args in (['-c', 'import qbaker.__main__'], ['-m', 'qbaker', *sys.argv[1:]]):\n"
@@ -166,13 +160,41 @@ def test_check_peak_rss_holds_one_dense_matrix():
     # each propagation thread adds RSS of its own: fix their number
     env.update(PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                QBAKER_THREADS="2")
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env=env, check=True)
-    (code_imported, imported_kib), (code_checked, checked_kib) = (
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", os.devnull],
+                          capture_output=True, text=True, env=env, check=True)
+    (code_imported, imported_kib), (code_run, run_kib) = (
         map(int, line.split()) for line in proc.stdout.splitlines()
     )
-    assert code_imported == code_checked == 0
-    assert (checked_kib - imported_kib) * 1024 <= 1.5 * 16 * 4**10
+    assert code_imported == code_run == 0
+    return (run_kib - imported_kib) * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads glibc's return of freed memory")
+def test_check_peak_rss_holds_one_dense_matrix():
+    """A 10-qubit check peaks at most 1.5 matrices of 16 MiB above an
+    import-only process.
+
+    tracemalloc sees only live arrays.  A second 16 MiB matrix, allocated
+    after the first is freed, came from the heap, which glibc keeps resident;
+    the suites after it stacked on it, 35.5 MiB above the import.
+    """
+    argv = ["check", "--qubits", "10", "--dot", "5", "--left", "2", "--right", "4",
+            "--steps", "3"]
+    assert _peak_rss_over_import(argv) <= 1.5 * 16 * 4**10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS of a child process")
+def test_sweep_peak_rss_holds_two_step_workspaces():
+    """A four-step sweep point at left 8 peaks at most two threads' step
+    workspaces, five blocks each (histories module docstring), plus 6 MiB
+    above an import-only process.
+
+    The slack covers the path Gram blocks, the reduction, numpy's FFT plans
+    and the threads' stacks.  The gap read 12.7-13.1 MiB; under a 16 MiB cap
+    on a unit's last step output and 2 MiB blocks it read 23.2-23.3 MiB.
+    """
+    argv = ["sweep", "--sweep-left", "8", "--sweep-steps", "4", "--init-x", "01"]
+    assert _peak_rss_over_import(argv) <= 2 * 5 * histories._BLOCK_BYTES + (6 << 20)
 
 
 def test_check_names_violated_inequality(capsys):

@@ -390,7 +390,10 @@ def test_pruned_multi_chunk_groups_match_summed_branch_overlaps(kind):
 
 
 def pair_dict_gram(ens):
-    """paths and gram by the pair-dict reduction the engine used to run.
+    """paths and gram by the pair-dict reduction the engine used to run, and
+    how many (group, last window value, row code) triples one unit of the
+    group drops at its last step, keeping another row of the same last
+    window value, while another unit keeps them.
 
     Sums each group's per-unit overlaps pair by pair in unit order, scales
     them by the ensemble weight and adds them up per path-key pair in
@@ -401,15 +404,17 @@ def pair_dict_gram(ens):
     each bit-1 overlap term equals a bit-0 one (whole_fresh_register), so
     its weight is doubled.  On a mirrored run (_Frame.mirror) a group with the
     top group bit set takes its partner's units, the top bit of each code's
-    last window value flipped, as the engine does.
+    last window value flipped, as the engine does.  The engine adds a
+    dropped row's zeros into a block that keeps the row only in the third
+    count's cases.
     """
     frame, kind = frame_of(ens), ens.kind
     weight = 2.0 ** -(frame.left + ens.steps - (not frame.dense))
     low, h_count = 1 << frame.left, 1 << frame.qwidth
     step_js = list(range(1, ens.steps + 1)) if kind == "full" else [ens.steps]
-    pairs = {}
+    pairs, uneven = {}, 0
     for group in range(1 << frame.freeq):
-        per_group = {}
+        per_group, dropped, kept_rows = {}, set(), set()
         top = group & frame.mirror  # the top group bit, if this group is mirrored
         for a_lo in range(0, low, frame.chunk):
             a_hi = a_lo + frame.chunk
@@ -417,12 +422,18 @@ def pair_dict_gram(ens):
                 frame, ens.prune_eps, (group ^ top, a_lo, a_hi), histories._Workspace()
             )
             flip = h_count >> 1 if top else 0
+            for h, (i, code) in itertools.product(range(h_count), enumerate(codes.tolist())):
+                if keep[h, i]:
+                    kept_rows.add((h, code))
+                elif keep[h].any():
+                    dropped.add((h, code))
             for h in range(h_count):
                 rows = np.flatnonzero(keep[h]).tolist()
                 # a path code: its last window value above its row's code
                 final = [(h ^ flip) * frame.last_place + int(codes[i]) for i in rows]
                 for (i, qa), (j, qb) in itertools.product(zip(rows, final), repeat=2):
                     per_group[qa, qb] = per_group.get((qa, qb), 0j) + complex(gram[h, i, j])
+        uneven += len(dropped & kept_rows)
         for omega in range(1 << frame.nomega):
 
             def key(code):
@@ -441,7 +452,14 @@ def pair_dict_gram(ens):
     gram = np.zeros((len(paths), len(paths)), dtype=np.complex128)
     for (ka, kb), val in pairs.items():
         gram[index[ka], index[kb]] = val
-    return paths, gram
+    return paths, gram, uneven
+
+
+# pruned at 0.01 on kind "full", one unit of a group drops at its last step
+# a row that another unit of the group keeps, while it keeps another row of
+# the same last window value: the one case where adding whole accumulators
+# relies on _fold zeroing the first unit's row
+_UNEVEN = (15, 9, 8, 5, 4, "00")
 
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
@@ -453,9 +471,11 @@ def pair_dict_gram(ens):
         (8, 4, 1, 3, 2, "0110"),
         (9, 4, 2, 4, 3, "011"),
         (13, 9, 8, 3, 2, "01"),
-        # the dense arm, 16 units of 32 labels; pruned, the units of four
+        # the dense arm, 32 units of 16 labels; pruned, the units of four
         # groups keep different (last window value, row) pairs
         (15, 8, 7, 5, 4, "011"),
+        # _UNEVEN: mirrored, 16 units per group (kind "full")
+        _UNEVEN,
     ],
 )
 def test_gram_equals_the_pair_dict_reduction(
@@ -464,9 +484,11 @@ def test_gram_equals_the_pair_dict_reduction(
     ens = propagate_branches(
         make_block(qubits, dot, left, right, window), steps, prune_eps=prune_eps, kind=kind
     )
-    paths, gram = pair_dict_gram(ens)
+    paths, gram, uneven = pair_dict_gram(ens)
     assert word_paths(ens.paths, frame_of(ens).kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
+    if prune_eps and kind == "full" and (qubits, dot, left, right, steps, window) == _UNEVEN:
+        assert uneven > 0
 
 
 @pytest.mark.parametrize("prune_eps", [0.0, 0.01])
@@ -478,7 +500,7 @@ def test_a_mirrored_coarse_gram_adds_its_groups_in_group_order(monkeypatch, prun
     block = make_block(11, 5, 2, 5, "0110")
     ens = propagate_branches(block, 4, prune_eps=prune_eps, kind="coarse")
     assert frame_of(ens).mirror == 4
-    paths, gram = pair_dict_gram(ens)
+    paths, gram, _ = pair_dict_gram(ens)
     assert word_paths(ens.paths, frame_of(ens).kept) == paths
     np.testing.assert_array_equal(ens.gram, gram)
 
@@ -549,9 +571,12 @@ def test_the_streamed_last_step_matches_the_materialized_one(
     # the blocks as one product per run of rows.  Both are compared in the
     # ensemble's units, where each label weighs 2**-(left + steps)
     monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
-    monkeypatch.setattr(histories, "_BLOCK_BYTES", 0 if labels == "one-label" else 1 << 62)
     frame = block_frame(make_block(qubits, dot, left, right, window), steps, kind)
-    assert frame.block == (1 if labels == "one-label" else frame.chunk)
+    # one label's last step output as the block bound: blocks of one label,
+    # in units of several
+    one_label = 16 * frame.step_output(steps, 1)
+    monkeypatch.setattr(histories, "_BLOCK_BYTES", one_label if labels == "one-label" else 1 << 62)
+    assert frame.block == (1 if labels == "one-label" else frame.chunk) and frame.chunk > 1
     assert frame.dense == (arm == "dense" and steps > 1)
     weight = 2.0 ** -(left + steps)
     pruned = dropped = 0
@@ -635,7 +660,7 @@ def test_a_growing_workspace_frees_the_old_buffer_first():
     try:
         ws = histories._Workspace()
         held = ws.take((old,))
-        ws.take((other,), busy=held)
+        ws.take((other,), held)
         del held
         tracemalloc.reset_peak()
         ws.take((new,))
@@ -644,6 +669,50 @@ def test_a_growing_workspace_frees_the_old_buffer_first():
         tracemalloc.stop()
     assert peak < 16 * (new + other) + (64 << 10)
     assert peak < 16 * (old + new + other)
+
+
+@pytest.mark.parametrize("arm", ["fft", "dense"])
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window",
+    [
+        # two groups of four a-chunks
+        (13, 9, 8, 3, 2, "01"),
+        # one step: step 1 is the streamed last step, in blocks of labels
+        (13, 8, 7, 2, 1, "0101"),
+        # four groups, step 1's feed bit set
+        (12, 7, 5, 4, 3, "011"),
+    ],
+)
+def test_step1_columns_view_one_read_only_build_per_run(
+    monkeypatch, qubits, dot, left, right, steps, window, kind, arm
+):
+    # every unit's step 1 equals its own closed-form build bit for bit, and
+    # the one g a run builds for it cannot be written through
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return column_g(*args)
+
+    column_g = histories._column_g
+    monkeypatch.setattr(histories, "_column_g", counting)
+    block = make_block(qubits, dot, left, right, window)
+    propagate_branches(block, steps, prune_eps=0.01, kind=kind, threads=2)
+    assert len(builds) == 1
+    frame = block_frame(block, steps, kind)
+    start, g = frame.step1
+    assert not g.flags.writeable and frame.step1[1] is g
+    m = 1 << dot
+    for group, a_lo, a_hi in _unit_list(frame):
+        ws = histories._Workspace()
+        got = histories._step(frame, 1, group, range(a_lo, a_hi), None, None, ws)
+        want = bakermap.kernel_columns(dot, start + a_lo, start + a_hi)
+        want = want[: None if frame.dense else m].T
+        assert got.reshape(want.shape).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not bakermap._bit0_columns(g, dot, 0, 1 << left).flags.writeable
+    np.testing.assert_array_equal(g, column_g(dot, start, start + (1 << left)), strict=True)
 
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
@@ -663,15 +732,15 @@ def test_threads_bit_identical(medium_full):
 
 @pytest.mark.parametrize("kind", ["full", "coarse"])
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
-@pytest.mark.parametrize("cap", [1 << 20, 0])
+@pytest.mark.parametrize("cap", [1 << 18, 0])
 def test_a_shrunk_chunk_moves_only_last_digits(monkeypatch, cap, prune_eps, kind):
-    # a lower cap on a unit's last output cuts the 64-label chunks of
-    # (15,9,8,4,3) into 4 or 16 labels (1 MiB) or single labels (0); only the
+    # a lower block bound cuts the 64-label chunks of (15,9,8,4,3) into 16
+    # (full) or 32 (coarse) labels (256 KiB) or single labels (0); only the
     # order of the label sums may change
     block = make_block(15, 9, 8, 4, "011")
     whole = propagate_branches(block, 3, prune_eps=prune_eps, kind=kind)
     assert frame_of(whole).chunk == histories._CHUNK
-    monkeypatch.setattr(histories, "_OUT_CAP", cap)
+    monkeypatch.setattr(histories, "_BLOCK_BYTES", cap)
     cut = [
         propagate_branches(block, 3, prune_eps=prune_eps, kind=kind, threads=threads)
         for threads in (1, 2)
@@ -782,11 +851,11 @@ _BUDGET_CASES = [
     (15, 9, 8, 4, 3, "011", None),
     # a wide window: 2**7 final window values
     (16, 8, 1, 3, 2, "011010011010", None),
-    # a lower _OUT_CAP: chunks of 4 (full) or 16 (coarse) labels, and of one
-    (15, 9, 8, 4, 3, "011", 1 << 20),
+    # a lower _BLOCK_BYTES: chunks of 16 (full) or 32 (coarse) labels, and of one
+    (15, 9, 8, 4, 3, "011", 1 << 18),
     (15, 9, 8, 4, 3, "011", 0),
-    # the four-step sweep point at left 8: a last step of 8 (full) or 2
-    # (coarse) blocks per unit, after a 4 MiB (full) penultimate step
+    # the four-step sweep point at left 8: a last step of 8 (full) or 4
+    # (coarse) blocks per unit, after a 2 MiB penultimate step
     (18, 9, 8, 8, 4, "01", None),
 ]
 
@@ -804,7 +873,7 @@ def test_budget_bounds_the_traced_peak(
 ):
     block = make_block(qubits, dot, left, right, window)
     if cap is not None:
-        monkeypatch.setattr(histories, "_OUT_CAP", cap)
+        monkeypatch.setattr(histories, "_BLOCK_BYTES", cap)
         assert block_frame(block, steps, kind).chunk < min(histories._CHUNK, 1 << left)
     tracemalloc.start()
     try:
@@ -813,6 +882,48 @@ def test_budget_bounds_the_traced_peak(
     finally:
         tracemalloc.stop()
     assert peak <= _projected_bytes(block, steps, kind, threads)
+
+
+def _take_bounds(frame):
+    """The largest step buffer and Gram operand pair the histories module
+    docstring allows a thread: two and one blocks, unless one label's last
+    step output, or its Gram operands, are larger."""
+    label = 16 * frame.step_output(frame.steps, 1)
+    bound = histories._BLOCK_BYTES
+    return max(2 * bound, label), max(bound, 2 * label >> frame.qwidth)
+
+
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize(
+    "qubits,dot,left,right,steps,window,cap",
+    _BUDGET_CASES,
+    ids=["-".join(map(str, case[:6] if case[6] is None else case)) for case in _BUDGET_CASES],
+)
+def test_a_thread_holds_what_the_block_bound_allows(
+    monkeypatch, qubits, dot, left, right, steps, window, cap, kind
+):
+    # every array a propagation thread reuses is one of its _Workspace's
+    # buffers: two step buffers and one for the last step's Gram operands
+    if cap is not None:
+        monkeypatch.setattr(histories, "_BLOCK_BYTES", cap)
+    frame = block_frame(make_block(qubits, dot, left, right, window), steps, kind)
+    step_bound, operand_bound = _take_bounds(frame)
+    take = histories._Workspace.take
+    operands = []
+
+    def checked(ws, shape, *busy):
+        out = take(ws, shape, *busy)
+        if len(busy) == 2:  # _run_unit's operands, beside amp and a block's output
+            operands.append(out.nbytes)
+            assert out.nbytes <= operand_bound
+        steps_held, last_held, operand_held = (buf.nbytes for buf in ws._bufs)
+        assert max(steps_held, last_held) <= step_bound and operand_held <= operand_bound
+        return out
+
+    monkeypatch.setattr(histories._Workspace, "take", checked)
+    propagate_branches(make_block(qubits, dot, left, right, window), steps, kind=kind, threads=2)
+    # the FFT arm takes a one-row unit's Gram blocks from its norms
+    assert bool(operands) == (frame.dense or frame.last_place > 1)
 
 
 def _package_env():
@@ -839,7 +950,7 @@ def test_budget_holds_for_the_first_propagation_of_a_process():
 _FIRST_FFT_RUN = """
 import tracemalloc
 from qbaker import BlockInitialState, CoarseGraining, SystemShape, histories, propagate_branches
-histories._OUT_CAP = 0
+histories._BLOCK_BYTES = 0
 block = BlockInitialState(CoarseGraining(SystemShape(15, 9), 8, 4), "011")
 frame = histories._Frame(15, 9, 8, 3, 3, "011", "coarse")
 tracemalloc.start()
@@ -878,10 +989,10 @@ def test_default_budget_admits_the_left_10_sweep_point():
 def test_default_budget_admits_six_steps_of_the_left_8_sweep_point():
     # sweep geometry at left 8: qubits 18, dot 9, right 8; at 64 labels a
     # unit's last output (its fresh-bit-0 half) would be 512 MiB, and the run
-    # was refused at 5.4 GB.  At 2 threads it projects 127320240 bytes, and a
-    # run under tracemalloc peaked at 46866984
+    # was refused at 5.4 GB.  In units of one label it projects 53407616
+    # bytes at 2 threads, and a run under tracemalloc peaked at 39957543
     block = make_block(18, 9, 8, 8, "01")
-    assert block_frame(block, 6, "full").chunk == 2
+    assert block_frame(block, 6, "full").chunk == 1
     for threads in (1, 2, 8):
         assert _projected_bytes(block, 6, "full", threads) <= histories.DEFAULT_BUDGET_BYTES
 
@@ -1545,7 +1656,9 @@ def test_a_dense_run_projects_no_kernel_and_stays_above_its_traced_peak(
     frame = block_frame(block, 2, kind)
     assert frame.dense
     items = dict(histories._estimate_bytes(frame, 2))
-    assert set(items) == {"step workspace", "path gram blocks", "path bookkeeping"}
+    assert set(items) == {
+        "step 1 columns", "step workspace", "path gram blocks", "path bookkeeping"
+    }
     projected = sum(items.values())
     assert projected < most_mib << 20
     tracemalloc.start()
