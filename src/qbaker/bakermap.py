@@ -324,23 +324,22 @@ def fresh_phase(start: int, stop: int) -> np.ndarray:
     return np.where(np.arange(start, stop) % 2 == 0, 1j, -1j)
 
 
-def apply_columns(x: np.ndarray, dot: int, start, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply transfer_kernel(dot)[:, start:start+w] along the last axis of x.
+def apply_columns(x: np.ndarray, dot: int, runs, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply transfer_kernel(dot)[:, start:start+w] along the last axis of
+    x[lo:hi] for each (start, lo, hi) of runs, all in one transform.
 
-    x has shape (..., w); the result has shape (..., 2M), M = 2**dot.  The
-    input is embedded at `start` in a length-2M vector, then one length-2M
-    inverse FFT and one length-M FFT over each half do the work, with the
-    twiddles applied in place.  O(M log M) per vector; `out` (shape
-    (..., 2M), its last axis contiguous) may be given to receive the result.
-    `start` may also list (start, lo, hi) runs: rows lo..hi-1 of x's first
-    axis take their columns from their own start, all in one transform.
+    x has shape (..., w); the result has shape (..., 2M), M = 2**dot.  Each
+    run's rows are embedded at its start in a length-2M vector, then one
+    length-2M inverse FFT and one length-M FFT over each half do the work,
+    with the twiddles applied in place.  O(M log M) per vector; `out`
+    (shape (..., 2M), its last axis contiguous) may receive the result.
     """
     m = 1 << dot
     width = x.shape[-1]
     if out is None:
         out = np.empty(x.shape[:-1] + (2 * m,), dtype=np.complex128)
     pre, mid, post = _step_twiddles(dot)
-    for begin, lo, hi in [(start, None, None)] if np.ndim(start) == 0 else start:
+    for begin, lo, hi in runs:
         if begin < 0 or begin + width > 2 * m:
             raise ParameterError(f"columns {begin}..{begin + width - 1} outside 0..{2 * m - 1}")
         rows = out[lo:hi]

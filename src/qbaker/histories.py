@@ -30,10 +30,10 @@ bakermap.transfer_kernel), so it has a closed form and an FFT form:
   later.  As left < dot, M/2 spans whole last-window-value blocks: the
   partner's rows with last value h are the group's with h ^ 2**(qwidth-1),
   one sign per block, so its norms, pruning, masses and Gram blocks are
-  the group's.  Such a run (_Frame.mirror) grows only the groups below the
-  top bit and adds each unit in twice, the second time as its partner, each
-  Gram accumulator at its last window value with that bit flipped.  The
-  dense arm, the narrow-geometry oracle, grows every group.
+  the group's.  Such a run (_Frame.mirror) grows and adds only the groups
+  below the top bit; a partner's block, that bit of its last window value
+  flipped, keeps its group's codes and, on kind "full", is its group's
+  matrix.  The dense arm, the narrow-geometry oracle, grows every group.
 
 Under the standing inequalities left < dot, right < qubits - dot,
 steps < right the trailing right - steps label bits ride along untouched.
@@ -272,8 +272,8 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     block in place, and np.fft's in-place transforms copy nothing (numpy
     2.4, traced).  On the FFT arm the twiddle loop buffers come per thread.
     Step 1's g, the build of the FFT's cached twiddles, the path Gram blocks
-    and the reduction's arrays and path words come once, beside the results
-    of the units submitted and not yet added.
+    (a matrix per grown group and last window value) and the reduction's
+    arrays and path words come once, beside the results of units not yet added.
     """
     itemsize = 16
     two_m = 2 << frame.dot
@@ -310,10 +310,10 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     )
     held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * tables * 33
     held += 2 * rows * 8 + 2 * rows**2 * itemsize
-    # h blocks of `rows` paths per group (1 x 1 blocks on kind "coarse",
-    # which add up across groups), each path's position in its block and the
-    # functionals' two lookup arrays
-    blocks = groups * h * (rows**2 * itemsize + 2 * _BLOCK_OBJECT_BYTES) + n_paths * 3 * 8
+    # h blocks per group on a matrix per grown (group, h), plus kind "coarse"'s
+    # h sums; each path's position in its block and the functionals' two lookup arrays
+    matrices = (frame.mirror or groups) * h + (h if frame.shared_keys else 0)
+    blocks = matrices * rows**2 * itemsize + groups * h * 2 * _BLOCK_OBJECT_BYTES + n_paths * 3 * 8
     # per path (_path_keys): its words as built and sorted, the sort's order,
     # its inverse and buffer, and the word build's three key-sized temporaries
     held += n_paths * 8 * (2 * len(frame.recorded) + 6)
@@ -568,6 +568,7 @@ class BranchEnsemble:
     or blocks are zero.  A block's rows are omegas sharing the
     matrix of one (group, last window value) on kind "full", and of one last
     window value, summed over the groups and so 1 x 1, on kind "coarse".
+    Matrices are read-only, as a mirrored partner group's blocks share its group's.
     Blocks are in (group, last window value) order, and a block's paths in
     path-code order, the newest window value most significant.
     `cross_bound` sums weight * (2S + S**2) over labels, S the sum of a
@@ -708,33 +709,27 @@ def propagate_branches(
     weight = 2.0 ** -(frame.left + steps)
     block_weight = weight if frame.dense else weight * 2  # halved blocks are in half units
     last_place = frame.last_place
-    span = last_place << frame.qwidth  # path codes per key table
     group_disc = np.zeros((1 << frame.freeq, low_total))
     cross = 0.0
-    # a key: its key table (its group, or 0 when the groups share one) above its
-    # path code; key // last_place heads its block, and the code's lower digits
-    # are its place in the block
-    seen = np.zeros((1 if frame.shared_keys else 1 << frame.freeq) * span, dtype=bool)
+    # a block's head: its key table (its group, or 0 when groups share one) above
+    # its last window value; seen[head] marks its paths' places some unit kept
+    tables = 1 if frame.shared_keys else len(group_disc)
+    seen = np.zeros((tables << frame.qwidth, last_place), dtype=bool)
     accs = {}
 
     def add(group, a_lo, a_hi, disc, unit_cross, codes, keep, gram) -> None:
         nonlocal cross
-        twins = [(group, 0)]
-        if mirror:
-            # its partner: the top group bit set and the top bit of the last
-            # window value flipped, with this unit's masses and accumulators
-            twins.append((group | mirror, len(keep) >> 1))
-        for group, flip in twins:
-            group_disc[group, a_lo:a_hi] = disc
-            cross += unit_cross
-            table = 0 if frame.shared_keys else group
-            for h in np.flatnonzero(keep.any(axis=1)).tolist():
-                # the rows keep[h] drops are zero in gram[h], so adding them changes nothing
-                head = table << frame.qwidth | h ^ flip
-                seen[head * last_place + codes[keep[h]]] = True
-                if (group, head) not in accs:
-                    accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
-                accs[group, head][np.ix_(codes, codes)] += gram[h]
+        # a mirrored unit's partner group has its masses (module docstring)
+        group_disc[[group, group | mirror], a_lo:a_hi] = disc
+        cross += 2.0 * unit_cross if mirror else unit_cross
+        table = 0 if frame.shared_keys else group
+        for h in np.flatnonzero(keep.any(axis=1)).tolist():
+            # the rows keep[h] drops are zero in gram[h], so adding them changes nothing
+            head = table << frame.qwidth | h
+            seen[head, codes[keep[h]]] = True
+            if (group, head) not in accs:
+                accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
+            accs[group, head][np.ix_(codes, codes)] += gram[h]
 
     # each unit is added in unit order as it finishes, then freed with add's
     # frame, and only then is the unit `ahead` places later submitted
@@ -746,17 +741,23 @@ def propagate_branches(
             if k + ahead < len(units):
                 futures.append(pool.submit(run, units[k + ahead]))
 
-    keys = np.flatnonzero(seen)
-    paths, where = _path_keys(frame, keys // span, keys % span)
+    # XOR to a partner head (0 if unmirrored): the top bit of the last window value
+    # and, unless the groups share a table, the top group bit; it keeps its group's codes
+    twin = mirror and (0 if frame.shared_keys else mirror << frame.qwidth) | 1 << frame.qwidth - 1
+    seen |= seen[np.arange(len(seen)) ^ twin]
+    keys = np.flatnonzero(seen)  # a key table above a path code
+    paths, where = _path_keys(frame, *np.divmod(keys, last_place << frame.qwidth))
     # each element sums its units in unit order from 0, and the weights are
-    # powers of two, so scaling is exact; a block keeps its seen codes, and
-    # groups that share a table add theirs, in group order, into one matrix
-    matrices = {}
+    # powers of two, so scaling is exact; a block keeps its seen codes and adds,
+    # in group order, its groups' terms, a partner group's being its group's
+    terms, matrices = {}, {}
     for group, head in sorted(accs):
-        found = seen[head * last_place : (head + 1) * last_place]
-        acc = accs.pop((group, head))[np.ix_(found, found)]
-        acc *= block_weight
-        matrices[head] = matrices[head] + acc if head in matrices else acc
+        term = accs.pop((group, head))[np.ix_(seen[head], seen[head])]
+        term *= block_weight
+        terms[group, head] = terms[group | mirror, head ^ twin] = term
+    for (_, head), term in sorted(terms.items()):
+        matrices[head] = matrices[head] + term if head in matrices else term
+        matrices[head].flags.writeable = False
     blocks = [(where[:, lo:hi], matrices[head]) for head, lo, hi in _runs(keys // last_place)]
 
     return BranchEnsemble(

@@ -19,8 +19,9 @@ and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
 steps 4, check at three more geometries, full-histories and coarse-entropy
 at a 13-bit window over five steps (a path of 65 bits), full-histories
 at dots 10 and 11 where the dense arm's closed-form column blocks are
-tallest, a pruned mirrored coarse-entropy and two pruned dense-arm
-full-histories, one of several units per group that keep different rows,
+tallest, a pruned mirrored coarse-entropy, a pruned mirrored
+full-histories and two pruned dense-arm full-histories, the mirrored one
+and one dense one of several units per group that keep different rows,
 each with a --threads 1 twin, --threads 1 against the default, both output
 formats and two budget refusals.
 check's report is compared line by line: a suite's name and verdict as
@@ -125,18 +126,22 @@ def invocations() -> list[list[str]]:
         out.append(["full-histories", "--qubits", str(qubits), "--dot", str(dot), "--left", "6",
                     "--right", "3", "--steps", "2", "--init-x", window])
     # partial pruning where no benchmark workload prunes: one-row units of a
-    # mirrored FFT coarse run (0.0077 discarded), the dense arm at 16 blocks
-    # per unit (0.0083 discarded), and the dense arm at 8 units per group
-    # whose kept rows differ (0.0019), each against its --threads 1 twin
+    # mirrored FFT coarse run (0.0077 discarded), a mirrored FFT full run at
+    # 16 units per group whose kept rows differ (0.0070 discarded), so a
+    # partner's block keeps what its group's units kept, the dense arm at 16
+    # blocks per unit (0.0083 discarded), and the dense arm at 8 units per
+    # group whose kept rows differ (0.0019), each against its --threads 1 twin
     for point in (["coarse-entropy", "--qubits", "22", "--dot", "10", "--left", "9",
                    "--right", "9", "--steps", "4", "--prune", "0.3"],
+                  ["full-histories", "--qubits", "15", "--dot", "9", "--left", "8",
+                   "--right", "5", "--steps", "4", "--init-x", "00", "--prune", "0.01"],
                   ["full-histories", "--qubits", "16", "--dot", "6", "--left", "4",
                    "--right", "6", "--steps", "4", "--init-x", "010110", "--prune", "1e-3"],
                   ["full-histories", "--qubits", "15", "--dot", "8", "--left", "7",
                    "--right", "5", "--steps", "4", "--init-x", "011", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 7056336000 and 26384598144 bytes (2 threads), so a change to
+    # this tree 6787900544 and 26116162688 bytes (2 threads), so a change to
     # _estimate_bytes shows here as a stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10",

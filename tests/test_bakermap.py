@@ -413,14 +413,14 @@ def test_apply_columns_matches_dense_contraction(dot):
     for start, width in [(0, 1), (2 * m - 1, 1), (0, 2 * m), (m, max(1, m // 2))]:
         x = rng.normal(size=(3, 2, width)) + 1j * rng.normal(size=(3, 2, width))
         want = np.tensordot(x, kernel[:, start : start + width], axes=([2], [1]))
-        got = apply_columns(x, dot, start)
+        got = apply_columns(x, dot, [(start, None, None)])
         assert got.shape == (3, 2, 2 * m)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         out = np.full((3, 2, 2 * m), np.nan + 0j)
-        assert apply_columns(x, dot, start, out=out) is out
+        assert apply_columns(x, dot, [(start, None, None)], out=out) is out
         np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="outside"):
-        apply_columns(np.ones((1, 2)), dot, 2 * m - 1)
+        apply_columns(np.ones((1, 2)), dot, [(2 * m - 1, None, None)])
 
 
 @pytest.mark.parametrize("dot", range(1, 11))
@@ -434,7 +434,8 @@ def test_apply_columns_runs_equal_one_call_per_run_bit_for_bit(dot):
     runs = [(0, 0, 1), (width, 1, 4), (2 * m - width, 4, 6)]
     got = apply_columns(x, dot, runs)
     for start, lo, hi in runs:
-        assert got[lo:hi].tobytes() == apply_columns(x[lo:hi], dot, start).tobytes()
+        alone = apply_columns(x[lo:hi], dot, [(start, None, None)])
+        assert got[lo:hi].tobytes() == alone.tobytes()
     with pytest.raises(ValueError, match="outside"):
         apply_columns(x, dot, [(0, 0, 3), (2 * m - width + 1, 3, 6)])
 
@@ -460,5 +461,6 @@ def test_columns_m_apart_differ_by_the_top_momentum_bit(dot):
     rng = np.random.default_rng(40 + dot)
     for start, width in [(0, 1), (m - 1, 1), (0, m), (m // 2, max(1, m // 4))]:
         x = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
-        near, far = apply_columns(x, dot, start), apply_columns(x, dot, start + m)
+        near = apply_columns(x, dot, [(start, None, None)])
+        far = apply_columns(x, dot, [(start + m, None, None)])
         np.testing.assert_allclose(far, _top_bit_mirror(near, dot), rtol=0, atol=1e-13)

@@ -109,7 +109,7 @@ _BAD_CALLS = {
         "need 0 <= start < stop <= 8, got start=3, stop=3",
     ),
     "applied columns": (
-        lambda: apply_columns(np.ones((1, 2)), 0, 1),
+        lambda: apply_columns(np.ones((1, 2)), 0, [(1, None, None)]),
         "columns 1..2 outside 0..1",
     ),
     "kernel dot": (lambda: transfer_kernel(-1), "dot must be >= 0, got -1"),

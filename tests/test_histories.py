@@ -1477,6 +1477,35 @@ def test_a_mirrored_run_grows_only_the_groups_below_the_top_bit(monkeypatch, kin
         assert abs(history_distribution(ens).total() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["full", "coarse"])
+@pytest.mark.parametrize("arm", ["fft", "dense"])
+def test_a_partner_block_is_its_groups_read_only_matrix(monkeypatch, arm, kind):
+    # on a mirrored kind "full" run the blocks of group g | mirror are group
+    # g's matrices, the top bit of the last window value flipped, so no block
+    # matrix may be written; the dense arm grows every group, and a kind
+    # "coarse" block sums all groups, so their matrices are all distinct
+    monkeypatch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+    ens = propagate_branches(make_block(9, 4, 2, 4, "011"), 3, kind=kind)
+    frame = frame_of(ens)
+    assert frame.mirror == (2 if arm == "fft" else 0)
+    h_count = 1 << frame.qwidth
+    # unpruned, every (table, last window value) is a block, in that order
+    matrices = [matrix for _, matrix in ens.blocks]
+    assert len(matrices) == (1 if kind == "coarse" else 1 << frame.freeq) * h_count
+    for matrix in matrices:
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+    distinct = len({id(matrix) for matrix in matrices})
+    if arm == "dense" or kind == "coarse":
+        assert distinct == len(matrices)
+        return
+    assert distinct == len(matrices) // 2
+    for group, h in itertools.product(range(frame.mirror), range(h_count)):
+        partner = (group | frame.mirror) * h_count + (h ^ h_count >> 1)
+        assert matrices[partner] is matrices[group * h_count + h]
+
+
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
 @pytest.mark.parametrize("kind", ["full", "coarse"])
 def test_a_halved_unit_carries_the_fresh_bit_0_half(monkeypatch, kind, prune_eps):
