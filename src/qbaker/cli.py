@@ -25,10 +25,12 @@ override the ``QBAKER_THREADS`` environment variable for ``threads``, all
 through the option's one converter; built-in defaults fill the rest.  Data goes
 to CSV ('#'-prefixed comment lines carry the config echo and the
 summary block) or JSON (one object with keys "config", "rows",
-"summary").  Floats are written with 17 significant digits, row order
-is fixed, and the propagation engine reduces in a fixed order at any
-thread count, so identical configurations produce byte-identical output
-files.  Wall-clock timings go to stderr only, never into output files.
+"summary").  Tables travel as columns (float arrays or lists), not one
+object per row; JSON rows are spliced from the C encoder's text of each
+column.  CSV floats have 17 significant digits and JSON's are repr's,
+row order is fixed, and the propagation engine reduces in a fixed order at
+any thread count, so identical configurations produce byte-identical
+output files.  Wall-clock timings go to stderr only, never into output files.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ from .histories import (
     coarse_dfunc,
     entropy_bits,
     history_distribution,
-    ideal_coarse_value,
-    ideal_full_value,
     offdiagonal_norm,
     propagate_branches,
 )
@@ -104,21 +104,21 @@ _OPTIONS = {
                     "starts with '-' as --sweep-steps=-1,2)"),
 }
 _SWEEP_ONLY = ("sweep_left", "sweep_steps")
-# bytes per output-table row: its tuple, floats and rendered text, less its
-# path, counted as 40 + 4 * kept.  tracemalloc measured at most 316 (CSV) and
-# 1256 (JSON) per row in all, and about 3 bytes per path character
+# bytes per output-table row: its column entries and rendered text, less its
+# path, counted as 40 + 4 * kept.  tracemalloc measured at most 334 (CSV) and
+# 759 (JSON) per row in all, from columns to text, at 2**10 coarse rows and 4096 full
 _ROW_BYTES = {"csv": 320, "json": 1280}
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
+# rows _render_csv formats at a time, so it holds one slice's cell text
+_RENDER_ROWS = 1024
+# a JSON row's members as json.dumps(indent=2) separates them at depth 2
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.17g" % value
     return str(value)
 
 
@@ -186,42 +186,47 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
-def _shift_continuations(window: int, kept: int, steps: int) -> set[tuple[int, ...]]:
-    """All per-step histories of `kept`-bit window values reachable by
-    dropping the leading bit and appending a fresh bit each step: the
-    `steps`-bit value `fresh` appends its bits, leading bit first."""
-    mask = (1 << kept) - 1
-    return {
-        tuple((window << j | fresh >> steps - j) & mask for j in range(1, steps + 1))
-        for fresh in range(1 << steps)
-    }
+def _column_text(column) -> list[str]:
+    """A column's CSV cells: a float array formatted in one pass, else _cell per value."""
+    if isinstance(column, np.ndarray):
+        return ("%.17g\n" * len(column) % tuple(column.tolist())).split("\n")[:-1]
+    return [_cell(v) for v in column]
 
 
-def _render_csv(echo, header, rows, summary) -> str:
+def _render_csv(echo, header, columns, summary) -> str:
     buf = io.StringIO()
     for key, value in echo:
         buf.write(f"# {key} = {_cell(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    for start in range(0, len(columns[0]), _RENDER_ROWS):
+        writer.writerows(zip(*(_column_text(c[start : start + _RENDER_ROWS]) for c in columns)))
     for key, value in summary:
         buf.write(f"# {key} = {_cell(value)}\n")
     return buf.getvalue()
 
 
-def _render_json(echo, header, rows, summary) -> str:
-    obj = {
-        "config": dict(echo),
-        "rows": [dict(zip(header, row)) for row in rows],
-        "summary": dict(summary),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _render_json(echo, header, columns, summary) -> str:
+    """json.dumps(indent=2, sort_keys=True) of {"config", "rows", "summary"}, its
+    rows the C encoder's text of each column's values in a row template."""
+    obj = {"config": dict(echo), "rows": [], "summary": dict(summary)}
+    skeleton = json.dumps(obj, indent=2, sort_keys=True)
+    if not len(columns[0]):
+        return skeleton + "\n"
+    sep = _ROW_ENCODER.item_separator
+    pairs = sorted(zip(header, columns), key=lambda pair: pair[0])
+    members = [json.dumps(key).replace("%", "%%") + ": %s" for key, _ in pairs]
+    template = "    {" + sep[1:] + sep.join(members) + "\n    }"
+    listed = (c.tolist() if isinstance(c, np.ndarray) else c for _, c in pairs)
+    values = [_ROW_ENCODER.encode(c)[1:-1].split(sep) for c in listed]
+    rows = ",\n".join(map(template.__mod__, zip(*values)))
+    head, tail = skeleton.split('\n  "rows": []', 1)
+    return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
 
 
-def _emit(cfg: dict, echo, header, rows, summary) -> None:
+def _emit(cfg: dict, echo, header, columns, summary) -> None:
     render = _render_csv if cfg["format"] == "csv" else _render_json
-    _write_text(render(echo, header, rows, summary), cfg["out"])
+    _write_text(render(echo, header, columns, summary), cfg["out"])
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -272,29 +277,36 @@ def _check_coarse_table(kept: int, fmt: str = "csv") -> None:
         )
 
 
-def _history_rows(dist, kind: str, window: str, steps: int) -> list[tuple]:
-    """(path, p, oracle_p, abs_residual) rows against the shift-chain oracle.
+def _history_rows(dist, kind: str, window: str, steps: int) -> list:
+    """(path, p, oracle_p, abs_residual) columns against the shift-chain oracle.
 
     Kind "full" lists the retained paths and every shift continuation of the
-    initial window; kind "coarse" lists all final window words, whose oracle
-    compares the surviving core window[steps:] with the word's leading bits.
+    initial window, whose oracle (ideal_full_value) is 2**-steps; kind
+    "coarse" lists all final window words, 2**-steps where a word's leading
+    bits are the surviving core window[steps:] (ideal_coarse_value).
     """
-    kept = len(window)
-    prob = dict(zip(map(tuple, dist.paths.tolist()), dist.probabilities.tolist()))
+    kept, x = len(window), int(window, 2)
+    mask = (1 << kept) - 1
     if kind == "full":
-        paths = sorted(prob.keys() | _shift_continuations(int(window, 2), kept, steps))
+        fresh = np.arange(1 << steps)
+        chains = [(x << j & mask) | (fresh >> steps - j & mask) for j in range(1, steps + 1)]
+        words = np.concatenate([dist.paths, np.stack(chains, axis=1)])
+        order = np.lexsort(words.T[::-1])  # stable: a retained path before its equal chain
+        words = words[order]
+        starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+        oracle = np.maximum.reduceat(np.where(order < len(dist.paths), 0.0, 2.0**-steps), starts)
+        p = np.r_[dist.probabilities, np.zeros(1 << steps)][order][starts]
+        words = words[starts]
     else:
-        paths = [(v,) for v in range(1 << kept)]
-    rows = []
-    for path in paths:
-        words = [format(w, f"0{kept}b") for w in path]
-        if kind == "full":
-            oracle = ideal_full_value(window, words, words)
-        else:
-            oracle = ideal_coarse_value(window[steps:], words[0][: kept - steps], steps)
-        p = prob.get(path, 0.0)
-        rows.append((";".join(words), p, oracle, abs(p - oracle)))
-    return rows
+        words = np.arange(1 << kept)[:, None]
+        oracle = np.where(words[:, 0] >> steps == x & (1 << kept - steps) - 1, 2.0**-steps, 0.0)
+        p = np.zeros(1 << kept)
+        p[dist.paths[:, 0]] = dist.probabilities
+    # each distinct window word present is formatted once
+    values, inverse = np.unique(words, return_inverse=True)
+    table = [format(v, f"0{kept}b") for v in values.tolist()]
+    cells = [map(table.__getitem__, col) for col in inverse.reshape(words.shape).T.tolist()]
+    return [list(map(";".join, zip(*cells))), p, oracle, np.abs(p - oracle)]
 
 
 def _summary(dist, steps, off_max, off_rms, discarded) -> list[tuple[str, object]]:
@@ -339,13 +351,13 @@ def cmd_histories(cfg: dict, kind: str) -> int:
     )
     clock.mark("propagate")
     dist = history_distribution(ens)
-    rows = _history_rows(dist, kind, window, steps)
+    columns = _history_rows(dist, kind, window, steps)
     off_max, off_rms = offdiagonal_norm(ens)
     clock.mark("functional")
     summary = _summary(dist, steps, off_max, off_rms, ens.discarded_total)
     clock.mark("entropy")
     echo.append(("prune", cfg["prune"]))
-    _emit(cfg, echo, _ROW_HEADER, rows, summary)
+    _emit(cfg, echo, _ROW_HEADER, columns, summary)
     clock.mark("write")
     clock.report()
     return 0
@@ -359,7 +371,7 @@ def cmd_sweep(cfg: dict) -> int:
     kept = len(window)
     lefts = _parse_int_list(cfg["sweep_left"], "sweep-left")
     steps_list = _parse_int_list(cfg["sweep_steps"], "sweep-steps")
-    rows = []
+    points = []
     for left in lefts:
         for steps in steps_list:
             t0 = time.perf_counter()
@@ -376,14 +388,14 @@ def cmd_sweep(cfg: dict) -> int:
             dist = history_distribution(ens)
             point = dict(_summary(dist, steps, *offdiagonal_norm(ens), ens.discarded_total))
             point.update(left=left, steps=steps, qubits=qubits, dot=dot, right=right)
-            full_rows = _history_rows(dist, "full", window, steps)
-            point.update(window=window, full_residual_max=max(row[3] for row in full_rows))
+            full_residual = _history_rows(dist, "full", window, steps)[3]
+            point.update(window=window, full_residual_max=float(full_residual.max()))
             point["coarse_residual_max"] = None
             if steps <= kept:
                 marginal = history_distribution(ens, kind="coarse")
-                coarse_rows = _history_rows(marginal, "coarse", window, steps)
-                point["coarse_residual_max"] = max(row[3] for row in coarse_rows)
-            rows.append(tuple(point[key] for key in _SWEEP_HEADER))
+                coarse_residual = _history_rows(marginal, "coarse", window, steps)[3]
+                point["coarse_residual_max"] = float(coarse_residual.max())
+            points.append(point)
             print(
                 f"sweep point left={left} steps={steps}: "
                 f"runtime {time.perf_counter() - t0:.3f}s",
@@ -396,7 +408,8 @@ def cmd_sweep(cfg: dict) -> int:
         ("sweep_steps", cfg["sweep_steps"]),
         ("prune", cfg["prune"]),
     ]
-    _emit(cfg, echo, _SWEEP_HEADER, rows, [("points", len(rows))])
+    columns = [[point[key] for point in points] for key in _SWEEP_HEADER]
+    _emit(cfg, echo, _SWEEP_HEADER, columns, [("points", len(points))])
     return 0
 
 

@@ -856,7 +856,7 @@ def entropy_bits(dist: HistoryDistribution) -> float:
     p*log2(p) contribution is far below every tolerance used here.
     """
     acc = 0.0
-    for p in dist.probabilities:
+    for p in dist.probabilities.tolist():
         if p > _ENTROPY_FLOOR:
             acc -= p * math.log2(p)
     return acc
@@ -869,7 +869,7 @@ def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
     math.fsum, which rounds the exact sum once whatever the order of its
     terms; a matrix shared by a power-of-two number of position rows counts
     each square that many times by one exact multiplication.  math.fsum
-    reads one block's squares at a time, so no more are held at once.
+    reads one block's squares at a time, as Python floats 4096 at a time.
     """
     n = len(ensemble.paths)
     if n < 2:
@@ -886,7 +886,8 @@ def offdiagonal_norm(ensemble: BranchEnsemble) -> tuple[float, float]:
             off_max = max(off_max, float(off.max(initial=0.0)))
             off *= off
             off *= len(positions)
-            yield off
+            for start in range(0, len(off), 4096):
+                yield off[start : start + 4096].tolist()
 
     total = math.fsum(itertools.chain.from_iterable(squares()))
     return off_max, math.sqrt(total / (n * (n - 1)))

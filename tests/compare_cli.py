@@ -18,6 +18,7 @@ three data commands, the sweep points left 10 / steps 3, left 11 / steps 2
 and left 12 / steps 2 (26 qubits), left 8 / steps 5 and a pruned left 8 /
 steps 4, check at three more geometries, full-histories and coarse-entropy
 at a 13-bit window over five steps (a path of 65 bits), full-histories
+of 32768 rows at (16, 6, 4, 6, 5) in CSV and JSON, full-histories
 at dots 10 and 11 where the dense arm's closed-form column blocks are
 tallest, a pruned mirrored coarse-entropy, a pruned mirrored
 full-histories and two pruned dense-arm full-histories, the mirrored one
@@ -120,6 +121,9 @@ def invocations() -> list[list[str]]:
     out += [["full-histories", *wide, "--init-x", "0110100110010", "--format", fmt]
             for fmt in ("csv", "json")]
     out.append(["coarse-entropy", *wide, "--init-x", "00110010"])
+    # the largest table listed: 32768 rows of full histories
+    out += [["full-histories", "--qubits", "16", "--dot", "6", "--left", "4", "--right", "6",
+             "--steps", "5", "--init-x", "010110", "--format", fmt] for fmt in ("csv", "json")]
     # the dense arm at dots 10 and 11: each run of rows multiplies a block of
     # 64 closed-form kernel columns, 2048 and 4096 rows tall
     for qubits, dot, window in ((14, 10, "01101"), (15, 11, "011010")):

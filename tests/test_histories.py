@@ -1270,10 +1270,11 @@ def test_offdiagonal_norm_equals_the_masked_reference(medium_full, n):
 
 
 def test_offdiagonal_norm_sums_its_squares_without_a_list_of_floats(medium_full):
-    # math.fsum reads the squares as arrays, one block's at a time:
-    # magnitudes, kept entries and squares, 24 bytes a term of one block at
-    # the peak (traced); a Python list of the squares and its concatenated
-    # source would take 64, and four blocks' squares kept at once 96
+    # math.fsum reads one block's squares at a time, as lists of at most
+    # 4096 floats: magnitudes, kept entries and squares, 24 bytes a term of
+    # one block at the peak (traced); a Python list of all the squares and
+    # its concatenated source would take 64, and four blocks' squares kept
+    # at once 96
     rng = np.random.default_rng(3)
     for n, count in ((1024, 1), (512, 4)):
         grams = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
@@ -1355,6 +1356,14 @@ def test_entropy_bounds():
             propagate_branches(block, steps, prune_eps=0.0, kind="coarse")
         )
         assert 0.0 <= entropy_bits(coarse) <= block.graining.kept
+
+
+def test_entropy_bits_of_an_engine_distribution_is_a_python_float():
+    # the probabilities are a float64 array, whose items would make a
+    # running sum np.float64
+    dist = history_distribution(propagate_branches(make_block(8, 4, 2, 3, "010"), 2))
+    assert type(dist.probabilities) is np.ndarray
+    assert type(entropy_bits(dist)) is float
 
 
 def test_distribution_total_includes_discarded():
