@@ -348,7 +348,7 @@ def apply_columns(x: np.ndarray, dot: int, runs, out: np.ndarray | None = None) 
         np.multiply(x[lo:hi], pre[begin : begin + width], out=rows[..., begin : begin + width])
     # in-place FFTs keep peak memory at one output buffer; np.fft's out=
     # needs numpy >= 2.0, and pyproject.toml declares 2.4, on which they
-    # were traced to copy nothing (histories._estimate_bytes)
+    # were traced to copy nothing, so histories._estimate_bytes counts none
     np.fft.ifft(out, norm="forward", out=out)
     out *= mid
     halves = out.reshape(out.shape[:-1] + (2, m))

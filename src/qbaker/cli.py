@@ -104,10 +104,6 @@ _OPTIONS = {
                     "starts with '-' as --sweep-steps=-1,2)"),
 }
 _SWEEP_ONLY = ("sweep_left", "sweep_steps")
-# bytes per output-table row: its column entries and rendered text, less its
-# path, counted as 40 + 4 * kept.  tracemalloc measured at most 334 (CSV) and
-# 759 (JSON) per row in all, from columns to text, at 2**10 coarse rows and 4096 full
-_ROW_BYTES = {"csv": 320, "json": 1280}
 # rows _render_csv formats at a time, so it holds one slice's cell text
 _RENDER_ROWS = 1024
 # a JSON row's members as json.dumps(indent=2) separates them at depth 2
@@ -262,14 +258,23 @@ def _geometry(cfg: dict) -> CoarseGraining:
     return run_graining(shape, cfg["left"], cfg["right"], cfg["steps"])
 
 
+def _row_bytes(kept: int, words: int, fmt: str) -> int:
+    """Bytes an output-table row holds from its columns to its text, its path
+    of `words` window words of `kept` bits.  tracemalloc measured at most 334
+    (CSV) and 759 (JSON) per row at 2**10 coarse rows and 4096 full, and 633
+    and 964 at 1024 full rows of five 13-bit words."""
+    return (320 if fmt == "csv" else 1280) + words * (40 + 4 * kept)
+
+
 def _check_coarse_table(kept: int, fmt: str = "csv") -> None:
     """Refuse, before propagating, a kind "coarse" table whose 2**kept rows,
     one per final word whatever the run gives (_history_rows), would not fit
     the budget.  Kind "full" lists 2**steps shift continuations, but its
     propagation estimate counts a Gram block's 2 * 4**(steps - 1) complex
-    entries or more, which pass the budget by 15 steps; the rows of 14 steps
-    take under 100 MB."""
-    size = (_ROW_BYTES[fmt] + 40 + 4 * kept) << kept
+    entries or more, which pass the budget by 15 steps; at 14 steps a window
+    has at most 47 bits (right > 14 of 62 qubits), so the 2**14 rows of 14
+    words take at most 73 MB as JSON."""
+    size = _row_bytes(kept, 1, fmt) << kept
     if size > DEFAULT_BUDGET_BYTES:
         raise ResourceLimitError(
             f"output table of {1 << kept} rows needs {size} bytes, "

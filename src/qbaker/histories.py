@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,13 +127,9 @@ _FFT_MIN_WIDTH = 256
 # moving the constant moves outputs in their last digits
 _GEMM_MIN_MACS = 1 << 17
 _AHEAD = 2  # units per thread submitted ahead of the reduction (propagate_branches)
-# Python objects per thread of a small run: the executor, frames and unit lists
-_RUN_BYTES = 32 << 10
-# Python objects per unit until the reduction: its future, result tuple and
-# array headers (about 1.2 KiB measured with tracemalloc)
-_UNIT_BYTES = 1536
-# a path Gram block's array header and its (positions, matrix) tuple
-_BLOCK_OBJECT_BYTES = sys.getsizeof(np.empty((0, 0))) + sys.getsizeof((0, None))
+# bytes of Python objects per thread in flight beside the arrays _estimate_bytes counts;
+# the smallest budget case, (8,4,2,3,2) at one thread, traces 56 KB, nearly all such objects
+_ALLOWANCE = 64 << 10
 _ENTROPY_FLOOR = 1e-15
 _NEGATIVE_CLIP = 1e-12
 
@@ -264,71 +259,35 @@ class _Frame:
 def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     """Upper bounds on what one run holds at once, by item, ignoring pruning.
 
-    Every thread in flight holds a _Workspace (module docstring; a stored
-    step's window-major copy is as large as the step), a unit's Gram
-    accumulator and, on the dense arm, the np.tensordot result and the copy
-    it makes of a block's strided input, beside a run's (2M, w) block of
-    closed-form columns and its build.  np.tensordot reads that C-contiguous
-    block in place, and np.fft's in-place transforms copy nothing (numpy
-    2.4, traced).  On the FFT arm the twiddle loop buffers come per thread.
-    Step 1's g, the build of the FFT's cached twiddles, the path Gram blocks
-    (a matrix per grown group and last window value) and the reduction's
-    arrays and path words come once, beside the results of units not yet added.
+    Each thread in flight holds a _Workspace (two step buffers of the larger
+    of a unit's stored steps and a last-step block, and a block's Gram
+    operands) and numpy's transients; the rest comes once per run.
     """
-    itemsize = 16
-    two_m = 2 << frame.dot
-    h = 1 << frame.qwidth
-    a = frame.chunk
-    # rows entering the last step, and live rows after it
-    rows = frame.last_place
-    rows_final = h * rows
-    penultimate = frame.step_output(frame.steps - 1, a) if frame.steps > 1 else 0
+    h, rows, two_m = 1 << frame.qwidth, frame.last_place, 2 << frame.dot
+    stored = frame.step_output(frame.steps - 1, frame.chunk) if frame.steps > 1 else 0
     block = frame.step_output(frame.steps, frame.block)
-
-    def columns(width: int) -> int:
-        # a (2M, width) block of kernel_columns, beside its build's g (about
-        # 5 copies) and one buffered copy loop (traced at every dot up to 11)
-        return width * two_m + 5 * (width + two_m) + np.getbufsize()
-
-    # a dense step's largest transient beats step 1's fresh phase (3a entries)
-    transient = max(penultimate, 2 * block) + columns(frame.width) if frame.dense else 0
-    unit = 2 * max(penultimate, block) + 2 * block // h + h * rows**2 + transient
-    groups = 1 << frame.freeq
-    # units that run: on a mirrored run only the groups below the top bit
-    n_units = (frame.mirror or groups) * ((1 << frame.left) // a)
-    in_flight = min(threads, n_units)
-    # path keys: one table per group, or one that every group shares
-    tables = 1 if frame.shared_keys else groups
-    n_paths = tables * (1 << frame.nomega) * rows_final
-    # the Gram accumulators (h of `rows` paths), keep masks, codes and
-    # discarded masses of the units submitted and not yet added (_AHEAD per
-    # thread), the norms and S of the units in flight, the seen mask (a byte
-    # per table code) and its kept keys with three arrays derived at once,
-    # and one h's kept codes and keys with an accumulator's gather copy and sum
-    held = min(_AHEAD * threads, n_units) * (
-        rows_final * (rows * itemsize + 1) + (rows + a) * 8 + _UNIT_BYTES
-    )
-    held += in_flight * (2 * rows_final + 1) * a * 8 + rows_final * tables * 33
-    held += 2 * rows * 8 + 2 * rows**2 * itemsize
-    # h blocks per group on a matrix per grown (group, h), plus kind "coarse"'s
-    # h sums; each path's position in its block and the functionals' two lookup arrays
-    matrices = (frame.mirror or groups) * h + (h if frame.shared_keys else 0)
-    blocks = matrices * rows**2 * itemsize + groups * h * 2 * _BLOCK_OBJECT_BYTES + n_paths * 3 * 8
-    # per path (_path_keys): its words as built and sorted, the sort's order,
-    # its inverse and buffer, and the word build's three key-sized temporaries
-    held += n_paths * 8 * (2 * len(frame.recorded) + 6)
-    # step 1's g, whose build holds about 4 more copies
-    built = [("step 1 columns", 5 * (two_m + (1 << frame.left)) * itemsize)]
-    if frame.steps > 1 and not frame.dense:
-        # building apply_columns' cached pre, mid, post holds 6M entries in a few arrays
-        built.append(("step twiddles", 3 * two_m * itemsize + 6 * _BLOCK_OBJECT_BYTES))
-        # a twiddle multiply's buffered loop, a buffer per operand when the
-        # input and output are strided (394640 bytes measured at the sweep's left 8)
-        built.append(("twiddle loop buffers", (3 * np.getbufsize() + 128) * itemsize * in_flight))
-    return built + [
-        ("step workspace", unit * itemsize * in_flight),
-        ("path gram blocks", blocks),
-        ("path bookkeeping", held + _RUN_BYTES * in_flight),
+    if frame.dense:  # np.tensordot's result and input copy, a (2M, w) column block and its build
+        arm = max(stored, 2 * block) + (frame.width + 5) * two_m + 5 * frame.width + np.getbufsize()
+    else:  # a twiddle multiply's buffer per strided operand (394640 bytes traced at left 8)
+        arm = 3 * np.getbufsize() + 128
+    # a unit's accumulators, and a fold's norms, kill mask, pruned norms and their
+    # indices, 3 entries per branch
+    workspace = 2 * max(stored, block) + 2 * block // h + h * rows * (rows + 3 * frame.chunk) + arm
+    grown = frame.mirror or 1 << frame.freeq
+    units = (grown << frame.left) // frame.chunk
+    unit = h * rows * (rows + 1) + rows + frame.chunk  # accumulators, keep mask, codes, masses
+    # a matrix per grown (group, last window value) with 768 bytes of Python objects (about
+    # 510 traced per 1 x 1 matrix of a coarse run at (18,8,0,9,8)), and kind "coarse"'s h
+    # sums; per path its words as built and sorted, and 9 words of sorts and lookups
+    matrices = (grown * h + (h if frame.shared_keys else 0)) * 16 * rows**2 + grown * h * 768
+    paths = (h * rows << frame.nomega) * (1 if frame.shared_keys else 1 << frame.freeq)
+    return [
+        ("step workspace", min(threads, units) * (16 * workspace + _ALLOWANCE)),
+        ("unit accumulators", 16 * unit * min(_AHEAD * threads, units)),
+        ("path gram blocks", matrices + 8 * paths * (2 * len(frame.recorded) + 9)),
+        # step 1's g, 2M + 2**left entries, with its build's 4 more copies; later, g
+        # beside the twiddles' 6M-entry build or 5M-entry cache holds less
+        ("run builds", 80 * (two_m + (1 << frame.left))),
     ]
 
 

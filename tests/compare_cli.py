@@ -24,7 +24,8 @@ tallest, a pruned mirrored coarse-entropy, a pruned mirrored
 full-histories and two pruned dense-arm full-histories, the mirrored one
 and one dense one of several units per group that keep different rows,
 each with a --threads 1 twin, --threads 1 against the default, both output
-formats and two budget refusals.
+formats and two budget refusals, each naming the projected peak and its
+largest item.
 check's report is compared line by line: a suite's name and verdict as
 text, its numbers as numbers.  Each invocation's line also prints both
 trees' peak RSS, read with os.wait4, and the summary names the largest
@@ -145,8 +146,9 @@ def invocations() -> list[list[str]]:
                    "--right", "5", "--steps", "4", "--init-x", "011", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 6787900544 and 26116162688 bytes (2 threads), so a change to
-    # _estimate_bytes shows here as a stderr difference it must declare
+    # this tree 6781513792 and 26109481024 bytes (2 threads), the largest
+    # item the step workspace, so a change to _estimate_bytes shows here as a
+    # stderr difference it must declare
     out += [
         ["full-histories", "--qubits", "21", "--dot", "10", "--left", "9", "--right", "10",
          "--steps", "9", "--init-x", "01"],

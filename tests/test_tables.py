@@ -170,12 +170,15 @@ def test_column_table_equals_the_per_row_table_on_each_arm(
         (14, 3, 1, 3, 2, "0000000000", "coarse", 1 << 10),
         # a wide-window benchmark geometry
         (14, 5, 2, 6, 3, "110111", "full", 4096),
+        # a 13-bit window over five steps: a path of five words
+        (30, 2, 1, 16, 5, "0110100110010", "full", 1024),
     ],
 )
 def test_row_bytes_bound_the_traced_peak_of_a_table(
     qubits, dot, left, right, steps, window, kind, rows, fmt
 ):
-    # _check_coarse_table's per-row figure, taken from building the columns to the rendered text
+    # _check_coarse_table's per-row figure, a path counted by its window words,
+    # taken from building the columns to the rendered text
     ens = propagate_branches(make_block(qubits, dot, left, right, window), steps, kind=kind)
     dist = history_distribution(ens)
     render = cli._render_csv if fmt == "csv" else cli._render_json
@@ -187,4 +190,4 @@ def test_row_bytes_bound_the_traced_peak_of_a_table(
     finally:
         tracemalloc.stop()
     assert len(columns[0]) == rows
-    assert peak <= rows * (cli._ROW_BYTES[fmt] + 40 + 4 * len(window))
+    assert peak <= rows * cli._row_bytes(len(window), 1 if kind == "coarse" else steps, fmt)
