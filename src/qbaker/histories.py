@@ -69,9 +69,9 @@ omega or last window value are orthogonal, so the n x n matrix is never
 formed; each (table, last window value) is a block of it, shared by
 2**nomega omegas, in which a path's place is the code of its row entering
 the last step.  A unit's accumulators are added whole, zero where it kept
-no child, in unit order as units finish, then freed, and for a shared table
-in group order; a block keeps the codes some unit kept.  A path leaves as a
-row of int64 words (_path_keys).
+no child, in unit order into one array of the grown groups' matrices; a
+shared table sums them in group order.  A block keeps the codes some unit
+kept.  A path leaves as a row of int64 words (_path_keys).
 
 Active-label bookkeeping, with positions 1-indexed inside the label string:
 
@@ -92,7 +92,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -276,10 +276,9 @@ def _estimate_bytes(frame: _Frame, threads: int) -> list[tuple[str, int]]:
     grown = frame.mirror or 1 << frame.freeq
     units = (grown << frame.left) // frame.chunk
     unit = h * rows * (rows + 1) + rows + frame.chunk  # accumulators, keep mask, codes, masses
-    # a matrix per grown (group, last window value) with 768 bytes of Python objects (about
-    # 510 traced per 1 x 1 matrix of a coarse run at (18,8,0,9,8)), and kind "coarse"'s h
-    # sums; per path its words as built and sorted, and 9 words of sorts and lookups
-    matrices = (grown * h + (h if frame.shared_keys else 0)) * 16 * rows**2 + grown * h * 768
+    # a matrix per grown (group, last window value) and kind "coarse"'s h sums; per
+    # path its words as built and sorted, and 9 words of sorts and lookups
+    matrices = (grown * h + (h if frame.shared_keys else 0)) * 16 * rows**2
     paths = (h * rows << frame.nomega) * (1 if frame.shared_keys else 1 << frame.freeq)
     return [
         ("step workspace", min(threads, units) * (16 * workspace + _ALLOWANCE)),
@@ -671,24 +670,22 @@ def propagate_branches(
     group_disc = np.zeros((1 << frame.freeq, low_total))
     cross = 0.0
     # a block's head: its key table (its group, or 0 when groups share one) above
-    # its last window value; seen[head] marks its paths' places some unit kept
-    tables = 1 if frame.shared_keys else len(group_disc)
-    seen = np.zeros((tables << frame.qwidth, last_place), dtype=bool)
-    accs = {}
+    # its last window value h; seen[table, h] marks its paths' places some unit kept
+    per_group = (1 << frame.qwidth, last_place)
+    seen = np.zeros((1 if frame.shared_keys else len(group_disc),) + per_group, dtype=bool)
+    # acc[group, h] sums a grown group's units' gram[h] at their codes' places
+    acc = np.zeros((mirror or len(group_disc),) + per_group + (last_place,), dtype=np.complex128)
 
     def add(group, a_lo, a_hi, disc, unit_cross, codes, keep, gram) -> None:
         nonlocal cross
         # a mirrored unit's partner group has its masses (module docstring)
         group_disc[[group, group | mirror], a_lo:a_hi] = disc
         cross += 2.0 * unit_cross if mirror else unit_cross
-        table = 0 if frame.shared_keys else group
-        for h in np.flatnonzero(keep.any(axis=1)).tolist():
-            # the rows keep[h] drops are zero in gram[h], so adding them changes nothing
-            head = table << frame.qwidth | h
-            seen[head, codes[keep[h]]] = True
-            if (group, head) not in accs:
-                accs[group, head] = np.zeros((last_place, last_place), dtype=np.complex128)
-            accs[group, head][np.ix_(codes, codes)] += gram[h]
+        seen[0 if frame.shared_keys else group][:, codes] |= keep
+        # the rows keep drops are zero in gram, so adding them changes nothing; a
+        # unit that kept every code adds by slice, sparing the fancy add's copy
+        places = np.s_[:] if len(codes) == last_place else np.s_[:, codes[:, None], codes]
+        acc[group][places] += gram
 
     # each unit is added in unit order as it finishes, then freed with add's
     # frame, and only then is the unit `ahead` places later submitted
@@ -703,20 +700,23 @@ def propagate_branches(
     # XOR to a partner head (0 if unmirrored): the top bit of the last window value
     # and, unless the groups share a table, the top group bit; it keeps its group's codes
     twin = mirror and (0 if frame.shared_keys else mirror << frame.qwidth) | 1 << frame.qwidth - 1
+    seen = seen.reshape(-1, last_place)  # one row per head
     seen |= seen[np.arange(len(seen)) ^ twin]
     keys = np.flatnonzero(seen)  # a key table above a path code
     paths, where = _path_keys(frame, *np.divmod(keys, last_place << frame.qwidth))
-    # each element sums its units in unit order from 0, and the weights are
-    # powers of two, so scaling is exact; a block keeps its seen codes and adds,
-    # in group order, its groups' terms, a partner group's being its group's
-    terms, matrices = {}, {}
-    for group, head in sorted(accs):
-        term = accs.pop((group, head))[np.ix_(seen[head], seen[head])]
-        term *= block_weight
-        terms[group, head] = terms[group | mirror, head ^ twin] = term
-    for (_, head), term in sorted(terms.items()):
-        matrices[head] = matrices[head] + term if head in matrices else term
-        matrices[head].flags.writeable = False
+    # units summed in unit order from 0 scale exactly by a power of two; a shared table
+    # adds its groups' matrices, then their partners' (h's top bit flipped), in group order
+    acc *= block_weight
+    if frame.shared_keys:
+        partners = (m[np.arange(len(m)) ^ len(m) >> 1] for m in acc) if mirror else ()
+        acc = reduce(np.add, itertools.chain(acc, partners))
+    # a block keeps its seen codes, a view when it kept them all; a partner
+    # group's head, past the grown ones, is its group's matrix
+    heads = acc.reshape(-1, last_place, last_place)
+    matrices = [m if s.all() else m[np.ix_(s, s)] for m, s in zip(heads, seen)]
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    matrices += [matrices[head ^ twin] for head in range(len(matrices), len(seen))]
     blocks = [(where[:, lo:hi], matrices[head]) for head, lo, hi in _runs(keys // last_place)]
 
     return BranchEnsemble(

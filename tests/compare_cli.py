@@ -24,8 +24,10 @@ tallest, a pruned mirrored coarse-entropy, a pruned mirrored
 full-histories and two pruned dense-arm full-histories, the mirrored one
 and one dense one of several units per group that keep different rows,
 each with a --threads 1 twin, --threads 1 against the default, both output
-formats and two budget refusals, each naming the projected peak and its
-largest item.
+formats, the many-group shared-table point coarse-entropy at (18, 8, 0, 9,
+8), whose 64 grown groups of 256 last window values the reduction adds in
+group order, unpruned and pruned, each with a --threads 1 twin, and two
+budget refusals, each naming the projected peak and its largest item.
 check's report is compared line by line: a suite's name and verdict as
 text, its numbers as numbers.  Each invocation's line also prints both
 trees' peak RSS, read with os.wait4, and the summary names the largest
@@ -145,8 +147,15 @@ def invocations() -> list[list[str]]:
                   ["full-histories", "--qubits", "15", "--dot", "8", "--left", "7",
                    "--right", "5", "--steps", "4", "--init-x", "011", "--prune", "1e-3"]):
         out += [point, point + ["--threads", "1"]]
+    # the many-group shared table: 64 grown groups of 256 last window values,
+    # where every other kind "coarse" invocation has at most 2 groups; the
+    # reduction must add them, then their mirrored partners, in group order
+    point = ["coarse-entropy", "--qubits", "18", "--dot", "8", "--left", "0", "--right", "9",
+             "--steps", "8", "--init-x", "0"]
+    for prune in ([], ["--prune", "1e-3"]):
+        out += [point + prune, point + prune + ["--threads", "1"]]
     # two budget refusals, whose error lines carry the projected peak: at
-    # this tree 6781513792 and 26109481024 bytes (2 threads), the largest
+    # this tree 6781317184 and 26109284416 bytes (2 threads), the largest
     # item the step workspace, so a change to _estimate_bytes shows here as a
     # stderr difference it must declare
     out += [

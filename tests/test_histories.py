@@ -45,6 +45,7 @@ from _dense_reference import (
     dense_gram,
     dense_pruned_marginal,
 )
+from _gram_reference import dict_reduction
 from _string_paths import (
     definite_word,
     rev_bits,
@@ -974,19 +975,21 @@ def test_budget_holds_for_the_first_fft_propagation_of_a_process():
     assert peak <= estimate
 
 
-def test_budget_counts_the_python_objects_of_small_matrices():
-    # a coarse run that grows 16 groups of 256 one-entry Gram matrices: each
-    # also holds some 510 bytes of Python objects, without which the estimate
-    # falls below half the traced peak
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("steps", [6, 8])
+def test_budget_bounds_a_many_group_coarse_run(steps, threads):
+    # a coarse run that grows 16 (steps 6) or 64 (steps 8) groups of 256
+    # one-entry Gram matrices into one shared table, the most groups of any
+    # budget case, each unit of one label and one row
     block = make_block(18, 8, 0, 9, "0" * 9)
-    assert block_frame(block, 6, "coarse").mirror == 16
+    assert block_frame(block, steps, "coarse").mirror == 1 << steps - 2
     tracemalloc.start()
     try:
-        propagate_branches(block, 6, prune_eps=0.0, kind="coarse")
+        propagate_branches(block, steps, prune_eps=0.0, kind="coarse", threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _projected_bytes(block, 6, "coarse", 1)
+    assert peak <= _projected_bytes(block, steps, "coarse", threads)
 
 
 def test_coarse_kind_needs_no_dense_gram():
@@ -1539,6 +1542,32 @@ def test_a_partner_block_is_its_groups_read_only_matrix(monkeypatch, arm, kind):
     for group, h in itertools.product(range(frame.mirror), range(h_count)):
         partner = (group | frame.mirror) * h_count + (h ^ h_count >> 1)
         assert matrices[partner] is matrices[group * h_count + h]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from([0, 1, 2]).flatmap(_freeq_geometries),
+    kind=st.sampled_from(["full", "coarse"]),
+    arm=st.sampled_from(["fft", "dense"]),
+    prune_eps=st.sampled_from([0.0, 1e-3]),
+    threads=st.sampled_from([1, 2]),
+)
+# mirrored through the FFT at freeq 3: a shared table of 4 grown groups adds
+# them, then their partners; _UNEVEN adds units that kept some of the codes
+@example(geometry=(11, 5, 2, 5, 4, "0110"), kind="coarse", arm="fft", prune_eps=1e-3, threads=2)
+@example(geometry=_UNEVEN, kind="full", arm="fft", prune_eps=1e-3, threads=1)
+def test_the_gram_reduction_sums_as_the_dict_reduction(geometry, kind, arm, prune_eps, threads):
+    qubits, dot, left, right, steps, window = geometry
+    block = make_block(qubits, dot, left, right, window)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(histories, "_FFT_MIN_WIDTH", 0 if arm == "fft" else 1 << 30)
+        ens = propagate_branches(block, steps, prune_eps=prune_eps, kind=kind, threads=threads)
+        paths, blocks = dict_reduction(frame_of(ens), prune_eps)
+    assert ens.paths.tobytes() == paths.tobytes() and ens.paths.shape == paths.shape
+    assert len(ens.blocks) == len(blocks)
+    for (at, matrix), (want_at, want) in zip(ens.blocks, blocks):
+        assert at.tobytes() == want_at.tobytes() and at.shape == want_at.shape
+        assert matrix.tobytes() == want.tobytes() and matrix.shape == want.shape
 
 
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-3])
